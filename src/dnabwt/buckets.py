@@ -29,6 +29,11 @@ for _i, _ch in enumerate(SYMBOL_BYTES):
     _ASCII_TO_CODE[_ch] = _i
 
 
+# batches of at most this many entries take _splice_few; measured crossover
+# against _splice_numpy, see README
+SPLICE_FEW_MAX = 16
+
+
 class ConsistencyError(RuntimeError):
     pass
 
@@ -105,6 +110,34 @@ def _splice_numpy(old: np.ndarray, local: np.ndarray, syms: np.ndarray,
     return new, captured
 
 
+def _splice_few(old: np.ndarray, local: np.ndarray, syms: np.ndarray,
+                want_ranks: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Small-batch form of :func:`_splice_numpy`, one Python step per entry.
+
+    The old content is copied around each entry in slices; each rank is then
+    a C-level count of the entry's symbol over the prefix it is written
+    after, resumed from that symbol's previous entry, so a batch reads the
+    new content at most once per symbol.
+    """
+    ps, ss = local.tolist(), syms.tolist()
+    new = np.empty(len(old) + len(ps), dtype=old.dtype)
+    src = 0
+    for i, (p, s) in enumerate(zip(ps, ss)):
+        new[src + i : p] = old[src : p - i]
+        new[p] = s
+        src = p - i
+    new[src + len(ps) :] = old[src:]
+    if not want_ranks:
+        return new, None
+    seen, upto = [0] * 5, [0] * 5
+    captured = []
+    for p, s in zip(ps, ss):
+        seen[s] += int(np.count_nonzero(new[upto[s] : p] == s))
+        upto[s] = p
+        captured.append(seen[s])
+    return new, np.array(captured, dtype=np.int64)
+
+
 def _validate_positions(local: np.ndarray, n0: int, ordinal: int) -> None:
     k = len(local)
     if k and (local[0] < 0 or int(local[-1]) - (k - 1) > n0 or (k > 1 and np.any(np.diff(local) <= 0))):
@@ -125,6 +158,8 @@ def _splice(old: np.ndarray, local: np.ndarray, syms: np.ndarray, want_ranks: bo
             old, np.ascontiguousarray(local, dtype=np.int64), syms, want_ranks
         )
         return new, (captured if want_ranks else None)
+    if len(local) <= SPLICE_FEW_MAX:
+        return _splice_few(old, local, syms, want_ranks)
     return _splice_numpy(old, local, syms, want_ranks)
 
 

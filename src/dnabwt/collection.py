@@ -157,12 +157,17 @@ class WordCollection:
             raise IndexError(f"word {j} is not active at iteration {t}")
         if t == self.max_length:
             return "$"
-        return chr(SYMBOL_BYTES[self.fetch_codes(np.asarray([j]), t)[0]])
+        return chr(SYMBOL_BYTES[self.fetch_code(j, t)])
 
     def fetch_codes(self, j_arr: np.ndarray, t: int) -> np.ndarray:
         """Vectorised symbol fetch for active words; callers guarantee activity."""
         idx = self._offsets[j_arr] + (self.max_length - 1 - t)
         return (self._packed[idx >> 2] >> (2 * (3 - (idx & 3)))).astype(np.uint8) & 3
+
+    def fetch_code(self, j: int, t: int) -> int:
+        """Scalar :meth:`fetch_codes` for one active word."""
+        idx = int(self._offsets[j]) + (self.max_length - 1 - t)
+        return (int(self._packed[idx >> 2]) >> (2 * (3 - (idx & 3)))) & 3
 
     # -- serialisation --------------------------------------------------------
 

@@ -33,6 +33,18 @@ def nav_directions(sym: str) -> tuple[str, str]:
     return _STEPS[code]
 
 
+def path_steps(leaf, depth: int):
+    """Yield ``(node, right)`` for the ``depth`` nodes above a leaf id, root first.
+
+    In the implicit layout the node ``d`` levels above leaf id ``leaf`` is
+    ``leaf >> d``, and the step below it goes right (to ``2 * node + 1``)
+    exactly when bit ``d - 1`` of ``leaf`` is set. Works elementwise on
+    Python ints and on integer arrays alike.
+    """
+    for d in range(depth, 0, -1):
+        yield leaf >> d, (leaf >> (d - 1)) & 1
+
+
 class TreeArray:
     def __init__(self, kappa: int):
         if kappa < 3:
@@ -59,23 +71,13 @@ class TreeArray:
                 stack.append((2 * node + 1, mid, hi))
 
     def _build_right_nodes(self) -> np.ndarray:
-        # unused slots point at the all-zero pad row so a flat gather-sum works
-        depth = self.kappa - 2
-        table = np.full((self.n_leaves, max(depth, 1)), self.n_leaves, dtype=np.int64)
-        for o in range(self.n_leaves):
-            node = 4 + (o >> depth)
-            lo = (o >> depth) * self.leaves_per_tree
-            hi = lo + self.leaves_per_tree
-            col = 0
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if o < mid:
-                    node, hi = 2 * node, mid
-                else:
-                    table[o, col] = node
-                    col += 1
-                    node, lo = 2 * node + 1, mid
-        return table
+        # one row per leaf: its right-step nodes from the root down, then the
+        # all-zero pad row in the unused slots so a flat gather-sum works
+        leaves = self.n_leaves + np.arange(self.n_leaves, dtype=np.int64)
+        nodes, right = (np.column_stack(a) for a in zip(*path_steps(leaves, self.kappa - 2)))
+        table = np.where(right == 1, nodes, self.n_leaves)
+        order = np.argsort(right == 0, axis=1, kind="stable")
+        return np.take_along_axis(table, order, axis=1)
 
     # -- per-iteration bulk operations ---------------------------------------
 
@@ -115,6 +117,36 @@ class TreeArray:
         left-before-right descent would read.
         """
         return self.counters[self._right_nodes[ordinals]].sum(axis=1)
+
+    # -- scalar forms for rounds with few insertions ---------------------------
+
+    def add_insertions(self, ordinals: list[int], syms: list[int]) -> None:
+        """Scalar :meth:`update_prefix_totals` plus :meth:`apply_left_increments`.
+
+        Same arguments as :meth:`apply_left_increments`, as Python int lists;
+        each insertion walks its own path instead of a per-round batch.
+        """
+        cv = memoryview(self.counters)
+        depth = self.kappa - 2
+        for o, s in zip(ordinals, syms):
+            for x in range(o >> depth, 4):
+                cv[x, s] += 1
+            for node, right in path_steps(self.n_leaves + o, depth):
+                if not right:
+                    cv[node, s] += 1
+
+    def accumulator(self, ordinal: int) -> list[int]:
+        """Scalar :meth:`accumulators_for` of one bucket, as five Python ints.
+
+        Like the bulk form, it must follow the round's :meth:`add_insertions`.
+        """
+        cv = memoryview(self.counters)
+        acc = [0] * 5
+        for node, right in path_steps(self.n_leaves + ordinal, self.kappa - 2):
+            if right:
+                for c in range(5):
+                    acc[c] += cv[node, c]
+        return acc
 
     # -- sequential reference descent ----------------------------------------
 

@@ -13,6 +13,11 @@ The active list is kept sorted by (context, tree-relative position). After
 an iteration it is re-sorted for the next one by a single stable partition
 on the symbol just inserted, and newly started words are prepended with
 positions taken from a rank over the activation bitvector.
+
+An iteration runs as per-round numpy batches, or, while at most
+``SPARSE_MAX`` words are active, as the same steps on plain Python ints,
+which avoids the batches' fixed cost in the long runs of rounds where only
+the longest words are active.
 """
 from __future__ import annotations
 
@@ -37,6 +42,10 @@ from .collection import DOLLAR, WordCollection
 from .counttree import TreeArray
 
 BACKENDS = ("external", "memory")
+
+# a round before the final one with at most this many active words runs on
+# Python ints (BwtBuilder._sparse_round); the measured crossover, see README
+SPARSE_MAX = 16
 
 
 class ConfigError(ValueError):
@@ -116,13 +125,30 @@ def next_insert_position(
     return base + r_c + rankk + alpha_term
 
 
-def plan_iteration(ordinals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group a sorted ordinal array into contiguous bucket slices.
+def next_positions(counters, tree_sym, sym, acc, rank, alpha_next):
+    """Tree-relative insert positions of the words' next symbols.
+
+    The rule of :func:`next_insert_position`, elementwise over arrays (dense
+    rounds) or on Python ints (sparse rounds): the count of ``sym`` stored
+    before the word's tree, plus the bucket accumulator for ``sym``, plus the
+    rank captured during the splice, plus ``alpha_next`` when ``sym`` is A.
+    ``counters`` is the tree's counter table or a memoryview of it; its last
+    row is the all-zero pad, so row ``tree_sym - 1`` gives the A tree base 0.
+    """
+    return counters[tree_sym - 1, sym] + acc + rank + (sym == 0) * alpha_next
+
+
+def plan_iteration(ordinals):
+    """Group a sorted ordinal sequence into contiguous bucket slices.
 
     Returns (unique ordinals, boundary indices); slice i of the active list
-    is ``bounds[i]:bounds[i+1]``.
+    is ``bounds[i]:bounds[i+1]``. Arrays give arrays; a list (sparse
+    rounds) is grouped in plain Python and gives lists.
     """
     n = len(ordinals)
+    if isinstance(ordinals, list):
+        bounds = [i for i in range(n) if i == 0 or ordinals[i] != ordinals[i - 1]] + [n]
+        return [ordinals[b] for b in bounds[:-1]], bounds
     if n == 0:
         return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
     cuts = np.flatnonzero(np.diff(ordinals)) + 1
@@ -174,6 +200,7 @@ class BwtBuilder:
         if self.config.backend == "external" and self.config.threads > 1:
             self._pool = ThreadPoolExecutor(max_workers=self.config.threads)
         self.t = -1
+        self._active: tuple = ([], [], [])
         self.alpha = 0
 
     # -- activation -----------------------------------------------------------
@@ -204,65 +231,27 @@ class BwtBuilder:
 
     # -- main loop --------------------------------------------------------------
 
+    @property
+    def active_state(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(word indices, tree-relative positions, contexts) of the current round."""
+        return tuple(np.asarray(a, dtype=np.int64) for a in self._active)
+
     def run(self, inspect: Callable[["BwtBuilder"], None] | None = None) -> bytes:
         c = self.collection
         M = c.max_length
-        n_sym = context_symbols(self.config.kappa)
-        drop = 2 * n_sym - self.config.kappa
-        top_shift = 2 * (n_sym - 1)
-        per_tree_shift = self.config.kappa - 2
-
         self._prepare_starts()
         sb = StartBitvector(c.m)
-        j_arr = np.empty(0, dtype=np.int64)
-        pos = np.empty(0, dtype=np.int64)
-        ctx = np.empty(0, dtype=np.int64)
-
+        state: tuple = ([], [], [])  # word indices, positions, contexts
+        # words join but never leave before the final round, so the active
+        # count never falls: the sparse rounds all come first
+        sparse = True
         for t in range(M + 1):
             self.t = t
             new_js, new_pos = self.activate_new_words(sb, t)
-            if new_js.size:
-                j_arr = np.concatenate([new_js, j_arr])
-                pos = np.concatenate([new_pos, pos])
-                ctx = np.concatenate([np.zeros(len(new_js), dtype=np.int64), ctx])
-
-            if t < M:
-                syms = c.fetch_codes(j_arr, t)
-            else:
-                syms = np.full(len(j_arr), DOLLAR, dtype=np.uint8)
             alpha_next = self.alpha + len(self._starting_words(t + 1))
-            self.active_state = (j_arr, pos, ctx)  # debug/inspection surface
-
-            ordinals = ctx >> drop
-            uniq, bounds = plan_iteration(ordinals)
-            htree = np.bincount(
-                (ordinals >> per_tree_shift) * 5 + syms, minlength=20
-            ).reshape(4, 5)
-            self.tree.update_prefix_totals(htree)
-            self.tree.apply_left_increments(ordinals, syms)
-            racc = self.tree.accumulators_for(uniq)
-            bases = racc.sum(axis=1)
-
-            batches = [
-                (int(uniq[i]), pos[bounds[i] : bounds[i + 1]], syms[bounds[i] : bounds[i + 1]], int(bases[i]))
-                for i in range(len(uniq))
-            ]
-            captured = self.store.merge_many(batches, want_ranks=(t < M), pool=self._pool)
-
-            if inspect is not None:
-                inspect(self)
-            if t == M:
-                break
-
-            sizes = np.diff(bounds)
-            r_per_entry = np.repeat(racc, sizes, axis=0)
-            sel = (ctx >> top_shift).astype(np.int64)
-            prefix_pad = np.vstack([np.zeros(5, dtype=np.int64), self.tree.counters[0:3]])
-            base1 = prefix_pad[sel, syms]
-            nxt = base1 + r_per_entry[np.arange(len(syms)), syms] + captured
-            nxt += np.where(syms == 0, alpha_next, 0)
-            ctx = (syms.astype(np.int64) << top_shift) | (ctx >> 2)
-            j_arr, pos, ctx = stable_radix_step(syms, j_arr, nxt, ctx)
+            sparse = sparse and t < M and len(state[0]) + len(new_js) <= SPARSE_MAX
+            round_ = self._sparse_round if sparse else self._dense_round
+            state = round_(t, state, new_js, new_pos, alpha_next, inspect)
 
         out = BytesIO()
         written = self.store.assemble(out)
@@ -271,6 +260,100 @@ class BwtBuilder:
                 f"assembled {written} symbols, expected {c.total_length}"
             )
         return out.getvalue()
+
+    def _shifts(self) -> tuple[int, int, int]:
+        """(context-to-ordinal, context-to-tree, ordinal-to-tree) right shifts."""
+        kappa = self.config.kappa
+        n_sym = context_symbols(kappa)
+        return 2 * n_sym - kappa, 2 * (n_sym - 1), kappa - 2
+
+    def _dense_round(self, t: int, state: tuple, new_js: np.ndarray, new_pos: np.ndarray,
+                     alpha_next: int, inspect: Callable | None) -> tuple | None:
+        """One round as per-round numpy batches; returns the next round's state."""
+        c = self.collection
+        M = c.max_length
+        drop, top_shift, per_tree_shift = self._shifts()
+        j_arr, pos, ctx = (np.asarray(a, dtype=np.int64) for a in state)
+        if new_js.size:
+            j_arr = np.concatenate([new_js, j_arr])
+            pos = np.concatenate([new_pos, pos])
+            ctx = np.concatenate([np.zeros(len(new_js), dtype=np.int64), ctx])
+        self._active = (j_arr, pos, ctx)
+
+        if t < M:
+            syms = c.fetch_codes(j_arr, t)
+        else:
+            syms = np.full(len(j_arr), DOLLAR, dtype=np.uint8)
+
+        ordinals = ctx >> drop
+        uniq, bounds = plan_iteration(ordinals)
+        htree = np.bincount(
+            (ordinals >> per_tree_shift) * 5 + syms, minlength=20
+        ).reshape(4, 5)
+        self.tree.update_prefix_totals(htree)
+        self.tree.apply_left_increments(ordinals, syms)
+        racc = self.tree.accumulators_for(uniq)
+        bases = racc.sum(axis=1)
+
+        batches = [
+            (int(uniq[i]), pos[bounds[i] : bounds[i + 1]], syms[bounds[i] : bounds[i + 1]], int(bases[i]))
+            for i in range(len(uniq))
+        ]
+        captured = self.store.merge_many(batches, want_ranks=(t < M), pool=self._pool)
+
+        if inspect is not None:
+            inspect(self)
+        if t == M:
+            return None
+
+        acc = np.repeat(racc, np.diff(bounds), axis=0)[np.arange(len(syms)), syms]
+        nxt = next_positions(self.tree.counters, ctx >> top_shift, syms, acc, captured, alpha_next)
+        ctx = (syms.astype(np.int64) << top_shift) | (ctx >> 2)
+        return stable_radix_step(syms, j_arr, nxt, ctx)
+
+    def _sparse_round(self, t: int, state: tuple, new_js: np.ndarray, new_pos: np.ndarray,
+                      alpha_next: int, inspect: Callable | None) -> tuple:
+        """One round before the final one on Python ints, for few active words.
+
+        Same steps, same store and tree state and same result as
+        :meth:`_dense_round`, without its fixed per-round numpy cost.
+        """
+        c = self.collection
+        drop, top_shift, _ = self._shifts()
+        j, pos, ctx = state
+        if new_js.size:
+            j = new_js.tolist() + j
+            pos = new_pos.tolist() + pos
+            ctx = [0] * len(new_js) + ctx
+        self._active = (j, pos, ctx)
+
+        syms = [c.fetch_code(w, t) for w in j]
+        ordinals = [x >> drop for x in ctx]
+        uniq, bounds = plan_iteration(ordinals)
+        self.tree.add_insertions(ordinals, syms)
+        entry_acc: list[list[int]] = []
+        captured: list[int] = []
+        for o, lo, hi in zip(uniq, bounds, bounds[1:]):
+            acc = self.tree.accumulator(o)
+            entry_acc += [acc] * (hi - lo)
+            captured += self.store.merge_insert(
+                o,
+                np.array(pos[lo:hi], dtype=np.int64),
+                np.array(syms[lo:hi], dtype=np.uint8),
+                sum(acc),
+            ).tolist()
+
+        if inspect is not None:
+            inspect(self)
+
+        cv = memoryview(self.tree.counters)
+        nxt = [
+            next_positions(cv, x >> top_shift, s, acc[s], r, alpha_next)
+            for x, s, acc, r in zip(ctx, syms, entry_acc, captured)
+        ]
+        ctx = [(s << top_shift) | (x >> 2) for s, x in zip(syms, ctx)]
+        order = sorted(range(len(syms)), key=syms.__getitem__)  # stable
+        return tuple([a[i] for i in order] for a in (j, nxt, ctx))
 
     def bucket_sizes(self) -> np.ndarray:
         return self.store.sizes.copy()

@@ -97,16 +97,31 @@ def test_captured_ranks_monotone_per_symbol():
             assert np.all(np.diff(per_sym) >= 0)
 
 
+def _splice_cases(rng):
+    """(old, positions, syms) batches for the splice oracle: random ones, and
+    batch sizes on both sides of the small-batch cut with inserts at the
+    front and the end and all-equal symbols."""
+    for _ in range(40):
+        old = [rng.randrange(4) for _ in range(rng.randrange(30))]
+        k = rng.randint(1, 8)
+        yield old, sorted(rng.sample(range(len(old) + k), k)), [rng.randrange(4) for _ in range(k)]
+    for k in (1, buckets.SPLICE_FEW_MAX, buckets.SPLICE_FEW_MAX + 1):
+        for n0 in (0, 1, 25):
+            old = [rng.randrange(4) for _ in range(n0)]
+            n = n0 + k
+            spread = [0, *sorted(rng.sample(range(1, n - 1), k - 2)), n - 1] if k > 1 else [0]
+            for positions in (list(range(k)), list(range(n - k, n)), spread):
+                yield old, positions, [rng.randrange(4) for _ in range(k)]
+                for c in range(4):
+                    yield old, positions, [c] * k
+
+
 @pytest.mark.parametrize("use_kernel", [True, False])
 def test_merge_insert_matches_array_splice_oracle(tmp_path, use_kernel, monkeypatch):
     if not use_kernel:
         monkeypatch.setattr(buckets, "merge_stream", None)
     rng = random.Random(31)
-    for trial in range(40):
-        old = [rng.randrange(4) for _ in range(rng.randrange(30))]
-        k = rng.randint(1, 8)
-        positions = sorted(rng.sample(range(len(old) + k), k))
-        syms = [rng.randrange(4) for _ in range(k)]
+    for trial, (old, positions, syms) in enumerate(_splice_cases(rng)):
         expected, expected_ranks = _naive_splice(old, positions, syms)
         for store in _stores(tmp_path / f"t{trial}_{use_kernel}", 3):
             if isinstance(store, MemoryBucketStore):

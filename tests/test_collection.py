@@ -1,6 +1,7 @@
 import io
 import random
 
+import numpy as np
 import pytest
 
 from dnabwt import IngestPolicy, ParseError, WordCollection, detect_format, parse_sequences
@@ -147,6 +148,10 @@ def test_right_aligned_sequence_is_reverse_of_word():
             )
             assert seq == w[::-1]
             assert c.symbol_at(j, c.max_length) == "$"
+        # the batch fetch of dense rounds equals the scalar one of sparse rounds
+        for t in range(c.max_length):
+            js = np.flatnonzero(c.max_length - c.lengths <= t)
+            assert c.fetch_codes(js, t).tolist() == [c.fetch_code(j, t) for j in js.tolist()]
 
 
 def test_parse_is_idempotent_on_serialised_collection():

@@ -144,6 +144,55 @@ def test_bulk_updates_equal_reference_descent():
                 assert racc[i].tolist() == by_ordinal[int(o)].tolist()
 
 
+def test_scalar_updates_equal_bulk_updates():
+    rng = random.Random(24)
+    for kappa in range(3, 9):
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            ords = np.sort(np.array([rng.randrange(1 << kappa) for _ in range(n)], dtype=np.int64))
+            syms = np.array([rng.randrange(5) for _ in range(n)], dtype=np.uint8)
+            bulk, scalar = TreeArray(kappa), TreeArray(kappa)
+            seed = np.random.default_rng(kappa).integers(0, 50, size=bulk.counters.shape)
+            seed[-1] = 0  # pad row stays zero
+            bulk.counters += seed
+            scalar.counters += seed
+            per_tree = np.bincount((ords >> (kappa - 2)) * 5 + syms, minlength=20).reshape(4, 5)
+            bulk.update_prefix_totals(per_tree)
+            bulk.apply_left_increments(ords, syms)
+            uniq = np.unique(ords)
+            racc = bulk.accumulators_for(uniq)
+            scalar.add_insertions(ords.tolist(), syms.tolist())
+            assert np.array_equal(bulk.counters, scalar.counters)
+            assert [scalar.accumulator(o) for o in uniq.tolist()] == racc.tolist()
+
+
+def _right_nodes_by_descent(tree):
+    # reference: walk each leaf's range bisection from its root, recording
+    # the nodes where the path steps right; unused slots hold the pad row
+    depth = tree.kappa - 2
+    table = np.full((tree.n_leaves, depth), tree.n_leaves, dtype=np.int64)
+    for o in range(tree.n_leaves):
+        node = 4 + (o >> depth)
+        lo = (o >> depth) * tree.leaves_per_tree
+        hi = lo + tree.leaves_per_tree
+        col = 0
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if o < mid:
+                node, hi = 2 * node, mid
+            else:
+                table[o, col] = node
+                col += 1
+                node, lo = 2 * node + 1, mid
+    return table
+
+
+def test_right_nodes_table_matches_descent():
+    for kappa in range(3, 13):
+        tree = TreeArray(kappa)
+        assert np.array_equal(tree._right_nodes, _right_nodes_by_descent(tree)), kappa
+
+
 def test_level1_base():
     tree = TreeArray(4)
     tree.counters[0] = [7, 3, 2, 1, 0]

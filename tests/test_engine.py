@@ -3,18 +3,27 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dnabwt.engine as engine
 from dnabwt import Config, ConfigError, WordCollection, build, naive_bwt
 from dnabwt.counttree import TreeArray
 from dnabwt.engine import (
     BwtBuilder,
     StartBitvector,
     next_insert_position,
+    next_positions,
     plan_iteration,
     sb_rank,
     stable_radix_step,
 )
 from conftest import random_collection
+from test_acceptance import _recount_tree, _SpliceOracle
+
+# SPARSE_MAX settings that force every round onto one path (the final
+# terminator round is always dense)
+ROUND_PATHS = {"dense": 0, "sparse": 1 << 30}
 
 
 def test_build_single_letter_word():
@@ -166,6 +175,41 @@ def test_next_insert_position_alpha_term_follows_inserted_symbol():
     assert next_insert_position(0, 2, tree, r_c=0, rankk=2, alpha_next=6) == 2
 
 
+def test_next_positions_matches_scalar_rule():
+    tree = TreeArray(4)
+    tree.counters[0] = [0, 3, 0, 0, 0]  # three C stored in the A tree
+    tree.counters[1] = [2, 4, 1, 0, 0]
+    tree.counters[2] = [5, 4, 3, 1, 0]
+    # the worked examples: two C entries into bucket CG with captured ranks
+    # 0 and 1 come out at 3 and 4; an A under an all-A context owes alpha_next
+    got = next_positions(
+        tree.counters, np.array([1, 1, 0]), np.array([1, 1, 0], dtype=np.uint8),
+        np.zeros(3, dtype=np.int64), np.array([0, 1, 0]), 4,
+    )
+    assert got.tolist() == [3, 4, 4]
+    rng = random.Random(56)
+    for _ in range(50):
+        n = rng.randint(1, 12)
+        xs = [rng.randrange(4) for _ in range(n)]
+        ss = [rng.randrange(4) for _ in range(n)]
+        accs = [rng.randrange(20) for _ in range(n)]
+        ranks = [rng.randrange(20) for _ in range(n)]
+        alpha_next = rng.randrange(10)
+        expected = [
+            next_insert_position(x, s, tree, r_c=a, rankk=r, alpha_next=alpha_next)
+            for x, s, a, r in zip(xs, ss, accs, ranks)
+        ]
+        dense = next_positions(
+            tree.counters, np.array(xs), np.array(ss, dtype=np.uint8),
+            np.array(accs), np.array(ranks), alpha_next,
+        )
+        cv = memoryview(tree.counters)
+        sparse = [
+            next_positions(cv, x, s, a, r, alpha_next) for x, s, a, r in zip(xs, ss, accs, ranks)
+        ]
+        assert dense.tolist() == sparse == expected
+
+
 def test_plan_iteration_groups():
     uniq, bounds = plan_iteration(np.array([6, 6], dtype=np.int64))
     assert uniq.tolist() == [6]
@@ -185,6 +229,10 @@ def test_plan_iteration_matches_groupby_oracle():
         expected = [(k, len(list(g))) for k, g in itertools.groupby(ords.tolist())]
         assert uniq.tolist() == [k for k, _ in expected]
         assert np.diff(bounds).tolist() == [n for _, n in expected]
+        # the list form of sparse rounds groups identically
+        luniq, lbounds = plan_iteration(ords.tolist())
+        assert (luniq, lbounds) == (uniq.tolist(), bounds.tolist())
+    assert plan_iteration([]) == ([], [0])
 
 
 def test_stable_radix_step_singleton():
@@ -353,3 +401,62 @@ def test_flip_parity_matches_merge_counts_after_build():
         for o in range(store.n):
             flips = int(store.merge_counts[o]) - (1 if o in store._dollars else 0)
             assert int(store.active[o]) == flips % 2
+
+
+@st.composite
+def long_tail_words(draw):
+    """One long word among short ones, in any order: the sparse-round case."""
+    dna = st.text(alphabet="ACGT", min_size=1, max_size=8)
+    words = draw(st.lists(dna, max_size=10))
+    words.append(draw(st.text(alphabet="ACGT", min_size=20, max_size=120)))
+    return draw(st.permutations(words))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    words=long_tail_words(),
+    kappa=st.integers(3, 8),
+    backend=st.sampled_from(["memory", "external"]),
+)
+def test_round_paths_match_oracle(words, kappa, backend):
+    c = WordCollection.from_words(words)
+    expected = naive_bwt(c)
+    for cut in ROUND_PATHS.values():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "SPARSE_MAX", cut)
+            assert build(c, Config(kappa=kappa, backend=backend, threads=2)) == expected, cut
+
+
+@pytest.mark.parametrize("path", ROUND_PATHS)
+def test_round_invariants_on_both_paths(path, monkeypatch):
+    # every round: the active list sorted by (context, position), the bucket
+    # contents equal to an independent splice reference, and the tree
+    # counters equal to a recount of those contents
+    monkeypatch.setattr(engine, "SPARSE_MAX", ROUND_PATHS[path])
+    rng = random.Random(57)
+    failures = []
+    for i in range(12):
+        words = ["".join(rng.choice("ACGT") for _ in range(rng.randint(1, 6)))
+                 for _ in range(rng.randint(0, 6))]
+        words.insert(rng.randint(0, len(words)), "".join(rng.choice("ACGT") for _ in range(30)))
+        c = WordCollection.from_words(words)
+        kappa = rng.choice([3, 4, 5, 6])
+        drop = 2 * ((kappa + 1) // 2) - kappa
+        oracle = _SpliceOracle(c)
+
+        def check(builder):
+            _, pos, ctx = builder.active_state
+            assert np.all(np.diff(ctx) >= 0)
+            tree_of = (ctx >> drop) >> (kappa - 2)
+            for x in range(4):
+                assert np.all(np.diff(pos[tree_of == x]) > 0)
+            oracle.step(builder.t)
+            content = np.concatenate([builder.store.read(o) for o in range(1 << kappa)])
+            if content.tolist() != oracle.bwt:
+                failures.append((i, builder.t, "content"))
+            expected = _recount_tree(builder.store, kappa)
+            if not np.array_equal(expected[: 1 << kappa], builder.tree.counters[: 1 << kappa]):
+                failures.append((i, builder.t, "counters"))
+
+        assert build(c, Config(kappa=kappa, backend="memory"), inspect=check) == naive_bwt(c)
+    assert not failures, failures[:3]
