@@ -94,20 +94,63 @@ def _splice_numpy(old: np.ndarray, local: np.ndarray, syms: np.ndarray,
     new[mask] = old
     if not want_ranks:
         return new, None
-    # count, per entry, equal symbols among the old content it was written
-    # after: one bincount over (segment, symbol) pairs covers all entries
-    old_before = local - np.arange(k)
-    prefix = old[: old_before[-1]]
-    seg_sizes = np.diff(old_before, prepend=0)
-    seg_starts = np.repeat(np.arange(0, 5 * k, 5, dtype=np.int64), seg_sizes)
-    seg_counts = np.bincount(seg_starts + prefix, minlength=5 * k).reshape(k, 5)
-    cum = np.cumsum(seg_counts, axis=0)
-    captured = cum[np.arange(k), syms]
-    # plus equal symbols among earlier entries of the same batch
-    for c in np.unique(syms):
-        sel = syms == c
-        captured[sel] += np.arange(int(sel.sum()))
-    return new, captured
+    return new, _ranks_before(new, local, syms)
+
+
+# rank capture reads eight symbols per little-endian uint64 lane: byte r of
+# a lane is its bits 8r..8r+7, so _LOW_BYTES[r] keeps the lane's first r
+# symbols, and a lane of 0/1 bytes times _BYTE_SUM holds their sum in the
+# top byte
+_LANE = np.dtype("<u8")
+_BYTE_SUM = np.uint64(0x0101010101010101)
+_TOP_BYTE = np.uint64(56)
+_LOW_BYTES = np.array([(1 << (8 * r)) - 1 for r in range(8)], dtype=np.uint64)
+
+
+def _ranks_before(new: np.ndarray, local: np.ndarray, syms: np.ndarray) -> np.ndarray:
+    """Per entry, the count of its symbol in ``new`` before its position.
+
+    ``local`` is ascending and not empty. ``new`` is the spliced content,
+    so the count covers the stream copies and the earlier entries of the
+    batch alike. A, C and G are counted
+    eight symbols at a time: a comparison gives one 0/1 byte per symbol,
+    read as uint64 lanes, each lane's count comes from one multiply, and a
+    cumsum over the lanes gives the count before each lane. An entry adds
+    the bytes of its own lane that precede it. The three symbols share one
+    cumsum, each in its own bit field wide enough for any count, unless
+    the content is too long for three such fields in 64 bits. T is what
+    remains of the position, so the content read must hold only A, C, G, T.
+    """
+    k, end = len(local), int(local[-1])
+    if new[: end + 1].max() > 3:
+        raise ConsistencyError("rank capture over a symbol code above T")
+    n_lanes = end // 8 + 1
+    hits = np.zeros(8 * n_lanes, dtype=bool)
+    lanes = hits.view(_LANE)
+    lane_of, lane_mask = local >> 3, _LOW_BYTES[local & 7]
+    width = max(end.bit_length(), 1)
+    per_cumsum = min(3, 64 // width)
+    counts = np.empty((4, k), dtype=np.uint64)
+    lane_counts = np.empty(n_lanes, dtype=np.uint64)
+    cum = np.empty(n_lanes + 1, dtype=np.uint64)
+    for first in range(0, 3, per_cumsum):
+        group = range(first, min(first + per_cumsum, 3))
+        cum[0] = 0
+        for j, c in enumerate(group):
+            np.equal(new[:end], c, out=hits[:end])
+            counts[c] = ((lanes[lane_of] & lane_mask) * _BYTE_SUM) >> _TOP_BYTE
+            out = cum[1:] if j == 0 else lane_counts
+            np.multiply(lanes, _BYTE_SUM, out=out)
+            np.right_shift(out, _TOP_BYTE, out=out)
+            if j:
+                np.left_shift(out, np.uint64(j * width), out=out)
+                np.bitwise_or(cum[1:], out, out=cum[1:])
+        np.cumsum(cum, out=cum)
+        shifts = np.arange(0, len(group) * width, width, dtype=np.uint64)[:, None]
+        counts[group.start : group.stop] += (cum[lane_of] >> shifts) & np.uint64((1 << width) - 1)
+    counts[3] = local
+    counts[3] -= counts[:3].sum(axis=0)
+    return counts[syms, np.arange(k)].view(np.int64)
 
 
 def _splice_few(old: np.ndarray, local: np.ndarray, syms: np.ndarray,
@@ -140,7 +183,7 @@ def _splice_few(old: np.ndarray, local: np.ndarray, syms: np.ndarray,
 
 def _validate_positions(local: np.ndarray, n0: int, ordinal: int) -> None:
     k = len(local)
-    if k and (local[0] < 0 or int(local[-1]) - (k - 1) > n0 or (k > 1 and np.any(np.diff(local) <= 0))):
+    if k and (local[0] < 0 or int(local[-1]) - (k - 1) > n0 or (k > 1 and (local[1:] <= local[:-1]).any())):
         raise ConsistencyError(f"bucket {ordinal}: insert positions inconsistent with content")
 
 

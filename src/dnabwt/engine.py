@@ -47,6 +47,10 @@ BACKENDS = ("external", "memory")
 # Python ints (BwtBuilder._sparse_round); the measured crossover, see README
 SPARSE_MAX = 16
 
+# largest accepted kappa: the count trees' right-node table holds
+# 2**kappa * (kappa - 2) int64, 71 MB at 19 and doubling with every step
+MAX_KAPPA = 19
+
 
 class ConfigError(ValueError):
     pass
@@ -68,8 +72,13 @@ class Config:
     backend: str = "external"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kappa, int) or not 3 <= self.kappa <= 28:
-            raise ConfigError(f"kappa must be an integer in [3, 28], got {self.kappa}")
+        if not isinstance(self.kappa, int) or not 3 <= self.kappa <= MAX_KAPPA:
+            msg = f"kappa must be an integer in [3, {MAX_KAPPA}], got {self.kappa}"
+            if isinstance(self.kappa, int) and self.kappa > MAX_KAPPA:
+                k = self.kappa
+                msg += (f": the count trees' right-node table alone would hold 2**{k} x {k - 2} int64 "
+                        f"({(8 << k) * (k - 2) / 1e6:,.0f} MB)")
+            raise ConfigError(msg)
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
         if self.buffer_bytes < 1:
@@ -181,10 +190,10 @@ class BwtBuilder:
         self.config = config or Config()
         kappa = self.config.kappa
         limit = 2 * math.log(max(collection.total_length, 2), 4)
-        if kappa > 19 or kappa > limit:
+        if kappa > limit:
             warnings.warn(
                 f"kappa={kappa} is outside the well-tested range for this input "
-                f"(suggested <= {max(3, int(limit))}, hard ceiling 19)",
+                f"(suggested <= {max(3, int(limit))})",
                 RuntimeWarning,
                 stacklevel=3,
             )

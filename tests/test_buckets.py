@@ -3,6 +3,8 @@ from io import BytesIO
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dnabwt.buckets as buckets
 from dnabwt.buckets import (
@@ -144,6 +146,112 @@ def test_merge_insert_matches_array_splice_oracle(tmp_path, use_kernel, monkeypa
             store.close()
 
 
+def _large_splice_cases(rng):
+    """(old, positions, syms) batches of more than ``SPLICE_FEW_MAX`` entries
+    into buckets of 1k to 70k symbols, over random, single-symbol and all-T
+    content: entries with 0, 1, 7 or 8 mod 8 old symbols before them,
+    entries at 0, 1, 7 or 8 mod 8 in the spliced content (either side of
+    an eight-symbol lane edge), all entries first and all entries last."""
+    k = 2 * buckets.SPLICE_FEW_MAX
+    for n0 in (1000, 8191, 70_000):
+        contents = {
+            "random": [rng.randrange(4) for _ in range(n0)],
+            "single": [1] * n0,
+            "all T": [3] * n0,
+        }
+        lanes = rng.sample(range(0, n0 // 8, 2), k // 4)
+        edges = sorted(8 * q + r for q in lanes for r in (0, 1, 7, 8))
+        layouts = {
+            "old lane edges": [ob + i for i, ob in enumerate(edges)],
+            "new lane edges": edges,
+            "first": list(range(k)),
+            "last": list(range(n0, n0 + k)),
+        }
+        for old in contents.values():
+            for positions in layouts.values():
+                yield old, positions, [rng.randrange(4) for _ in range(k)]
+                yield old, positions, [old[0]] * k
+
+
+def _check_splice_numpy(old, positions, syms, want_ranks):
+    expected, expected_ranks = _naive_splice(old, positions, syms)
+    new, captured = buckets._splice_numpy(
+        np.array(old, dtype=np.uint8), np.array(positions, dtype=np.int64),
+        np.array(syms, dtype=np.uint8), want_ranks,
+    )
+    assert new.tolist() == expected
+    if want_ranks:
+        assert captured.dtype == np.int64
+        assert captured.tolist() == expected_ranks
+    else:
+        assert captured is None
+
+
+@pytest.mark.parametrize("want_ranks", [True, False])
+def test_splice_numpy_large_buckets_match_naive_splice(want_ranks):
+    for old, positions, syms in _large_splice_cases(random.Random(35)):
+        _check_splice_numpy(old, positions, syms, want_ranks)
+
+
+@st.composite
+def _splice_inputs(draw):
+    alphabet = draw(st.sampled_from([(0,), (3,), (1, 2), (0, 1, 2, 3)]))
+    old = draw(st.lists(st.sampled_from(alphabet), max_size=300))
+    k = draw(st.integers(1, 40))
+    positions = sorted(draw(st.sets(st.integers(0, len(old) + k - 1), min_size=k, max_size=k)))
+    syms = draw(st.lists(st.sampled_from(draw(st.sampled_from([alphabet, (0, 1, 2, 3)]))),
+                         min_size=k, max_size=k))
+    return old, positions, syms
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_splice_inputs(), want_ranks=st.booleans())
+def test_splice_numpy_matches_naive_splice(case, want_ranks):
+    _check_splice_numpy(*case, want_ranks)
+
+
+def test_splice_numpy_ranks_past_three_count_fields():
+    # content past 2**21 symbols leaves no room for three count fields in
+    # one 64-bit cumsum, so the counts take two; most of it is G, whose
+    # count then needs more than the 20 bits a third field would keep.
+    # The small-batch splice is the reference
+    rng = np.random.default_rng(36)
+    n0 = (1 << 21) + 1000
+    old = rng.choice(4, size=n0, p=[0.1, 0.1, 0.7, 0.1]).astype(np.uint8)
+    k = buckets.SPLICE_FEW_MAX + 8
+    positions = np.sort(rng.choice(n0 + k, size=k, replace=False)).astype(np.int64)
+    positions[-3:] = np.arange(n0 + k - 3, n0 + k)
+    syms = rng.integers(0, 4, size=k, dtype=np.uint8)
+    new, captured = buckets._splice_numpy(old, positions, syms, True)
+    expected, expected_ranks = buckets._splice_few(old, positions, syms, True)
+    assert np.array_equal(new, expected)
+    assert captured.tolist() == expected_ranks.tolist()
+
+
+def test_rank_capture_rejects_codes_above_t(monkeypatch):
+    # T's rank is derived from A, C and G, which needs content of the four
+    # bases only; a terminator in the content read or among the entries is
+    # an error when ranks are wanted
+    monkeypatch.setattr(buckets, "merge_stream", None)
+    k = buckets.SPLICE_FEW_MAX + 1
+    old = np.zeros(40, dtype=np.uint8)
+    old[5] = DOLLAR
+    positions = np.arange(20, 20 + k, dtype=np.int64)
+    syms = np.full(k, 3, dtype=np.uint8)
+    with pytest.raises(ConsistencyError, match="above T"):
+        buckets._splice_numpy(old, positions, syms, True)
+    new, captured = buckets._splice_numpy(old, positions, syms, False)
+    assert captured is None and new[5] == DOLLAR
+    store = MemoryBucketStore(3)
+    store._content[0] = old
+    store.sizes[0] = len(old)
+    with pytest.raises(ConsistencyError, match="above T"):
+        store.merge_insert(0, positions, syms, base=0)
+    syms[3] = DOLLAR
+    with pytest.raises(ConsistencyError, match="above T"):
+        buckets._splice_numpy(np.zeros(40, dtype=np.uint8), positions, syms, True)
+
+
 def test_merge_insert_rank_capture_counts_copied_and_inserted(tmp_path):
     # captured rank must include stream copies before the position as well
     # as earlier batch entries of the same symbol
@@ -173,6 +281,28 @@ def test_merge_insert_validates_positions(tmp_path):
         store.merge_insert(
             0, np.array([1, 1], dtype=np.int64), np.array([0, 0], dtype=np.uint8), base=0
         )
+    # each violation on both sides of the small-batch cut, into an empty
+    # bucket and into one of 30 symbols, on every store kind
+    for k in (2, buckets.SPLICE_FEW_MAX + 1, 3 * buckets.SPLICE_FEW_MAX):
+        for n0 in (0, 30):
+            ok = np.arange(k, dtype=np.int64) + n0 // 2
+            bad = {
+                "negative first": ok - ok[0] - 1,
+                "past the end": ok + (n0 - int(ok[0]) + 1),
+                "repeated": np.concatenate([ok[:-1], ok[-2:-1]]),
+                "decreasing": np.concatenate([ok[:-2], ok[-1:], ok[-2:-1]]),
+            }
+            for name, positions in bad.items():
+                for store in _stores(tmp_path / f"v{k}_{n0}_{name.replace(' ', '_')}", 3):
+                    if n0:
+                        store.merge_insert(
+                            1, np.arange(n0, dtype=np.int64), np.zeros(n0, dtype=np.uint8), base=0,
+                            want_ranks=False,
+                        )
+                    with pytest.raises(ConsistencyError, match="insert positions"):
+                        store.merge_insert(1, positions, np.zeros(k, dtype=np.uint8), base=0)
+                    assert store.read(1).tolist() == [0] * n0, name
+                    store.close()
 
 
 def test_skip_rule_untouched_buckets_do_no_io(tmp_path):

@@ -64,6 +64,9 @@ def test_config_validation():
         Config(kappa=2)
     with pytest.raises(ConfigError):
         Config(kappa=40)
+    assert Config(kappa=engine.MAX_KAPPA).kappa == 19
+    with pytest.raises(ConfigError, match=r"\[3, 19\], got 20: .* 2\*\*20 x 18 int64 \(151 MB\)"):
+        Config(kappa=20)
     with pytest.raises(ConfigError):
         Config(backend="tape")
     assert Config(threads=0).threads == 1
