@@ -10,8 +10,7 @@ testing and for builds where disk traffic is unwanted.
 File format (external): raw 2-bit packed symbols, four per byte, high bits
 first. Terminators cannot be packed; they are only ever inserted in the
 final round, so their positions go into a per-bucket side list and are
-spliced in during assembly. A one-byte-per-symbol ASCII mode is kept for
-debugging (``packed=False``).
+spliced in when the bucket is read.
 """
 from __future__ import annotations
 
@@ -21,13 +20,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from ._kernels import merge_stream
 from .collection import DOLLAR, SYMBOL_BYTES, _unpack, _pack
-
-_ASCII_TO_CODE = np.full(256, 255, dtype=np.uint8)
-for _i, _ch in enumerate(SYMBOL_BYTES):
-    _ASCII_TO_CODE[_ch] = _i
-
 
 # batches of at most this many entries take _splice_few; measured crossover
 # against _splice_numpy, see README
@@ -78,14 +71,10 @@ def ordinal_context(ordinal: int, kappa: int) -> str:
     return "".join("ACGT"[(bits >> (2 * (n_sym - 1 - i))) & 3] for i in range(n_sym))
 
 
-def local_position_base(r: np.ndarray) -> int:
-    """Start of a bucket in tree-relative coordinates: the accumulator total."""
-    return int(r.sum())
-
-
 def _splice_numpy(old: np.ndarray, local: np.ndarray, syms: np.ndarray,
                   want_ranks: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Vectorised fallback for :func:`dnabwt._kernels.merge_stream`."""
+    """Large-batch splice: one scatter of the batch and one masked copy of
+    ``old``, then the ranks from :func:`_ranks_before`."""
     n0, k = len(old), len(local)
     new = np.empty(n0 + k, dtype=old.dtype)
     new[local] = syms
@@ -196,25 +185,49 @@ def _splice(old: np.ndarray, local: np.ndarray, syms: np.ndarray, want_ranks: bo
     which is the bucket-level rank the next insert position needs.
     """
     _validate_positions(local, len(old), ordinal)
-    if merge_stream is not None:
-        new, captured = merge_stream(
-            old, np.ascontiguousarray(local, dtype=np.int64), syms, want_ranks
-        )
-        return new, (captured if want_ranks else None)
     if len(local) <= SPLICE_FEW_MAX:
         return _splice_few(old, local, syms, want_ranks)
     return _splice_numpy(old, local, syms, want_ranks)
 
 
-class MemoryBucketStore:
-    """Buckets as plain in-memory code arrays."""
+class _BucketStore:
+    """What both stores share: batch merging and assembly in leaf order.
+
+    A subclass provides ``merge_insert`` and ``read``. Only the external
+    store, whose byte counters take a lock, is given a ``pool``.
+    """
 
     def __init__(self, kappa: int):
         self.kappa = kappa
         self.n = n_buckets(kappa)
-        self._content = [np.empty(0, dtype=np.uint8)] * self.n
         self.sizes = np.zeros(self.n, dtype=np.int64)
         self.merge_counts = np.zeros(self.n, dtype=np.int64)
+
+    def merge_many(self, batches, want_ranks=True, pool=None):
+        if pool is not None and len(batches) > 1:
+            chunks = list(pool.map(lambda b: self.merge_insert(*b, want_ranks), batches))
+        else:
+            chunks = [self.merge_insert(o, p, s, b, want_ranks) for o, p, s, b in batches]
+        if not want_ranks:
+            return None
+        return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+
+    def assemble(self, out: BinaryIO) -> int:
+        lut = np.frombuffer(SYMBOL_BYTES, dtype=np.uint8)
+        written = 0
+        for o in np.flatnonzero(self.sizes):
+            data = lut[self.read(int(o))].tobytes()
+            out.write(data)
+            written += len(data)
+        return written
+
+
+class MemoryBucketStore(_BucketStore):
+    """Buckets as plain in-memory code arrays."""
+
+    def __init__(self, kappa: int):
+        super().__init__(kappa)
+        self._content = [np.empty(0, dtype=np.uint8)] * self.n
         self.symbols_read = 0
         self.symbols_written = 0
 
@@ -229,23 +242,8 @@ class MemoryBucketStore:
         self.symbols_written += len(new)
         return captured
 
-    def merge_many(self, batches, want_ranks=True, pool=None):
-        chunks = [self.merge_insert(o, p, s, b, want_ranks) for o, p, s, b in batches]
-        if not want_ranks:
-            return None
-        return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-
     def read(self, ordinal: int) -> np.ndarray:
         return self._content[ordinal].copy()
-
-    def assemble(self, out: BinaryIO) -> int:
-        lut = np.frombuffer(SYMBOL_BYTES, dtype=np.uint8)
-        written = 0
-        for o in range(self.n):
-            data = lut[self._content[o]].tobytes()
-            out.write(data)
-            written += len(data)
-        return written
 
     @property
     def io_stats(self) -> dict:
@@ -255,7 +253,7 @@ class MemoryBucketStore:
         self._content = []
 
 
-class ExternalBucketStore:
+class ExternalBucketStore(_BucketStore):
     """Buckets as alternating file pairs under a temp directory.
 
     ``active[o]`` is the index of the file the next merge writes to; the
@@ -264,15 +262,10 @@ class ExternalBucketStore:
     skipped entirely: no open, no read, no flip.
     """
 
-    def __init__(self, kappa: int, tmp_dir: str, buffer_bytes: int = 1 << 20, packed: bool = True):
-        self.kappa = kappa
-        self.n = n_buckets(kappa)
+    def __init__(self, kappa: int, tmp_dir: str):
+        super().__init__(kappa)
         self.tmp_dir = tmp_dir
-        self.buffer_bytes = max(int(buffer_bytes), 4096)
-        self.packed = packed
         self.active = np.zeros(self.n, dtype=np.uint8)
-        self.sizes = np.zeros(self.n, dtype=np.int64)
-        self.merge_counts = np.zeros(self.n, dtype=np.int64)
         self._dollars: dict[int, np.ndarray] = {}
         self.bytes_read = 0
         self.bytes_written = 0
@@ -283,35 +276,29 @@ class ExternalBucketStore:
         return os.path.join(self.tmp_dir, f"bucket_{ordinal}_{side}.bin")
 
     def _read_file(self, path: str) -> bytes:
-        if not os.path.exists(path):
+        try:
+            with open(path, "rb", buffering=0) as fh:
+                data = fh.read()
+        except FileNotFoundError:  # never written
             return b""
-        parts = []
-        with open(path, "rb", buffering=0) as fh:
-            while chunk := fh.read(self.buffer_bytes):
-                parts.append(chunk)
-        data = b"".join(parts)
         with self._stats_lock:
             self.bytes_read += len(data)
         return data
 
     def _write_file(self, path: str, data: bytes) -> None:
-        with open(path, "wb", buffering=0) as fh:
-            for i in range(0, len(data), self.buffer_bytes):
-                fh.write(data[i : i + self.buffer_bytes])
+        with open(path, "wb") as fh:
+            fh.write(data)
         with self._stats_lock:
             self.bytes_written += len(data)
 
     def _load_codes(self, ordinal: int) -> np.ndarray:
         raw = self._read_file(self._path(ordinal, 1 - int(self.active[ordinal])))
-        arr = np.frombuffer(raw, dtype=np.uint8)
-        if self.packed:
-            n_plain = int(self.sizes[ordinal]) - len(self._dollars.get(ordinal, ()))
-            return _unpack(arr, n_plain)
-        return _ASCII_TO_CODE[arr]
+        n_plain = int(self.sizes[ordinal]) - len(self._dollars.get(ordinal, ()))
+        return _unpack(np.frombuffer(raw, dtype=np.uint8), n_plain)
 
     def merge_insert(self, ordinal, tree_positions, syms, base, want_ranks=True):
         local = tree_positions - base
-        if self.packed and syms.size and np.any(syms == DOLLAR):
+        if syms.size and np.any(syms == DOLLAR):
             # terminators arrive as one pure batch in the last round and are
             # never packed; record their final positions for assembly
             if np.any(syms != DOLLAR) or want_ranks:
@@ -326,11 +313,7 @@ class ExternalBucketStore:
         try:
             old = self._load_codes(ordinal)
             new, captured = _splice(old, local, syms, want_ranks, ordinal)
-            if self.packed:
-                out = _pack(new).tobytes()
-            else:
-                out = np.frombuffer(SYMBOL_BYTES, dtype=np.uint8)[new].tobytes()
-            self._write_file(self._path(ordinal, int(self.active[ordinal])), out)
+            self._write_file(self._path(ordinal, int(self.active[ordinal])), _pack(new).tobytes())
         except OSError as exc:
             raise BucketIOError(f"bucket {ordinal}: {exc}") from exc
         self.active[ordinal] ^= 1
@@ -338,37 +321,12 @@ class ExternalBucketStore:
         self.merge_counts[ordinal] += 1
         return captured
 
-    def merge_many(self, batches, want_ranks=True, pool=None):
-        if pool is not None and len(batches) > 1:
-            chunks = list(pool.map(lambda b: self.merge_insert(*b, want_ranks), batches))
-        else:
-            chunks = [self.merge_insert(o, p, s, b, want_ranks) for o, p, s, b in batches]
-        if not want_ranks:
-            return None
-        return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-
     def read(self, ordinal: int) -> np.ndarray:
         codes = self._load_codes(ordinal)
         dollars = self._dollars.get(ordinal)
-        if dollars is None or not self.packed:
+        if dollars is None:
             return codes
-        full = np.empty(len(codes) + len(dollars), dtype=np.uint8)
-        full[dollars] = DOLLAR
-        mask = np.ones(len(full), dtype=bool)
-        mask[dollars] = False
-        full[mask] = codes
-        return full
-
-    def assemble(self, out: BinaryIO) -> int:
-        lut = np.frombuffer(SYMBOL_BYTES, dtype=np.uint8)
-        written = 0
-        for o in range(self.n):
-            if self.sizes[o] == 0:
-                continue
-            data = lut[self.read(o)].tobytes()
-            out.write(data)
-            written += len(data)
-        return written
+        return _splice_numpy(codes, dollars, np.full(len(dollars), DOLLAR, dtype=np.uint8), False)[0]
 
     @property
     def io_stats(self) -> dict:

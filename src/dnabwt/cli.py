@@ -29,13 +29,12 @@ def _load_collection(path: str, ambiguous: str) -> WordCollection:
     return parse_sequences(data, policy)
 
 
-def _config_from(args: argparse.Namespace, backend: str | None = None) -> Config:
+def _config_from(args: argparse.Namespace, kappa: int | None = None) -> Config:
     return Config(
-        kappa=args.kappa,
+        kappa=args.kappa if kappa is None else kappa,
         threads=args.threads,
         tmp_dir=args.tmp_dir,
-        buffer_bytes=args.buffer_bytes,
-        backend=backend or args.backend,
+        backend=args.backend,
     )
 
 
@@ -149,15 +148,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     lo, hi = args.kappa_range
     print("kappa\tbuckets\twall_seconds\tio_read\tio_written\toutput_bytes")
     for kappa in range(lo, hi + 1):
-        config = Config(
-            kappa=kappa,
-            threads=args.threads,
-            tmp_dir=args.tmp_dir,
-            buffer_bytes=args.buffer_bytes,
-            backend=args.backend,
-        )
         t0 = time.perf_counter()
-        with BwtBuilder(collection, config) as builder:
+        with BwtBuilder(collection, _config_from(args, kappa)) as builder:
             data = builder.run()
             stats = builder.store.io_stats
         wall = time.perf_counter() - t0
@@ -202,13 +194,13 @@ def make_parser() -> argparse.ArgumentParser:
         if needs_output:
             p.add_argument("--output", required=True)
         p.add_argument("--kappa", type=int, default=5, help="navigation bits (default 5)")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="concurrent bucket merges, external backend only (default: CPU count)")
         p.add_argument("--tmp-dir", default=None)
         p.add_argument("--backend", choices=BACKENDS, default="external")
         p.add_argument(
             "--ambiguous", choices=("drop-char", "drop-record", "fail"), default="drop-char"
         )
-        p.add_argument("--buffer-bytes", type=int, default=1 << 20)
         p.add_argument("--report", choices=("text", "tsv"), default="text")
 
     p_build = sub.add_parser("build", help="construct the transform")

@@ -216,7 +216,3 @@ class TreeArray:
         if tree_sym == 0:
             return 0
         return int(self.counters[tree_sym - 1, c])
-
-    def totals(self) -> np.ndarray:
-        """Per-symbol totals over the whole stored content (row 3)."""
-        return self.counters[3].copy()

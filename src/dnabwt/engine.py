@@ -62,13 +62,13 @@ class Config:
 
     ``kappa`` is the navigation-bit count (two per context symbol; odd
     values use only the first bit of the last symbol). ``threads`` caps the
-    bucket-merge worker count and defaults to the processor count.
+    external backend's bucket-merge worker count and defaults to the
+    processor count; the memory backend merges serially.
     """
 
     kappa: int = 5
     threads: Optional[int] = None
     tmp_dir: Optional[str] = None
-    buffer_bytes: int = 1 << 20
     backend: str = "external"
 
     def __post_init__(self) -> None:
@@ -81,8 +81,6 @@ class Config:
             raise ConfigError(msg)
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.buffer_bytes < 1:
-            raise ConfigError("buffer_bytes must be positive")
         cpus = os.cpu_count() or 1
         self.threads = cpus if self.threads is None else max(1, min(int(self.threads), cpus))
 
@@ -198,13 +196,11 @@ class BwtBuilder:
                 stacklevel=3,
             )
         self.tree = TreeArray(kappa)
-        self._own_tmp = None
         if self.config.backend == "memory":
             self.store = MemoryBucketStore(kappa)
         else:
             tmp_root = self.config.tmp_dir or tempfile.gettempdir()
-            self._own_tmp = tempfile.mkdtemp(prefix="dnabwt_", dir=tmp_root)
-            self.store = ExternalBucketStore(kappa, self._own_tmp, self.config.buffer_bytes)
+            self.store = ExternalBucketStore(kappa, tempfile.mkdtemp(prefix="dnabwt_", dir=tmp_root))
         self._pool = None
         if self.config.backend == "external" and self.config.threads > 1:
             self._pool = ThreadPoolExecutor(max_workers=self.config.threads)

@@ -13,7 +13,6 @@ from dnabwt.buckets import (
     MemoryBucketStore,
     bucket_id,
     leaf_ordinal,
-    local_position_base,
     n_buckets,
     ordinal_context,
 )
@@ -22,14 +21,7 @@ from dnabwt.collection import DOLLAR
 
 def _stores(tmp_path, kappa):
     yield MemoryBucketStore(kappa)
-    yield ExternalBucketStore(kappa, str(tmp_path / "packed"), packed=True)
-    yield ExternalBucketStore(kappa, str(tmp_path / "bytes"), packed=False)
-
-
-def test_local_position_base():
-    assert local_position_base(np.zeros(5, dtype=np.int64)) == 0
-    assert local_position_base(np.array([0, 0, 0, 1, 0])) == 1
-    assert local_position_base(np.array([3, 1, 4, 1, 0])) == 9
+    yield ExternalBucketStore(kappa, str(tmp_path / "packed"))
 
 
 def test_bucket_id_worked_examples():
@@ -118,14 +110,11 @@ def _splice_cases(rng):
                     yield old, positions, [c] * k
 
 
-@pytest.mark.parametrize("use_kernel", [True, False])
-def test_merge_insert_matches_array_splice_oracle(tmp_path, use_kernel, monkeypatch):
-    if not use_kernel:
-        monkeypatch.setattr(buckets, "merge_stream", None)
+def test_merge_insert_matches_array_splice_oracle(tmp_path):
     rng = random.Random(31)
     for trial, (old, positions, syms) in enumerate(_splice_cases(rng)):
         expected, expected_ranks = _naive_splice(old, positions, syms)
-        for store in _stores(tmp_path / f"t{trial}_{use_kernel}", 3):
+        for store in _stores(tmp_path / f"t{trial}", 3):
             if isinstance(store, MemoryBucketStore):
                 store._content[2] = np.array(old, dtype=np.uint8)
                 store.sizes[2] = len(old)
@@ -228,11 +217,10 @@ def test_splice_numpy_ranks_past_three_count_fields():
     assert captured.tolist() == expected_ranks.tolist()
 
 
-def test_rank_capture_rejects_codes_above_t(monkeypatch):
+def test_rank_capture_rejects_codes_above_t():
     # T's rank is derived from A, C and G, which needs content of the four
     # bases only; a terminator in the content read or among the entries is
     # an error when ranks are wanted
-    monkeypatch.setattr(buckets, "merge_stream", None)
     k = buckets.SPLICE_FEW_MAX + 1
     old = np.zeros(40, dtype=np.uint8)
     old[5] = DOLLAR
@@ -306,7 +294,7 @@ def test_merge_insert_validates_positions(tmp_path):
 
 
 def test_skip_rule_untouched_buckets_do_no_io(tmp_path):
-    store = ExternalBucketStore(3, str(tmp_path / "skip"), packed=True)
+    store = ExternalBucketStore(3, str(tmp_path / "skip"))
     store.merge_insert(0, np.array([0], dtype=np.int64), np.array([1], dtype=np.uint8), base=0)
     active0 = int(store.active[0])
     path0 = store._path(0, 1 - active0)
@@ -326,7 +314,7 @@ def test_skip_rule_untouched_buckets_do_no_io(tmp_path):
 
 def test_flip_parity_counts_nonempty_merges(tmp_path):
     rng = random.Random(32)
-    store = ExternalBucketStore(3, str(tmp_path / "flip"), packed=True)
+    store = ExternalBucketStore(3, str(tmp_path / "flip"))
     merges = 0
     for _ in range(rng.randint(3, 9)):
         store.merge_insert(
@@ -339,7 +327,7 @@ def test_flip_parity_counts_nonempty_merges(tmp_path):
 
 
 def test_terminator_side_list_in_packed_mode(tmp_path):
-    store = ExternalBucketStore(3, str(tmp_path / "dollar"), packed=True)
+    store = ExternalBucketStore(3, str(tmp_path / "dollar"))
     store.merge_insert(
         0,
         np.arange(3, dtype=np.int64),
@@ -364,7 +352,7 @@ def test_terminator_side_list_in_packed_mode(tmp_path):
 
 
 def test_packed_store_rejects_mixed_terminator_batches(tmp_path):
-    store = ExternalBucketStore(3, str(tmp_path / "mixed"), packed=True)
+    store = ExternalBucketStore(3, str(tmp_path / "mixed"))
     with pytest.raises(ConsistencyError, match="mixed terminator"):
         store.merge_insert(
             0,
@@ -417,7 +405,7 @@ def test_backends_identical_bucket_contents(tmp_path):
             )
             for s in stores
         ]
-        assert outs[0].tolist() == outs[1].tolist() == outs[2].tolist()
+        assert outs[0].tolist() == outs[1].tolist()
         for s in stores[1:]:
             assert s.read(ordinal).tolist() == stores[0].read(ordinal).tolist()
     for s in stores:

@@ -61,6 +61,16 @@ def test_cmd_build_thread_invariance(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_cmd_build_external_leaves_tmp_dir_empty(tmp_path):
+    inp, outp, scratch = tmp_path / "in.fasta", tmp_path / "out.bwt", tmp_path / "scratch"
+    _write_fasta(inp, ["GATTACA", "CCT", "AAAA"])
+    scratch.mkdir()
+    assert main(["build", "--input", str(inp), "--output", str(outp),
+                 "--backend", "external", "--tmp-dir", str(scratch)]) == 0
+    assert outp.read_bytes() == naive_bwt(WordCollection.from_words(["GATTACA", "CCT", "AAAA"]))
+    assert list(scratch.iterdir()) == []
+
+
 def test_cmd_verify_passes_on_small_corpus(tmp_path, capsys):
     inp = tmp_path / "in.fasta"
     _write_fasta(inp, ["GATTACA", "TTT"])

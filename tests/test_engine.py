@@ -375,24 +375,6 @@ def test_build_identical_words_diverse_counts():
         assert build(c, Config(kappa=5, backend="memory")) == naive_bwt(c)
 
 
-def test_build_external_byte_mode_store():
-    from dnabwt.buckets import ExternalBucketStore
-
-    rng = random.Random(51)
-    c = random_collection(rng)
-    cfg = Config(kappa=4, backend="external")
-    with BwtBuilder(c, cfg) as builder:
-        builder.store.close()
-        builder.store = ExternalBucketStore(4, builder._own_tmp, packed=False)
-        out = builder.run()
-    assert out == naive_bwt(c)
-
-
-def test_build_with_tiny_stream_buffer():
-    rng = random.Random(52)
-    c = random_collection(rng, max_m=10, max_len=60)
-    out = build(c, Config(kappa=4, backend="external", buffer_bytes=1))
-    assert out == naive_bwt(c)
 
 
 def test_flip_parity_matches_merge_counts_after_build():
@@ -404,6 +386,27 @@ def test_flip_parity_matches_merge_counts_after_build():
         for o in range(store.n):
             flips = int(store.merge_counts[o]) - (1 if o in store._dollars else 0)
             assert int(store.active[o]) == flips % 2
+
+
+def test_external_build_removes_temp_files_on_every_exit(tmp_path):
+    # a build that completes and one stopped by an exception mid-run both
+    # leave no bucket directory behind; the stopped one had files on disk
+    c = WordCollection.from_words(["GATTACA", "CCTGA", "TTAGGCA", "ACGTACGT"])
+    config = Config(kappa=4, backend="external", threads=2, tmp_dir=str(tmp_path))
+    assert build(c, config) == naive_bwt(c)
+    assert not list(tmp_path.glob("dnabwt_*"))
+
+    class Stop(Exception):
+        pass
+
+    def stop(builder):
+        if builder.t == 4:
+            assert list(tmp_path.glob("dnabwt_*/bucket_*.bin"))
+            raise Stop
+
+    with pytest.raises(Stop):
+        build(c, config, inspect=stop)
+    assert not list(tmp_path.glob("dnabwt_*"))
 
 
 @st.composite
