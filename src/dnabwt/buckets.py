@@ -1,11 +1,14 @@
-"""Storage of context buckets and the streamed merge insertion.
+"""Storage of context buckets and the merge insertion.
 
 Each of the 2**kappa buckets holds one contiguous segment of the partial
-transform. The external backend keeps a bucket as a pair of alternating
-files: an insertion streams the current file into the scratch file with the
-new symbols spliced in at their positions, then flips which file is live.
-The in-memory backend replaces the file pair with an array and exists for
-testing and for builds where disk traffic is unwanted.
+transform. The external backend keeps a bucket as one file, rewritten in
+place: an insertion reads the file, splices the new symbols in at their
+positions and writes the result back over it from offset 0. A bucket only
+grows, so the new content covers the old and the file is never truncated
+(on ext4, truncating a file and writing it again makes ``close`` start
+write-back, which cost more than the splice). The in-memory backend
+replaces the file with an array and exists for testing and for builds
+where disk traffic is unwanted.
 
 File format (external): raw 2-bit packed symbols, four per byte, high bits
 first. Terminators cannot be packed; they are only ever inserted in the
@@ -203,11 +206,22 @@ class _BucketStore:
         self.sizes = np.zeros(self.n, dtype=np.int64)
         self.merge_counts = np.zeros(self.n, dtype=np.int64)
 
-    def merge_many(self, batches, want_ranks=True, pool=None):
-        if pool is not None and len(batches) > 1:
-            chunks = list(pool.map(lambda b: self.merge_insert(*b, want_ranks), batches))
+    def merge_many(self, batches, want_ranks=True, pool=None, workers=1):
+        """Merge (ordinal, positions, symbols, base) batches; ranks in batch order.
+
+        With a ``pool``, the batches go out as one task per worker, task i
+        of w merging ``batches[i::w]``: each task is a handoff between
+        threads, which costs CPU under the interpreter lock.
+        """
+        w = min(workers, len(batches)) if pool is not None else 1
+        if w > 1:
+            shares = pool.map(lambda share: [self.merge_insert(*b, want_ranks) for b in share],
+                              [batches[i::w] for i in range(w)])
+            chunks = [None] * len(batches)
+            for i, share in enumerate(shares):
+                chunks[i::w] = share
         else:
-            chunks = [self.merge_insert(o, p, s, b, want_ranks) for o, p, s, b in batches]
+            chunks = [self.merge_insert(*b, want_ranks) for b in batches]
         if not want_ranks:
             return None
         return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
@@ -254,46 +268,36 @@ class MemoryBucketStore(_BucketStore):
 
 
 class ExternalBucketStore(_BucketStore):
-    """Buckets as alternating file pairs under a temp directory.
+    """Buckets as files under a temp directory, one per bucket, rewritten in place.
 
-    ``active[o]`` is the index of the file the next merge writes to; the
-    other file of the pair holds the current content. Files are created
-    lazily on first write and removed by :meth:`close`. Untouched buckets are
-    skipped entirely: no open, no read, no flip.
+    ``bucket_<o>.bin`` holds the ``ceil(plain / 4)`` packed bytes of bucket
+    o's plain (non-terminator) symbols. A file is created by its bucket's
+    first merge and removed by :meth:`close`. Untouched buckets are skipped
+    entirely: no open, no read, no write.
     """
 
     def __init__(self, kappa: int, tmp_dir: str):
         super().__init__(kappa)
         self.tmp_dir = tmp_dir
-        self.active = np.zeros(self.n, dtype=np.uint8)
         self._dollars: dict[int, np.ndarray] = {}
         self.bytes_read = 0
         self.bytes_written = 0
         self._stats_lock = threading.Lock()  # merges may run on pool workers
         os.makedirs(tmp_dir, exist_ok=True)
 
-    def _path(self, ordinal: int, side: int) -> str:
-        return os.path.join(self.tmp_dir, f"bucket_{ordinal}_{side}.bin")
+    def _path(self, ordinal: int) -> str:
+        return os.path.join(self.tmp_dir, f"bucket_{ordinal}.bin")
 
-    def _read_file(self, path: str) -> bytes:
-        try:
-            with open(path, "rb", buffering=0) as fh:
-                data = fh.read()
-        except FileNotFoundError:  # never written
-            return b""
+    def _n_plain(self, ordinal: int) -> int:
+        return int(self.sizes[ordinal]) - len(self._dollars.get(ordinal, ()))
+
+    def _pread_codes(self, fd: int, ordinal: int, n_plain: int) -> np.ndarray:
+        want = (n_plain + 3) // 4
+        raw = os.pread(fd, want, 0)
+        if len(raw) != want:
+            raise BucketIOError(f"bucket {ordinal}: read {len(raw)} of {want} bytes")
         with self._stats_lock:
-            self.bytes_read += len(data)
-        return data
-
-    def _write_file(self, path: str, data: bytes) -> None:
-        with open(path, "wb") as fh:
-            fh.write(data)
-        with self._stats_lock:
-            self.bytes_written += len(data)
-
-    def _load_codes(self, ordinal: int) -> np.ndarray:
-        raw = self._read_file(self._path(ordinal, 1 - int(self.active[ordinal])))
-        n_plain = int(self.sizes[ordinal]) - len(self._dollars.get(ordinal, ()))
+            self.bytes_read += want
         return _unpack(np.frombuffer(raw, dtype=np.uint8), n_plain)
 
     def merge_insert(self, ordinal, tree_positions, syms, base, want_ranks=True):
@@ -310,19 +314,41 @@ class ExternalBucketStore(_BucketStore):
             self.sizes[ordinal] += len(local)
             self.merge_counts[ordinal] += 1
             return None
+        path, n_plain = self._path(ordinal), self._n_plain(ordinal)
         try:
-            old = self._load_codes(ordinal)
-            new, captured = _splice(old, local, syms, want_ranks, ordinal)
-            self._write_file(self._path(ordinal, int(self.active[ordinal])), _pack(new).tobytes())
+            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o600)
+            try:
+                old = self._pread_codes(fd, ordinal, n_plain)
+                new, captured = _splice(old, local, syms, want_ranks, ordinal)
+                packed = _pack(new)
+                if os.pwrite(fd, packed, 0) != len(packed):
+                    raise BucketIOError(f"bucket {ordinal}: short write")
+            except BaseException:
+                if not n_plain:  # a file this merge created: close() only knows merged buckets
+                    os.unlink(path)
+                raise
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise BucketIOError(f"bucket {ordinal}: {exc}") from exc
-        self.active[ordinal] ^= 1
+        with self._stats_lock:
+            self.bytes_written += len(packed)
         self.sizes[ordinal] += len(local)
         self.merge_counts[ordinal] += 1
         return captured
 
     def read(self, ordinal: int) -> np.ndarray:
-        codes = self._load_codes(ordinal)
+        n_plain = self._n_plain(ordinal)
+        codes = np.empty(0, dtype=np.uint8)
+        if n_plain:
+            try:
+                fd = os.open(self._path(ordinal), os.O_RDONLY)
+                try:
+                    codes = self._pread_codes(fd, ordinal, n_plain)
+                finally:
+                    os.close(fd)
+            except OSError as exc:
+                raise BucketIOError(f"bucket {ordinal}: {exc}") from exc
         dollars = self._dollars.get(ordinal)
         if dollars is None:
             return codes
@@ -333,12 +359,11 @@ class ExternalBucketStore(_BucketStore):
         return {"read": self.bytes_read, "written": self.bytes_written}
 
     def close(self) -> None:
-        for o in range(self.n):
-            for side in (0, 1):
-                try:
-                    os.unlink(self._path(o, side))
-                except FileNotFoundError:
-                    pass
+        for o in np.flatnonzero(self.merge_counts):
+            try:
+                os.unlink(self._path(int(o)))
+            except FileNotFoundError:  # a terminator-only bucket has no file
+                pass
         try:
             os.rmdir(self.tmp_dir)
         except OSError:

@@ -304,7 +304,8 @@ class BwtBuilder:
             (int(uniq[i]), pos[bounds[i] : bounds[i + 1]], syms[bounds[i] : bounds[i + 1]], int(bases[i]))
             for i in range(len(uniq))
         ]
-        captured = self.store.merge_many(batches, want_ranks=(t < M), pool=self._pool)
+        captured = self.store.merge_many(batches, want_ranks=(t < M), pool=self._pool,
+                                         workers=self.config.threads)
 
         if inspect is not None:
             inspect(self)

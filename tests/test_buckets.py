@@ -1,4 +1,6 @@
+import os
 import random
+from concurrent.futures import ThreadPoolExecutor
 from io import BytesIO
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 import dnabwt.buckets as buckets
 from dnabwt.buckets import (
+    BucketIOError,
     ConsistencyError,
     ExternalBucketStore,
     MemoryBucketStore,
@@ -296,34 +299,94 @@ def test_merge_insert_validates_positions(tmp_path):
 def test_skip_rule_untouched_buckets_do_no_io(tmp_path):
     store = ExternalBucketStore(3, str(tmp_path / "skip"))
     store.merge_insert(0, np.array([0], dtype=np.int64), np.array([1], dtype=np.uint8), base=0)
-    active0 = int(store.active[0])
-    path0 = store._path(0, 1 - active0)
+    path0 = os.path.join(store.tmp_dir, "bucket_0.bin")
     with open(path0, "rb") as fh:
         file_bytes0 = fh.read()
+    stat0 = os.stat(path0)
     for _ in range(10):
         store.merge_insert(5, np.array([0], dtype=np.int64), np.array([2], dtype=np.uint8), base=0)
     # an iteration's traffic only touches merged buckets: bucket 0 keeps its
-    # file bytes, its flip state, and its merge count
+    # file bytes, size and modification time, and its merge count
     assert store.merge_counts[0] == 1
-    assert int(store.active[0]) == active0
     with open(path0, "rb") as fh:
         assert fh.read() == file_bytes0
+    stat = os.stat(path0)
+    assert (stat.st_size, stat.st_mtime_ns) == (stat0.st_size, stat0.st_mtime_ns)
     assert store.read(0).tolist() == [1]
+    assert store.read(5).tolist() == [2] * 10
     store.close()
 
 
-def test_flip_parity_counts_nonempty_merges(tmp_path):
-    rng = random.Random(32)
-    store = ExternalBucketStore(3, str(tmp_path / "flip"))
-    merges = 0
-    for _ in range(rng.randint(3, 9)):
-        store.merge_insert(
-            4, np.array([0], dtype=np.int64), np.array([rng.randrange(4)], dtype=np.uint8), base=0
-        )
-        merges += 1
-    assert int(store.active[4]) == merges % 2
-    assert store.merge_counts[4] == merges
+def test_short_bucket_io_raises_instead_of_short_content(tmp_path, monkeypatch):
+    store = ExternalBucketStore(3, str(tmp_path / "short"))
+    store.merge_insert(2, np.arange(9, dtype=np.int64), np.array([0, 1, 2, 3] * 2 + [1], dtype=np.uint8),
+                       base=0)
+    path = os.path.join(store.tmp_dir, "bucket_2.bin")
+    assert os.path.getsize(path) == 3
+    os.truncate(path, 2)
+    with pytest.raises(BucketIOError, match="read 2 of 3 bytes"):
+        store.read(2)
+    with pytest.raises(BucketIOError, match="read 2 of 3 bytes"):
+        store.merge_insert(2, np.array([0], dtype=np.int64), np.array([3], dtype=np.uint8), base=0)
+    assert store.sizes[2] == 9 and store.merge_counts[2] == 1
+    os.unlink(path)
+    with pytest.raises(BucketIOError, match="No such file"):
+        store.read(2)
+    # a write that stops short of the packed content
+    real_pwrite = os.pwrite
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: real_pwrite(fd, bytes(data)[:-1], offset))
+    with pytest.raises(BucketIOError, match="short write"):
+        store.merge_insert(4, np.arange(5, dtype=np.int64), np.zeros(5, dtype=np.uint8), base=0)
+    assert store.sizes[4] == 0 and store.merge_counts[4] == 0
     store.close()
+
+
+def test_close_unlinks_only_written_buckets(tmp_path, monkeypatch):
+    store = ExternalBucketStore(12, str(tmp_path / "wide"))
+    for o in (7, 4000):
+        store.merge_insert(o, np.array([0, 1], dtype=np.int64), np.array([1, 2], dtype=np.uint8), base=0)
+    unlinked = []
+    real_unlink = os.unlink
+
+    def counting_unlink(path, *args, **kwargs):
+        unlinked.append(os.path.basename(path))
+        return real_unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "unlink", counting_unlink)
+    store.close()
+    assert sorted(unlinked) == ["bucket_4000.bin", "bucket_7.bin"]
+    assert not os.path.exists(store.tmp_dir)
+    # a terminator-only bucket counts as merged but has no file
+    store = ExternalBucketStore(12, str(tmp_path / "dollar_only"))
+    store.merge_insert(9, np.array([0], dtype=np.int64), np.array([DOLLAR], dtype=np.uint8),
+                       base=0, want_ranks=False)
+    store.close()
+    assert not os.path.exists(store.tmp_dir)
+
+
+def test_merge_many_pool_matches_serial(tmp_path):
+    rng = random.Random(34)
+    kappa = 4
+    serial = ExternalBucketStore(kappa, str(tmp_path / "serial"))
+    pooled = ExternalBucketStore(kappa, str(tmp_path / "pooled"))
+    for _ in range(3):
+        batches = []
+        for o, k in zip(rng.sample(range(n_buckets(kappa)), 7), (1, 2, 300, 5, 4000, 17, 60)):
+            size = int(serial.sizes[o])
+            positions = np.array(sorted(rng.sample(range(size + k), k)), dtype=np.int64)
+            syms = np.array([rng.randrange(4) for _ in range(k)], dtype=np.uint8)
+            base = rng.randrange(100)
+            batches.append((o, positions + base, syms, base))
+        expected = serial.merge_many(batches)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            got = pooled.merge_many(batches, pool=pool, workers=3)
+        assert got.tolist() == expected.tolist()
+        assert len(got) == sum(len(b[1]) for b in batches)
+    for o in range(n_buckets(kappa)):
+        assert pooled.read(o).tolist() == serial.read(o).tolist()
+    assert pooled.io_stats == serial.io_stats
+    serial.close()
+    pooled.close()
 
 
 def test_terminator_side_list_in_packed_mode(tmp_path):

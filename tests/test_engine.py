@@ -1,4 +1,6 @@
+import errno
 import itertools
+import os
 import random
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 import dnabwt.engine as engine
 from dnabwt import Config, ConfigError, WordCollection, build, naive_bwt
+from dnabwt.buckets import BucketIOError
 from dnabwt.counttree import TreeArray
 from dnabwt.engine import (
     BwtBuilder,
@@ -377,15 +380,47 @@ def test_build_identical_words_diverse_counts():
 
 
 
-def test_flip_parity_matches_merge_counts_after_build():
+def test_external_store_keeps_one_file_per_merged_bucket():
+    # checked every round, the last one (terminators) included, before close
     rng = random.Random(53)
     c = random_collection(rng)
-    with BwtBuilder(c, Config(kappa=4, backend="external", threads=1)) as builder:
-        builder.run()
+    seen = []
+
+    def check(builder):
         store = builder.store
+        files = {}
         for o in range(store.n):
-            flips = int(store.merge_counts[o]) - (1 if o in store._dollars else 0)
-            assert int(store.active[o]) == flips % 2
+            plain = int(store.sizes[o]) - len(store._dollars.get(o, ()))
+            if int(store.merge_counts[o]) - (o in store._dollars):
+                files[f"bucket_{o}.bin"] = (plain + 3) // 4
+        on_disk = {name: os.path.getsize(os.path.join(store.tmp_dir, name))
+                   for name in os.listdir(store.tmp_dir)}
+        assert on_disk == files
+        seen.append(builder.t)
+
+    with BwtBuilder(c, Config(kappa=4, backend="external", threads=1)) as builder:
+        assert builder.run(inspect=check) == naive_bwt(c)
+    assert seen[-1] == c.max_length
+
+
+@pytest.mark.parametrize("fail_at", [1, 30])
+def test_external_build_surfaces_write_errors(tmp_path, monkeypatch, fail_at):
+    # a full disk on a bucket's first write (fail_at=1) or a later one is a
+    # BucketIOError, and the build still removes its bucket directory
+    c = WordCollection.from_words(["GATTACAGATTACA", "CCTGA", "TTAGGCATTAGGCA", "ACGTACGT"] * 3)
+    calls = itertools.count(1)
+    real_pwrite = os.pwrite
+
+    def pwrite(fd, data, offset):
+        if next(calls) == fail_at:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_pwrite(fd, data, offset)
+
+    monkeypatch.setattr(os, "pwrite", pwrite)
+    with pytest.raises(BucketIOError, match="No space left"):
+        build(c, Config(kappa=4, backend="external", threads=2, tmp_dir=str(tmp_path)))
+    assert next(calls) > fail_at
+    assert not list(tmp_path.glob("dnabwt_*"))
 
 
 def test_external_build_removes_temp_files_on_every_exit(tmp_path):
