@@ -317,6 +317,24 @@ def test_skip_rule_untouched_buckets_do_no_io(tmp_path):
     store.close()
 
 
+def test_flip_parity_counts_nonempty_merges(tmp_path):
+    # no file pair flips: after an odd or an even number of merges the count
+    # is exact and bucket 4's one file holds its current content
+    rng = random.Random(32)
+    store = ExternalBucketStore(3, str(tmp_path / "flip"))
+    content = []
+    for merges in range(1, rng.randint(6, 9) + 1):
+        sym = rng.randrange(4)
+        store.merge_insert(
+            4, np.array([0], dtype=np.int64), np.array([sym], dtype=np.uint8), base=0
+        )
+        content.insert(0, sym)
+        assert store.merge_counts[4] == merges
+        assert os.listdir(store.tmp_dir) == ["bucket_4.bin"]
+        assert store.read(4).tolist() == content
+    store.close()
+
+
 def test_short_bucket_io_raises_instead_of_short_content(tmp_path, monkeypatch):
     store = ExternalBucketStore(3, str(tmp_path / "short"))
     store.merge_insert(2, np.arange(9, dtype=np.int64), np.array([0, 1, 2, 3] * 2 + [1], dtype=np.uint8),

@@ -380,6 +380,25 @@ def test_build_identical_words_diverse_counts():
 
 
 
+def test_flip_parity_matches_merge_counts_after_build():
+    # after a build, buckets with an odd and with an even number of plain
+    # merges alike read back what the memory backend holds, merge for merge
+    rng = random.Random(53)
+    c = random_collection(rng)
+    with BwtBuilder(c, Config(kappa=4, backend="memory")) as mem:
+        mem.run()
+        with BwtBuilder(c, Config(kappa=4, backend="external", threads=1)) as ext:
+            ext.run()
+            parities = set()
+            for o in range(ext.store.n):
+                assert int(ext.store.merge_counts[o]) == int(mem.store.merge_counts[o])
+                merges = int(ext.store.merge_counts[o]) - (o in ext.store._dollars)
+                if merges:
+                    parities.add(merges % 2)
+                np.testing.assert_array_equal(ext.store.read(o), mem.store.read(o))
+            assert parities == {0, 1}
+
+
 def test_external_store_keeps_one_file_per_merged_bucket():
     # checked every round, the last one (terminators) included, before close
     rng = random.Random(53)
