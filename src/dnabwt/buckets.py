@@ -18,7 +18,6 @@ spliced in when the bucket is read.
 from __future__ import annotations
 
 import os
-import threading
 from typing import BinaryIO
 
 import numpy as np
@@ -196,8 +195,7 @@ def _splice(old: np.ndarray, local: np.ndarray, syms: np.ndarray, want_ranks: bo
 class _BucketStore:
     """What both stores share: batch merging and assembly in leaf order.
 
-    A subclass provides ``merge_insert`` and ``read``. Only the external
-    store, whose byte counters take a lock, is given a ``pool``.
+    A subclass provides ``merge_insert`` and ``read``.
     """
 
     def __init__(self, kappa: int):
@@ -206,22 +204,10 @@ class _BucketStore:
         self.sizes = np.zeros(self.n, dtype=np.int64)
         self.merge_counts = np.zeros(self.n, dtype=np.int64)
 
-    def merge_many(self, batches, want_ranks=True, pool=None, workers=1):
-        """Merge (ordinal, positions, symbols, base) batches; ranks in batch order.
-
-        With a ``pool``, the batches go out as one task per worker, task i
-        of w merging ``batches[i::w]``: each task is a handoff between
-        threads, which costs CPU under the interpreter lock.
-        """
-        w = min(workers, len(batches)) if pool is not None else 1
-        if w > 1:
-            shares = pool.map(lambda share: [self.merge_insert(*b, want_ranks) for b in share],
-                              [batches[i::w] for i in range(w)])
-            chunks = [None] * len(batches)
-            for i, share in enumerate(shares):
-                chunks[i::w] = share
-        else:
-            chunks = [self.merge_insert(*b, want_ranks) for b in batches]
+    def merge_many(self, batches, want_ranks=True):
+        """Merge (ordinal, positions, symbols, base) batches one at a time, in
+        order, on the calling thread; ranks in batch order."""
+        chunks = [self.merge_insert(*b, want_ranks) for b in batches]
         if not want_ranks:
             return None
         return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
@@ -282,7 +268,6 @@ class ExternalBucketStore(_BucketStore):
         self._dollars: dict[int, np.ndarray] = {}
         self.bytes_read = 0
         self.bytes_written = 0
-        self._stats_lock = threading.Lock()  # merges may run on pool workers
         os.makedirs(tmp_dir, exist_ok=True)
 
     def _path(self, ordinal: int) -> str:
@@ -296,8 +281,7 @@ class ExternalBucketStore(_BucketStore):
         raw = os.pread(fd, want, 0)
         if len(raw) != want:
             raise BucketIOError(f"bucket {ordinal}: read {len(raw)} of {want} bytes")
-        with self._stats_lock:
-            self.bytes_read += want
+        self.bytes_read += want
         return _unpack(np.frombuffer(raw, dtype=np.uint8), n_plain)
 
     def merge_insert(self, ordinal, tree_positions, syms, base, want_ranks=True):
@@ -331,8 +315,7 @@ class ExternalBucketStore(_BucketStore):
                 os.close(fd)
         except OSError as exc:
             raise BucketIOError(f"bucket {ordinal}: {exc}") from exc
-        with self._stats_lock:
-            self.bytes_written += len(packed)
+        self.bytes_written += len(packed)
         self.sizes[ordinal] += len(local)
         self.merge_counts[ordinal] += 1
         return captured

@@ -9,7 +9,7 @@ import time
 
 from . import oracle
 from .collection import IngestPolicy, ParseError, WordCollection, detect_format, parse_sequences
-from .engine import BACKENDS, BwtBuilder, Config, ConfigError, build
+from .engine import BACKENDS, MAX_KAPPA, BwtBuilder, Config, ConfigError, build
 
 
 def _peak_rss_mb() -> float | None:
@@ -179,7 +179,11 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 def _kappa_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
-    return int(lo), int(hi or lo)
+    lo, hi = int(lo), int(hi or lo)
+    if not 3 <= lo <= hi <= MAX_KAPPA:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not lo:hi with 3 <= lo <= hi <= {MAX_KAPPA}")
+    return lo, hi
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -195,7 +199,7 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument("--output", required=True)
         p.add_argument("--kappa", type=int, default=5, help="navigation bits (default 5)")
         p.add_argument("--threads", type=int, default=None,
-                       help="concurrent bucket merges, external backend only (default: CPU count)")
+                       help="accepted and ignored: builds merge on one thread")
         p.add_argument("--tmp-dir", default=None)
         p.add_argument("--backend", choices=BACKENDS, default="external")
         p.add_argument(

@@ -22,10 +22,8 @@ the longest words are active.
 from __future__ import annotations
 
 import math
-import os
 import tempfile
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from io import BytesIO
 from typing import Callable, Optional
@@ -61,9 +59,9 @@ class Config:
     """Build parameters.
 
     ``kappa`` is the navigation-bit count (two per context symbol; odd
-    values use only the first bit of the last symbol). ``threads`` caps the
-    external backend's bucket-merge worker count and defaults to the
-    processor count; the memory backend merges serially.
+    values use only the first bit of the last symbol). ``threads`` is
+    accepted and ignored: every build merges its buckets one at a time on
+    the calling thread.
     """
 
     kappa: int = 5
@@ -81,8 +79,7 @@ class Config:
             raise ConfigError(msg)
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        cpus = os.cpu_count() or 1
-        self.threads = cpus if self.threads is None else max(1, min(int(self.threads), cpus))
+        self.threads = max(1, int(self.threads or 1))
 
 
 class StartBitvector:
@@ -201,9 +198,6 @@ class BwtBuilder:
         else:
             tmp_root = self.config.tmp_dir or tempfile.gettempdir()
             self.store = ExternalBucketStore(kappa, tempfile.mkdtemp(prefix="dnabwt_", dir=tmp_root))
-        self._pool = None
-        if self.config.backend == "external" and self.config.threads > 1:
-            self._pool = ThreadPoolExecutor(max_workers=self.config.threads)
         self.t = -1
         self._active: tuple = ([], [], [])
         self.alpha = 0
@@ -304,8 +298,7 @@ class BwtBuilder:
             (int(uniq[i]), pos[bounds[i] : bounds[i + 1]], syms[bounds[i] : bounds[i + 1]], int(bases[i]))
             for i in range(len(uniq))
         ]
-        captured = self.store.merge_many(batches, want_ranks=(t < M), pool=self._pool,
-                                         workers=self.config.threads)
+        captured = self.store.merge_many(batches, want_ranks=(t < M))
 
         if inspect is not None:
             inspect(self)
@@ -365,9 +358,6 @@ class BwtBuilder:
         return self.store.sizes.copy()
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         self.store.close()
 
     def __enter__(self) -> "BwtBuilder":

@@ -1,6 +1,5 @@
 import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from io import BytesIO
 
 import numpy as np
@@ -380,31 +379,6 @@ def test_close_unlinks_only_written_buckets(tmp_path, monkeypatch):
                        base=0, want_ranks=False)
     store.close()
     assert not os.path.exists(store.tmp_dir)
-
-
-def test_merge_many_pool_matches_serial(tmp_path):
-    rng = random.Random(34)
-    kappa = 4
-    serial = ExternalBucketStore(kappa, str(tmp_path / "serial"))
-    pooled = ExternalBucketStore(kappa, str(tmp_path / "pooled"))
-    for _ in range(3):
-        batches = []
-        for o, k in zip(rng.sample(range(n_buckets(kappa)), 7), (1, 2, 300, 5, 4000, 17, 60)):
-            size = int(serial.sizes[o])
-            positions = np.array(sorted(rng.sample(range(size + k), k)), dtype=np.int64)
-            syms = np.array([rng.randrange(4) for _ in range(k)], dtype=np.uint8)
-            base = rng.randrange(100)
-            batches.append((o, positions + base, syms, base))
-        expected = serial.merge_many(batches)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            got = pooled.merge_many(batches, pool=pool, workers=3)
-        assert got.tolist() == expected.tolist()
-        assert len(got) == sum(len(b[1]) for b in batches)
-    for o in range(n_buckets(kappa)):
-        assert pooled.read(o).tolist() == serial.read(o).tolist()
-    assert pooled.io_stats == serial.io_stats
-    serial.close()
-    pooled.close()
 
 
 def test_terminator_side_list_in_packed_mode(tmp_path):

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from dnabwt import WordCollection, Config, naive_bwt
 from dnabwt.cli import first_mismatch, main, verify_collection
 
@@ -121,6 +123,18 @@ def test_cmd_bench_row_contract(tmp_path, capsys):
     assert len(lines) == 7  # header + one row per kappa
     buckets = [int(row.split("\t")[1]) for row in lines[1:]]
     assert buckets == [2 ** k for k in range(3, 9)]
+
+
+@pytest.mark.parametrize("kappa_range", ["8:3", "18:20", "2:5", "0", "20"])
+def test_cmd_bench_rejects_bad_kappa_range(tmp_path, capsys, kappa_range):
+    inp = tmp_path / "reads.txt"
+    inp.write_text("ACGT\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--input", str(inp), "--backend", "memory", "--kappa-range", kappa_range])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--kappa-range" in err and "lo <= hi" in err
 
 
 def test_cmd_selftest(capsys):

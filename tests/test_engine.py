@@ -2,6 +2,7 @@ import errno
 import itertools
 import os
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -60,6 +61,22 @@ def test_build_thread_count_invariance():
         one = build(c, Config(kappa=4, backend="external", threads=1))
         many = build(c, Config(kappa=4, backend="external", threads=8))
         assert one == many
+
+
+def test_external_build_starts_no_threads(tmp_path):
+    # builds merge on the calling thread whatever ``threads`` says: no round,
+    # and nothing left after close, adds a thread
+    rng = random.Random(43)
+    words = ["".join(rng.choice("ACGT") for _ in range(rng.randint(1, 40))) for _ in range(60)]
+    c = WordCollection.from_words(words)
+    before = threading.active_count()
+    counts = []
+    config = Config(kappa=4, backend="external", threads=2, tmp_dir=str(tmp_path))
+    with BwtBuilder(c, config) as builder:
+        assert builder.run(inspect=lambda b: counts.append(threading.active_count())) == naive_bwt(c)
+    assert len(counts) == c.max_length + 1
+    assert max(counts) <= before
+    assert threading.active_count() <= before
 
 
 def test_config_validation():
