@@ -46,33 +46,6 @@ def context_symbols(kappa: int) -> int:
     return (kappa + 1) // 2
 
 
-def bucket_id(context: str, kappa: int) -> int:
-    """Leaf index of a context: start at the root row of its first symbol and
-    take one child step (left -> 2i, right -> 2i+1) per navigation bit."""
-    n_sym = context_symbols(kappa)
-    if len(context) < n_sym:
-        raise ValueError(f"context {context!r} too short for kappa={kappa}")
-    codes = [b"ACGT".index(ch.encode()) for ch in context[:n_sym]]
-    node = 4 + codes[0]
-    bits = []
-    for c in codes[1:]:
-        bits.extend(((c >> 1) & 1, c & 1))
-    for b in bits[: kappa - 2]:
-        node = 2 * node + b
-    return node
-
-
-def leaf_ordinal(context: str, kappa: int) -> int:
-    return bucket_id(context, kappa) - n_buckets(kappa)
-
-
-def ordinal_context(ordinal: int, kappa: int) -> str:
-    """Smallest context string mapping to the given leaf ordinal."""
-    n_sym = context_symbols(kappa)
-    bits = ordinal << (2 * n_sym - kappa)
-    return "".join("ACGT"[(bits >> (2 * (n_sym - 1 - i))) & 3] for i in range(n_sym))
-
-
 def _splice_numpy(old: np.ndarray, local: np.ndarray, syms: np.ndarray,
                   want_ranks: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Large-batch splice: one scatter of the batch and one masked copy of

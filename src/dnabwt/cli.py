@@ -8,7 +8,9 @@ import sys
 import time
 
 from . import oracle
-from .collection import IngestPolicy, ParseError, WordCollection, detect_format, parse_sequences
+from .buckets import BucketIOError
+from .collection import (AMBIGUOUS_POLICIES, IngestPolicy, ParseError, WordCollection,
+                          detect_format, parse_sequences)
 from .engine import BACKENDS, MAX_KAPPA, BwtBuilder, Config, ConfigError, build
 
 
@@ -49,13 +51,21 @@ def _report(pairs: list[tuple[str, object]], fmt: str) -> None:
 
 def cmd_build(args: argparse.Namespace) -> int:
     collection = _load_collection(args.input, args.ambiguous)
-    t0 = time.perf_counter()
-    with BwtBuilder(collection, _config_from(args)) as builder:
-        data = builder.run()
-        stats = builder.store.io_stats
-    wall = time.perf_counter() - t0
+    # opened first, so that an output that cannot be written fails the
+    # command before the build, not after it
     with open(args.output, "wb") as fh:
-        fh.write(data)
+        try:
+            t0 = time.perf_counter()
+            with BwtBuilder(collection, _config_from(args)) as builder:
+                data = builder.run()
+                stats = builder.store.io_stats
+            wall = time.perf_counter() - t0
+            fh.write(data)
+        except BaseException:
+            # leave no partial output, but never unlink a device or symlink
+            if os.path.isfile(args.output) and not os.path.islink(args.output):
+                os.unlink(args.output)
+            raise
     pairs: list[tuple[str, object]] = [
         ("words", collection.m),
         ("output_bytes", len(data)),
@@ -83,16 +93,11 @@ def first_mismatch(a: bytes, b: bytes) -> int | None:
     return n
 
 
-def verify_collection(
-    collection: WordCollection, config: Config, _corrupt_at: int | None = None
-) -> tuple[bool, list[str]]:
+def verify_collection(collection: WordCollection, config: Config) -> tuple[bool, list[str]]:
     """Build, compare against the rotation-sort reference, and round-trip."""
     lines = []
     ok = True
-    built = bytearray(build(collection, config))
-    if _corrupt_at is not None:
-        built[_corrupt_at] ^= 1
-    built = bytes(built)
+    built = build(collection, config)
     expected = oracle.naive_bwt(collection)
     offset = first_mismatch(built, expected)
     if offset is None:
@@ -202,9 +207,7 @@ def make_parser() -> argparse.ArgumentParser:
                        help="accepted and ignored: builds merge on one thread")
         p.add_argument("--tmp-dir", default=None)
         p.add_argument("--backend", choices=BACKENDS, default="external")
-        p.add_argument(
-            "--ambiguous", choices=("drop-char", "drop-record", "fail"), default="drop-char"
-        )
+        p.add_argument("--ambiguous", choices=AMBIGUOUS_POLICIES, default="drop-char")
         p.add_argument("--report", choices=("text", "tsv"), default="text")
 
     p_build = sub.add_parser("build", help="construct the transform")
@@ -240,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ConfigError, OSError) as exc:
+    except (ParseError, ConfigError, OSError, BucketIOError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

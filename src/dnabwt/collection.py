@@ -13,9 +13,9 @@ from typing import BinaryIO, Iterable, Union
 
 import numpy as np
 
-# Symbol codes. The terminator sorts below 'A' everywhere a lexicographic
-# comparison happens; code 4 is a storage code, not a sort key.
-CODE_A, CODE_C, CODE_G, CODE_T = 0, 1, 2, 3
+# Symbol codes are indices into SYMBOL_BYTES: A, C, G, T are 0..3 and the
+# terminator is 4. The terminator sorts below 'A' everywhere a lexicographic
+# comparison happens; its code is a storage code, not a sort key.
 DOLLAR = 4
 SYMBOL_BYTES = b"ACGT$"
 
@@ -43,7 +43,6 @@ def _build_lut() -> np.ndarray:
 
 
 _LUT = _build_lut()
-_CODE_OF_CHAR = {"A": CODE_A, "C": CODE_C, "G": CODE_G, "T": CODE_T, "$": DOLLAR}
 
 
 @dataclass(frozen=True)
@@ -145,20 +144,6 @@ class WordCollection:
 
     # -- right-aligned view ---------------------------------------------------
 
-    def start_iteration(self, j: int) -> int:
-        """First iteration in which word ``j`` contributes a symbol."""
-        return self.max_length - self.length(j)
-
-    def symbol_at(self, j: int, t: int) -> str:
-        """Symbol of word ``j`` at iteration ``t`` (terminator at ``t == M``)."""
-        self._check_word(j)
-        start = self.max_length - self.length(j)
-        if not start <= t <= self.max_length:
-            raise IndexError(f"word {j} is not active at iteration {t}")
-        if t == self.max_length:
-            return "$"
-        return chr(SYMBOL_BYTES[self.fetch_code(j, t)])
-
     def fetch_codes(self, j_arr: np.ndarray, t: int) -> np.ndarray:
         """Vectorised symbol fetch for active words; callers guarantee activity."""
         idx = self._offsets[j_arr] + (self.max_length - 1 - t)
@@ -168,11 +153,6 @@ class WordCollection:
         """Scalar :meth:`fetch_codes` for one active word."""
         idx = int(self._offsets[j]) + (self.max_length - 1 - t)
         return (int(self._packed[idx >> 2]) >> (2 * (3 - (idx & 3)))) & 3
-
-    # -- serialisation --------------------------------------------------------
-
-    def to_raw_lines(self) -> bytes:
-        return b"\n".join(self.words()) + b"\n"
 
     def _check_word(self, j: int) -> None:
         if not 0 <= j < self.m:

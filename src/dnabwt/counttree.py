@@ -21,18 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_STEPS = {0: ("left", "left"), 1: ("left", "right"), 2: ("right", "left"), 3: ("right", "right")}
-_SYM_CODE = {"A": 0, "C": 1, "G": 2, "T": 3}
-
-
-def nav_directions(sym: str) -> tuple[str, str]:
-    """The (first, second) child steps taken for one context symbol."""
-    code = _SYM_CODE.get(sym)
-    if code is None:
-        raise ValueError(f"{sym!r} is not a navigable context symbol")
-    return _STEPS[code]
-
-
 def path_steps(leaf, depth: int):
     """Yield ``(node, right)`` for the ``depth`` nodes above a leaf id, root first.
 
@@ -147,72 +135,3 @@ class TreeArray:
                 for c in range(5):
                     acc[c] += cv[node, c]
         return acc
-
-    # -- sequential reference descent ----------------------------------------
-
-    def descend(
-        self,
-        node: int,
-        ordinals: np.ndarray,
-        syms: np.ndarray,
-        r: np.ndarray,
-        lo_ord: int,
-        hi_ord: int,
-        base_idx: int = 0,
-        out: list | None = None,
-    ) -> list[tuple[int, int, int, np.ndarray]]:
-        """Route one sorted group of insertions to its leaf buckets.
-
-        Splits the group at each node by the next navigation bit, increments
-        the node's counters for every left-bound entry *before* the
-        right-bound branch reads them, and augments the right branch's
-        accumulator by the node's counters. Returns
-        ``(leaf_ordinal, start, end, accumulator)`` per reached leaf, where
-        ``start:end`` index the original group. Equivalent to the bulk pair
-        :meth:`apply_left_increments` + :meth:`accumulators_for`.
-        """
-        if out is None:
-            out = []
-        if hi_ord - lo_ord == 1:
-            out.append((lo_ord, base_idx, base_idx + len(ordinals), r))
-            return out
-        mid = (lo_ord + hi_ord) // 2
-        split = int(np.searchsorted(ordinals, mid))
-        n = len(ordinals)
-        if split:
-            np.add.at(self.counters, (node, syms[:split]), 1)
-        if split < n:
-            r_right = r + self.counters[node]
-            self.descend(2 * node + 1, ordinals[split:], syms[split:], r_right, mid, hi_ord, base_idx + split, out)
-        if split:
-            self.descend(2 * node, ordinals[:split], syms[:split], r, lo_ord, mid, base_idx, out)
-        return out
-
-    def descend_iteration(self, ordinals: np.ndarray, syms: np.ndarray) -> list[tuple[int, int, int, np.ndarray]]:
-        """Reference descent of a whole iteration (all four trees)."""
-        out: list[tuple[int, int, int, np.ndarray]] = []
-        bounds = np.searchsorted(ordinals, np.arange(5) * self.leaves_per_tree)
-        for x in range(4):
-            s, e = int(bounds[x]), int(bounds[x + 1])
-            if s < e:
-                self.descend(
-                    4 + x,
-                    ordinals[s:e],
-                    syms[s:e],
-                    np.zeros(5, dtype=np.int64),
-                    x * self.leaves_per_tree,
-                    (x + 1) * self.leaves_per_tree,
-                    s,
-                    out,
-                )
-        return sorted(out, key=lambda item: item[0])
-
-    # -- queries ---------------------------------------------------------------
-
-    def level1_base(self, tree_sym: int, c: int) -> int:
-        """Count of symbol ``c`` stored before the given tree's first bucket."""
-        if not 0 <= tree_sym <= 3:
-            raise ValueError(f"invalid tree symbol code {tree_sym}")
-        if tree_sym == 0:
-            return 0
-        return int(self.counters[tree_sym - 1, c])

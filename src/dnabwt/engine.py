@@ -91,53 +91,23 @@ class StartBitvector:
     def set_many(self, js: np.ndarray) -> None:
         self.bits[js] = 1
 
-    def rank(self, j: int) -> int:
-        """Number of set bits strictly below position j."""
-        return int(self.bits[:j].sum())
-
     def ranks(self, js: np.ndarray) -> np.ndarray:
+        """Per position in ``js``, the number of set bits strictly below it."""
         csum = np.cumsum(self.bits, dtype=np.int64)
         return csum[js] - self.bits[js]
-
-
-def sb_rank(sb: StartBitvector, j: int) -> int:
-    return sb.rank(j)
-
-
-def next_insert_position(
-    first_context_symbol: int,
-    insert_symbol: int,
-    tree: TreeArray,
-    r_c: int,
-    rankk: int,
-    alpha_next: int,
-) -> int:
-    """Tree-relative insert position of a word's next symbol.
-
-    ``first_context_symbol`` selects the tree the current symbol went into
-    (fixing the prefix-total base for the rank of ``insert_symbol``); the
-    ``alpha_next`` term is owed whenever the *inserted* symbol is A, because
-    the A tree also fronts the rows of the ``alpha_next`` word starts that
-    the next round's coordinates must account for.
-    """
-    if insert_symbol == DOLLAR:
-        raise ValueError("terminator has no next insert position; the word is finished")
-    if not 0 <= insert_symbol <= 3 or not 0 <= first_context_symbol <= 3:
-        raise ValueError("symbol codes must be in 0..3")
-    base = tree.level1_base(first_context_symbol, insert_symbol)
-    alpha_term = alpha_next if insert_symbol == 0 else 0
-    return base + r_c + rankk + alpha_term
 
 
 def next_positions(counters, tree_sym, sym, acc, rank, alpha_next):
     """Tree-relative insert positions of the words' next symbols.
 
-    The rule of :func:`next_insert_position`, elementwise over arrays (dense
-    rounds) or on Python ints (sparse rounds): the count of ``sym`` stored
-    before the word's tree, plus the bucket accumulator for ``sym``, plus the
-    rank captured during the splice, plus ``alpha_next`` when ``sym`` is A.
-    ``counters`` is the tree's counter table or a memoryview of it; its last
-    row is the all-zero pad, so row ``tree_sym - 1`` gives the A tree base 0.
+    Elementwise over arrays (dense rounds) or on Python ints (sparse rounds).
+    A word whose symbol ``sym`` went into tree ``tree_sym`` next inserts at
+    the count of ``sym`` stored before that tree, plus the bucket
+    accumulator for ``sym``, plus the rank of ``sym`` captured during the
+    splice, plus ``alpha_next`` when ``sym`` is A: the A tree also fronts the
+    rows of the ``alpha_next`` words started by the next round. ``counters``
+    is the tree's counter table or a memoryview of it; its last row is the
+    all-zero pad, so row ``tree_sym - 1`` gives the A tree base 0.
     """
     return counters[tree_sym - 1, sym] + acc + rank + (sym == 0) * alpha_next
 

@@ -129,27 +129,3 @@ def invert(bwt: bytes, m: int) -> list[bytes]:
             raise InvalidBwtError(f"word {j} decoded as empty")
         words.append(bytes(reversed(out)))
     return words
-
-
-def bucket_offsets(collection: WordCollection, kappa: int) -> np.ndarray:
-    """Cumulative start offset of every context bucket in the final transform.
-
-    Enumerates, straight from the words, the k-symbol context following each
-    character (A-padded past the word end, and the word's first symbols for
-    its terminator) and counts how many contexts fall in each bucket.
-    """
-    n_sym = (kappa + 1) // 2
-    drop = 2 * n_sym - kappa
-    weights = 4 ** np.arange(n_sym - 1, -1, -1, dtype=np.int64)
-    counts = np.zeros(1 << kappa, dtype=np.int64)
-    for j in range(collection.m):
-        codes = collection.word_codes(j).astype(np.int64)
-        padded = np.concatenate([codes, np.zeros(n_sym, dtype=np.int64)])
-        # window starting at q is the context of the character inserted at
-        # iteration M - q; q runs over 0..len (len = terminator's context).
-        windows = np.lib.stride_tricks.sliding_window_view(padded, n_sym)[: len(codes) + 1]
-        ordinals = (windows * weights).sum(axis=1) >> drop
-        counts += np.bincount(ordinals, minlength=1 << kappa)
-    offsets = np.zeros(1 << kappa, dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    return offsets

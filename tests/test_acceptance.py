@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 from dnabwt import Config, WordCollection, build, invert, naive_bwt
-from dnabwt.buckets import leaf_ordinal
-from dnabwt.counttree import TreeArray
-from dnabwt.engine import BwtBuilder, StartBitvector, next_insert_position, sb_rank
-from dnabwt.oracle import bucket_offsets, count_smaller, rank
+from dnabwt.engine import BwtBuilder, StartBitvector
+from dnabwt.oracle import count_smaller, rank
 from conftest import synthetic_reads
+from reference import TreeArray, bucket_offsets, leaf_ordinal, next_insert_position, sb_rank
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -13,12 +13,10 @@ from dnabwt.buckets import (
     ConsistencyError,
     ExternalBucketStore,
     MemoryBucketStore,
-    bucket_id,
-    leaf_ordinal,
     n_buckets,
-    ordinal_context,
 )
 from dnabwt.collection import DOLLAR
+from reference import bucket_id, leaf_ordinal, ordinal_context
 
 
 def _stores(tmp_path, kappa):

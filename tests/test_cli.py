@@ -1,8 +1,10 @@
+import os
 import random
 
 import pytest
 
-from dnabwt import WordCollection, Config, naive_bwt
+import dnabwt.cli as cli
+from dnabwt import WordCollection, Config, build, naive_bwt
 from dnabwt.cli import first_mismatch, main, verify_collection
 
 
@@ -73,6 +75,36 @@ def test_cmd_build_external_leaves_tmp_dir_empty(tmp_path):
     assert list(scratch.iterdir()) == []
 
 
+def test_cmd_build_unwritable_output_fails_before_building(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def run(self, inspect=None):
+        calls.append(self)
+        raise AssertionError("the build must not start")
+
+    monkeypatch.setattr(cli.BwtBuilder, "run", run)
+    inp = tmp_path / "in.fasta"
+    _write_fasta(inp, ["GATTACA", "CCT"])
+    rc = main(["build", "--input", str(inp), "--output", str(tmp_path / "no_such_dir" / "out.bwt"),
+               "--backend", "memory"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert calls == []
+
+
+def test_cmd_build_disk_error_is_reported_and_cleaned_up(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: 0)
+    inp, outp, scratch = tmp_path / "in.fasta", tmp_path / "out.bwt", tmp_path / "scratch"
+    _write_fasta(inp, ["GATTACA", "CCT", "AAAA"])
+    scratch.mkdir()
+    rc = main(["build", "--input", str(inp), "--output", str(outp),
+               "--backend", "external", "--tmp-dir", str(scratch)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: bucket ")
+    assert list(scratch.iterdir()) == []
+    assert not outp.exists()
+
+
 def test_cmd_verify_passes_on_small_corpus(tmp_path, capsys):
     inp = tmp_path / "in.fasta"
     _write_fasta(inp, ["GATTACA", "TTT"])
@@ -90,9 +122,15 @@ def test_cmd_verify_guard_refuses_large_input(tmp_path, capsys):
     assert "raise --max-oracle-symbols" in capsys.readouterr().err
 
 
-def test_verify_corruption_negative_control():
+def test_verify_corruption_negative_control(monkeypatch):
+    def corrupt_build(collection, config):
+        built = bytearray(build(collection, config))
+        built[3] ^= 1
+        return bytes(built)
+
+    monkeypatch.setattr(cli, "build", corrupt_build)
     c = WordCollection.from_words(["GATTACA", "TTT"])
-    ok, lines = verify_collection(c, Config(kappa=4, backend="memory"), _corrupt_at=3)
+    ok, lines = verify_collection(c, Config(kappa=4, backend="memory"))
     assert not ok
     assert any("mismatch at offset 3" in line for line in lines)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dnabwt import IngestPolicy, ParseError, WordCollection, detect_format, parse_sequences
+from reference import start_iteration, symbol_at, to_raw_lines
 
 
 def test_parse_single_fasta_record():
@@ -118,22 +119,22 @@ def test_detect_format():
 def test_symbol_at_right_aligned_view():
     c = WordCollection.from_words(["ACG", "TTTTT"])
     assert c.max_length == 5
-    assert c.symbol_at(0, 2) == "G"
-    assert c.symbol_at(0, 4) == "A"
-    assert c.symbol_at(0, 5) == "$"
+    assert symbol_at(c, 0, 2) == "G"
+    assert symbol_at(c, 0, 4) == "A"
+    assert symbol_at(c, 0, 5) == "$"
     with pytest.raises(IndexError):
-        c.symbol_at(0, 1)
+        symbol_at(c, 0, 1)
     with pytest.raises(IndexError):
-        c.symbol_at(0, 6)
+        symbol_at(c, 0, 6)
 
 
 def test_start_iteration():
     c = WordCollection.from_words(["ACGTACGTAC", "TTT"])
     assert c.max_length == 10
-    assert c.start_iteration(0) == 0
-    assert c.start_iteration(1) == 7
+    assert start_iteration(c, 0) == 0
+    assert start_iteration(c, 1) == 7
     equal = WordCollection.from_words(["ACG", "TGA", "CCC"])
-    assert [equal.start_iteration(j) for j in range(3)] == [0, 0, 0]
+    assert [start_iteration(equal, j) for j in range(3)] == [0, 0, 0]
 
 
 def test_right_aligned_sequence_is_reverse_of_word():
@@ -144,10 +145,10 @@ def test_right_aligned_sequence_is_reverse_of_word():
         c = WordCollection.from_words(words)
         for j, w in enumerate(words):
             seq = "".join(
-                c.symbol_at(j, t) for t in range(c.start_iteration(j), c.max_length)
+                symbol_at(c, j, t) for t in range(start_iteration(c, j), c.max_length)
             )
             assert seq == w[::-1]
-            assert c.symbol_at(j, c.max_length) == "$"
+            assert symbol_at(c, j, c.max_length) == "$"
         # the batch fetch of dense rounds equals the scalar one of sparse rounds
         for t in range(c.max_length):
             js = np.flatnonzero(c.max_length - c.lengths <= t)
@@ -160,9 +161,9 @@ def test_parse_is_idempotent_on_serialised_collection():
         words = ["".join(rng.choice("ACGT") for _ in range(rng.randint(1, 25)))
                  for _ in range(rng.randint(1, 10))]
         c = WordCollection.from_words(words)
-        data = c.to_raw_lines()
+        data = to_raw_lines(c)
         c2 = parse_sequences(data, IngestPolicy(format="raw-lines"))
-        assert c2.to_raw_lines() == data
+        assert to_raw_lines(c2) == data
 
 
 def test_from_words_validates():

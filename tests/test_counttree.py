@@ -3,8 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from dnabwt.buckets import leaf_ordinal, ordinal_context
-from dnabwt.counttree import TreeArray, nav_directions
+from reference import TreeArray, leaf_ordinal, nav_directions, ordinal_context
 
 
 def test_nav_directions_mapping():

@@ -12,17 +12,15 @@ from hypothesis import strategies as st
 import dnabwt.engine as engine
 from dnabwt import Config, ConfigError, WordCollection, build, naive_bwt
 from dnabwt.buckets import BucketIOError
-from dnabwt.counttree import TreeArray
 from dnabwt.engine import (
     BwtBuilder,
     StartBitvector,
-    next_insert_position,
     next_positions,
     plan_iteration,
-    sb_rank,
     stable_radix_step,
 )
 from conftest import random_collection
+from reference import TreeArray, next_insert_position, sb_rank
 from test_acceptance import _recount_tree, _SpliceOracle
 
 # SPARSE_MAX settings that force every round onto one path (the final

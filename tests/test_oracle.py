@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from dnabwt import WordCollection, naive_bwt, invert
-from dnabwt.oracle import InvalidBwtError, bucket_offsets, count_smaller, lf, rank
+from dnabwt.oracle import InvalidBwtError, count_smaller, lf, rank
 from conftest import random_collection
+from reference import bucket_offsets
 
 # partial transform string used by the insert-position worked example
 BWT6 = b"CTCCGAACCGCCG"
