@@ -1,19 +1,15 @@
 """Storage of context buckets and the merge insertion.
 
 Each of the 2**kappa buckets holds one contiguous segment of the partial
-transform. The external backend keeps a bucket as one file, rewritten in
-place: an insertion reads the file, splices the new symbols in at their
-positions and writes the result back over it from offset 0. A bucket only
-grows, so the new content covers the old and the file is never truncated
-(on ext4, truncating a file and writing it again makes ``close`` start
-write-back, which cost more than the splice). The in-memory backend
-replaces the file with an array and exists for testing and for builds
-where disk traffic is unwanted.
-
-File format (external): raw 2-bit packed symbols, four per byte, high bits
-first. Terminators cannot be packed; they are only ever inserted in the
-final round, so their positions go into a per-bucket side list and are
-spliced in when the bucket is read.
+transform. :class:`BucketStore` keeps a bucket's plain (A, C, G, T) codes
+in a RAM array or in one file of 2-bit packed symbols (four per byte, high
+bits first) under ``tmp_dir``, rewritten in place: an insertion reads the
+file, splices the new symbols in and writes the result back from offset 0.
+A bucket only grows, so the file is never truncated (on ext4, truncating
+a file and writing it again makes ``close`` start write-back, which cost
+more than the splice). Terminators are only ever inserted in the final
+round; on both backends their positions go into a per-bucket side list
+and are spliced in when the bucket is read.
 """
 from __future__ import annotations
 
@@ -136,12 +132,15 @@ def _splice_few(old: np.ndarray, local: np.ndarray, syms: np.ndarray,
     new[src + len(ps) :] = old[src:]
     if not want_ranks:
         return new, None
-    seen, upto = [0] * 5, [0] * 5
+    seen, upto = [0] * 4, [0] * 4  # A, C, G and T only: a terminator fails the index
     captured = []
-    for p, s in zip(ps, ss):
-        seen[s] += int(np.count_nonzero(new[upto[s] : p] == s))
-        upto[s] = p
-        captured.append(seen[s])
+    try:
+        for p, s in zip(ps, ss):
+            seen[s] += int(np.count_nonzero(new[upto[s] : p] == s))
+            upto[s] = p
+            captured.append(seen[s])
+    except IndexError:
+        raise ConsistencyError("rank capture over a symbol code above T") from None
     return new, np.array(captured, dtype=np.int64)
 
 
@@ -165,17 +164,29 @@ def _splice(old: np.ndarray, local: np.ndarray, syms: np.ndarray, want_ranks: bo
     return _splice_numpy(old, local, syms, want_ranks)
 
 
-class _BucketStore:
-    """What both stores share: batch merging and assembly in leaf order.
+class BucketStore:
+    """The 2**kappa buckets, in RAM or, given ``tmp_dir``, in files.
 
-    A subclass provides ``merge_insert`` and ``read``.
+    Bucket o's file is ``tmp_dir/bucket_<o>.bin``, the ``ceil(plain / 4)``
+    packed bytes of its plain symbols; its first plain merge creates it and
+    :meth:`close` removes it. Untouched buckets do no I/O at all.
+    ``bytes_read`` and ``bytes_written`` count the code arrays' bytes in RAM
+    and the packed file bytes on disk.
     """
 
-    def __init__(self, kappa: int):
+    def __init__(self, kappa: int, tmp_dir: str | None = None):
         self.kappa = kappa
         self.n = n_buckets(kappa)
         self.sizes = np.zeros(self.n, dtype=np.int64)
         self.merge_counts = np.zeros(self.n, dtype=np.int64)
+        self.tmp_dir = tmp_dir
+        self._dollars: dict[int, np.ndarray] = {}
+        self.bytes_read = 0
+        self.bytes_written = 0
+        if tmp_dir is None:
+            self._content = [np.empty(0, dtype=np.uint8)] * self.n
+        else:
+            os.makedirs(tmp_dir, exist_ok=True)
 
     def merge_many(self, batches, want_ranks=True):
         """Merge (ordinal, positions, symbols, base) batches one at a time, in
@@ -184,6 +195,57 @@ class _BucketStore:
         if not want_ranks:
             return None
         return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+
+    def merge_insert(self, ordinal, tree_positions, syms, base, want_ranks=True):
+        """Insert ``syms`` at ``tree_positions - base``; with ``want_ranks``,
+        return each entry's rank (see :func:`_splice`, whose rank capture
+        refuses a terminator). A pure unranked terminator batch goes to the
+        side list; it must be the bucket's last merge."""
+        local = tree_positions - base
+        captured = None
+        if not want_ranks and syms.size and (syms == DOLLAR).any():
+            if (syms != DOLLAR).any() or ordinal in self._dollars:
+                raise ConsistencyError(f"bucket {ordinal}: mixed terminator batch, or a second one")
+            _validate_positions(local, int(self.sizes[ordinal]), ordinal)
+            self._dollars[ordinal] = local.astype(np.int64)
+            self.sizes[ordinal] += len(local)
+        elif self.tmp_dir is None:
+            old = self._content[ordinal]
+            new, captured = _splice(old, local, syms, want_ranks, ordinal)
+            self._content[ordinal] = new
+            self.bytes_read += len(old)
+            self.bytes_written += len(new)
+            self.sizes[ordinal] = len(new)
+        else:
+            path, n_plain = self._path(ordinal), int(self.sizes[ordinal])
+            try:
+                fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o600)
+                try:
+                    old = self._pread_codes(fd, ordinal, n_plain)
+                    new, captured = _splice(old, local, syms, want_ranks, ordinal)
+                    packed = _pack(new)
+                    if os.pwrite(fd, packed, 0) != len(packed):
+                        raise BucketIOError(f"bucket {ordinal}: short write")
+                except BaseException:
+                    if not n_plain:  # a file this merge created: close() only knows merged buckets
+                        os.unlink(path)
+                    raise
+                finally:
+                    os.close(fd)
+            except OSError as exc:
+                raise BucketIOError(f"bucket {ordinal}: {exc}") from exc
+            self.bytes_written += len(packed)
+            self.sizes[ordinal] = len(new)
+        self.merge_counts[ordinal] += 1
+        return captured
+
+    def read(self, ordinal: int) -> np.ndarray:
+        """Bucket ``ordinal``'s symbols, terminators spliced back in."""
+        codes = self._content[ordinal] if self.tmp_dir is None else self._read_file(ordinal)
+        dollars = self._dollars.get(ordinal)
+        if dollars is None:
+            return codes.copy()  # never hand out the RAM array itself
+        return _splice_numpy(codes, dollars, np.full(len(dollars), DOLLAR, dtype=np.uint8), False)[0]
 
     def assemble(self, out: BinaryIO) -> int:
         lut = np.frombuffer(SYMBOL_BYTES, dtype=np.uint8)
@@ -194,127 +256,15 @@ class _BucketStore:
             written += len(data)
         return written
 
-
-class MemoryBucketStore(_BucketStore):
-    """Buckets as plain in-memory code arrays."""
-
-    def __init__(self, kappa: int):
-        super().__init__(kappa)
-        self._content = [np.empty(0, dtype=np.uint8)] * self.n
-        self.symbols_read = 0
-        self.symbols_written = 0
-
-    def merge_insert(self, ordinal, tree_positions, syms, base, want_ranks=True):
-        local = tree_positions - base
-        old = self._content[ordinal]
-        new, captured = _splice(old, local, syms, want_ranks, ordinal)
-        self._content[ordinal] = new
-        self.sizes[ordinal] = len(new)
-        self.merge_counts[ordinal] += 1
-        self.symbols_read += len(old)
-        self.symbols_written += len(new)
-        return captured
-
-    def read(self, ordinal: int) -> np.ndarray:
-        return self._content[ordinal].copy()
-
-    @property
-    def io_stats(self) -> dict:
-        return {"read": self.symbols_read, "written": self.symbols_written}
-
-    def close(self) -> None:
-        self._content = []
-
-
-class ExternalBucketStore(_BucketStore):
-    """Buckets as files under a temp directory, one per bucket, rewritten in place.
-
-    ``bucket_<o>.bin`` holds the ``ceil(plain / 4)`` packed bytes of bucket
-    o's plain (non-terminator) symbols. A file is created by its bucket's
-    first merge and removed by :meth:`close`. Untouched buckets are skipped
-    entirely: no open, no read, no write.
-    """
-
-    def __init__(self, kappa: int, tmp_dir: str):
-        super().__init__(kappa)
-        self.tmp_dir = tmp_dir
-        self._dollars: dict[int, np.ndarray] = {}
-        self.bytes_read = 0
-        self.bytes_written = 0
-        os.makedirs(tmp_dir, exist_ok=True)
-
-    def _path(self, ordinal: int) -> str:
-        return os.path.join(self.tmp_dir, f"bucket_{ordinal}.bin")
-
-    def _n_plain(self, ordinal: int) -> int:
-        return int(self.sizes[ordinal]) - len(self._dollars.get(ordinal, ()))
-
-    def _pread_codes(self, fd: int, ordinal: int, n_plain: int) -> np.ndarray:
-        want = (n_plain + 3) // 4
-        raw = os.pread(fd, want, 0)
-        if len(raw) != want:
-            raise BucketIOError(f"bucket {ordinal}: read {len(raw)} of {want} bytes")
-        self.bytes_read += want
-        return _unpack(np.frombuffer(raw, dtype=np.uint8), n_plain)
-
-    def merge_insert(self, ordinal, tree_positions, syms, base, want_ranks=True):
-        local = tree_positions - base
-        if syms.size and np.any(syms == DOLLAR):
-            # terminators arrive as one pure batch in the last round and are
-            # never packed; record their final positions for assembly
-            if np.any(syms != DOLLAR) or want_ranks:
-                raise ConsistencyError(f"bucket {ordinal}: mixed terminator batch")
-            if ordinal in self._dollars:
-                raise ConsistencyError(f"bucket {ordinal}: duplicate terminator batch")
-            _validate_positions(local, int(self.sizes[ordinal]), ordinal)
-            self._dollars[ordinal] = np.asarray(local, dtype=np.int64)
-            self.sizes[ordinal] += len(local)
-            self.merge_counts[ordinal] += 1
-            return None
-        path, n_plain = self._path(ordinal), self._n_plain(ordinal)
-        try:
-            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o600)
-            try:
-                old = self._pread_codes(fd, ordinal, n_plain)
-                new, captured = _splice(old, local, syms, want_ranks, ordinal)
-                packed = _pack(new)
-                if os.pwrite(fd, packed, 0) != len(packed):
-                    raise BucketIOError(f"bucket {ordinal}: short write")
-            except BaseException:
-                if not n_plain:  # a file this merge created: close() only knows merged buckets
-                    os.unlink(path)
-                raise
-            finally:
-                os.close(fd)
-        except OSError as exc:
-            raise BucketIOError(f"bucket {ordinal}: {exc}") from exc
-        self.bytes_written += len(packed)
-        self.sizes[ordinal] += len(local)
-        self.merge_counts[ordinal] += 1
-        return captured
-
-    def read(self, ordinal: int) -> np.ndarray:
-        n_plain = self._n_plain(ordinal)
-        codes = np.empty(0, dtype=np.uint8)
-        if n_plain:
-            try:
-                fd = os.open(self._path(ordinal), os.O_RDONLY)
-                try:
-                    codes = self._pread_codes(fd, ordinal, n_plain)
-                finally:
-                    os.close(fd)
-            except OSError as exc:
-                raise BucketIOError(f"bucket {ordinal}: {exc}") from exc
-        dollars = self._dollars.get(ordinal)
-        if dollars is None:
-            return codes
-        return _splice_numpy(codes, dollars, np.full(len(dollars), DOLLAR, dtype=np.uint8), False)[0]
-
     @property
     def io_stats(self) -> dict:
         return {"read": self.bytes_read, "written": self.bytes_written}
 
     def close(self) -> None:
+        """Drop the RAM codes, or remove the bucket files and ``tmp_dir``."""
+        self._content = []
+        if self.tmp_dir is None:
+            return
         for o in np.flatnonzero(self.merge_counts):
             try:
                 os.unlink(self._path(int(o)))
@@ -324,3 +274,39 @@ class ExternalBucketStore(_BucketStore):
             os.rmdir(self.tmp_dir)
         except OSError:
             pass
+
+    def _path(self, ordinal: int) -> str:
+        return os.path.join(self.tmp_dir, f"bucket_{ordinal}.bin")
+
+    def _pread_codes(self, fd: int, ordinal: int, n_plain: int) -> np.ndarray:
+        want = (n_plain + 3) // 4
+        raw = os.pread(fd, want, 0)
+        if len(raw) != want:
+            raise BucketIOError(f"bucket {ordinal}: read {len(raw)} of {want} bytes")
+        self.bytes_read += want
+        return _unpack(np.frombuffer(raw, dtype=np.uint8), n_plain)
+
+    def _read_file(self, ordinal: int) -> np.ndarray:
+        n_plain = int(self.sizes[ordinal]) - len(self._dollars.get(ordinal, ()))
+        if not n_plain:
+            return np.empty(0, dtype=np.uint8)
+        try:
+            fd = os.open(self._path(ordinal), os.O_RDONLY)
+            try:
+                return self._pread_codes(fd, ordinal, n_plain)
+            finally:
+                os.close(fd)
+        except OSError as exc:
+            raise BucketIOError(f"bucket {ordinal}: {exc}") from exc
+
+
+# one class per backend, each defining only its constructor, so that
+# perfbench's tracer wraps each backend's merges once
+class MemoryBucketStore(BucketStore):
+    def __init__(self, kappa: int):
+        super().__init__(kappa)
+
+
+class ExternalBucketStore(BucketStore):
+    def __init__(self, kappa: int, tmp_dir: str):
+        super().__init__(kappa, tmp_dir)

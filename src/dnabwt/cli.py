@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import random
 import sys
@@ -49,23 +50,32 @@ def _report(pairs: list[tuple[str, object]], fmt: str) -> None:
             print(f"{k}: {v}")
 
 
+@contextlib.contextmanager
+def _output_file(path: str, input_path: str):
+    """Open ``path`` before the work that fills it, so that an output that
+    cannot be written fails the command first; if the work raises, leave no
+    partial output, but never unlink a device or symlink. The input file is
+    refused as the output, since opening it would truncate the input."""
+    if os.path.exists(path) and os.path.samefile(path, input_path):
+        raise OSError(f"--output {path} is the input file")
+    with open(path, "wb") as fh:
+        try:
+            yield fh
+        except BaseException:
+            if os.path.isfile(path) and not os.path.islink(path):
+                os.unlink(path)
+            raise
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     collection = _load_collection(args.input, args.ambiguous)
-    # opened first, so that an output that cannot be written fails the
-    # command before the build, not after it
-    with open(args.output, "wb") as fh:
-        try:
-            t0 = time.perf_counter()
-            with BwtBuilder(collection, _config_from(args)) as builder:
-                data = builder.run()
-                stats = builder.store.io_stats
-            wall = time.perf_counter() - t0
-            fh.write(data)
-        except BaseException:
-            # leave no partial output, but never unlink a device or symlink
-            if os.path.isfile(args.output) and not os.path.islink(args.output):
-                os.unlink(args.output)
-            raise
+    with _output_file(args.output, args.input) as fh:
+        t0 = time.perf_counter()
+        with BwtBuilder(collection, _config_from(args)) as builder:
+            data = builder.run()
+            stats = builder.store.io_stats
+        wall = time.perf_counter() - t0
+        fh.write(data)
     pairs: list[tuple[str, object]] = [
         ("words", collection.m),
         ("output_bytes", len(data)),
@@ -136,14 +146,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_invert(args: argparse.Namespace) -> int:
     with open(args.input, "rb") as fh:
         data = fh.read()
-    m = data.count(b"$")
     try:
-        words = oracle.invert(data, m)
+        with _output_file(args.output, args.input) as fh:
+            words = oracle.invert(data, data.count(b"$"))
+            fh.write(b"\n".join(words) + b"\n")
     except oracle.InvalidBwtError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    with open(args.output, "wb") as fh:
-        fh.write(b"\n".join(words) + b"\n")
     print(f"recovered {len(words)} words")
     return 0
 

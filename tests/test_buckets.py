@@ -446,6 +446,7 @@ def test_assemble_concatenates_in_leaf_order(tmp_path):
 def test_backends_identical_bucket_contents(tmp_path):
     rng = random.Random(33)
     stores = list(_stores(tmp_path / "same", 4))
+    model = [[] for _ in range(n_buckets(4))]
     for step in range(30):
         ordinal = rng.randrange(n_buckets(4))
         k = rng.randint(1, 4)
@@ -458,8 +459,65 @@ def test_backends_identical_bucket_contents(tmp_path):
             )
             for s in stores
         ]
+        model[ordinal] = _naive_splice(model[ordinal], positions, syms)[0]
         assert outs[0].tolist() == outs[1].tolist()
         for s in stores[1:]:
             assert s.read(ordinal).tolist() == stores[0].read(ordinal).tolist()
+    # the terminator round: one pure, unranked batch into several touched
+    # buckets, first, last and inner positions included
+    touched = [int(o) for o in np.flatnonzero(stores[0].sizes)]
+    for ordinal in rng.sample(touched, 4):
+        size = int(stores[0].sizes[ordinal])
+        k = rng.randint(1, 3)
+        positions = sorted({0, size + k - 1, *rng.sample(range(size + k), k)})
+        for s in stores:
+            dollars = np.full(len(positions), DOLLAR, dtype=np.uint8)
+            assert s.merge_insert(ordinal, np.array(positions, dtype=np.int64), dollars, base=0,
+                                  want_ranks=False) is None
+        model[ordinal] = _naive_splice(model[ordinal], positions, [DOLLAR] * len(positions))[0]
+    assembled = []
+    for s in stores:
+        for o in range(n_buckets(4)):
+            assert s.read(o).tolist() == model[o]
+        out = BytesIO()
+        assert s.assemble(out) == sum(map(len, model))
+        assembled.append(out.getvalue())
+    assert assembled[0] == assembled[1]
+    assert assembled[0] == bytes(b"ACGT$"[c] for content in model for c in content)
     for s in stores:
         s.close()
+
+
+def test_both_backends_refuse_misplaced_terminators(tmp_path):
+    # a terminator has no rank to capture: on both backends a ranked batch
+    # that holds one raises before its bucket changes
+    for k in (2, buckets.SPLICE_FEW_MAX + 1):
+        for n0 in (0, 30):
+            for at in (0, k - 1):
+                for store in _stores(tmp_path / f"r{k}_{n0}_{at}", 3):
+                    if n0:
+                        store.merge_insert(1, np.arange(n0, dtype=np.int64),
+                                           np.arange(n0, dtype=np.uint8) % 4, base=0, want_ranks=False)
+                    content, sizes = store.read(1).tolist(), store.sizes.tolist()
+                    syms = np.full(k, 2, dtype=np.uint8)
+                    syms[at] = DOLLAR
+                    with pytest.raises(ConsistencyError):
+                        store.merge_insert(1, np.arange(k, dtype=np.int64) + n0 // 2, syms, base=0)
+                    assert store.read(1).tolist() == content
+                    assert store.sizes.tolist() == sizes
+                    assert store.merge_counts[1] == (1 if n0 else 0)
+                    store.close()
+    # unranked, a batch mixing terminators with bases is refused, and so
+    # is a bucket's second terminator batch
+    for store in _stores(tmp_path / "unranked", 3):
+        with pytest.raises(ConsistencyError, match="mixed terminator"):
+            store.merge_insert(0, np.array([0, 1], dtype=np.int64),
+                               np.array([DOLLAR, 1], dtype=np.uint8), base=0, want_ranks=False)
+        store.merge_insert(0, np.array([0], dtype=np.int64), np.array([DOLLAR], dtype=np.uint8),
+                           base=0, want_ranks=False)
+        with pytest.raises(ConsistencyError, match="a second one"):
+            store.merge_insert(0, np.array([1], dtype=np.int64), np.array([DOLLAR], dtype=np.uint8),
+                               base=0, want_ranks=False)
+        assert store.read(0).tolist() == [DOLLAR]
+        assert store.sizes[0] == 1 and store.merge_counts[0] == 1
+        store.close()

@@ -150,6 +150,51 @@ def test_cmd_invert_round_trip(tmp_path, capsys):
     assert rec.read_bytes() == ("\n".join(words) + "\n").encode()
 
 
+def test_cmd_invert_unwritable_output_fails_before_inverting(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def invert(data, m):
+        calls.append(m)
+        raise AssertionError("the inversion must not start")
+
+    monkeypatch.setattr(cli.oracle, "invert", invert)
+    bwt = tmp_path / "in.bwt"
+    bwt.write_bytes(build(WordCollection.from_words(["GATTACA", "CCT"]), Config(kappa=3, backend="memory")))
+    rc = main(["invert", "--input", str(bwt), "--output", str(tmp_path / "no_such_dir" / "words.txt")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert calls == []
+
+
+def test_cmd_invert_invalid_transform_leaves_no_output(tmp_path, capsys):
+    bwt, rec = tmp_path / "bad.bwt", tmp_path / "words.txt"
+    bwt.write_bytes(b"ACGN$A$")
+    rc = main(["invert", "--input", str(bwt), "--output", str(rec)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: transform contains bytes outside")
+    assert not rec.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "invert"])
+def test_output_over_the_input_is_refused(tmp_path, capsys, command):
+    # opening the output first would truncate the input, and a failed
+    # inversion would then remove it
+    inp = tmp_path / "in"
+    if command == "build":
+        _write_fasta(inp, ["GATTACA", "CCT"])
+    else:
+        inp.write_bytes(b"ACGN$A$")
+    before = inp.read_bytes()
+    for output in (inp, tmp_path / "link"):
+        if output != inp:
+            output.symlink_to(inp)
+        rc = main([command, "--input", str(inp), "--output", str(output)]
+                  + (["--backend", "memory"] if command == "build" else []))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --output ")
+        assert inp.read_bytes() == before
+
+
 def test_cmd_bench_row_contract(tmp_path, capsys):
     rng = random.Random(60)
     words = ["".join(rng.choice("ACGT") for _ in range(150)) for _ in range(300)]
