@@ -200,12 +200,16 @@ class BucketStore:
         """Insert ``syms`` at ``tree_positions - base``; with ``want_ranks``,
         return each entry's rank (see :func:`_splice`, whose rank capture
         refuses a terminator). A pure unranked terminator batch goes to the
-        side list; it must be the bucket's last merge."""
+        side list; it must be the bucket's last merge, since the side list
+        holds final positions that a later merge would shift."""
+        if ordinal in self._dollars:
+            raise ConsistencyError(
+                f"bucket {ordinal}: merge after its terminator batch, such as a second one")
         local = tree_positions - base
         captured = None
         if not want_ranks and syms.size and (syms == DOLLAR).any():
-            if (syms != DOLLAR).any() or ordinal in self._dollars:
-                raise ConsistencyError(f"bucket {ordinal}: mixed terminator batch, or a second one")
+            if (syms != DOLLAR).any():
+                raise ConsistencyError(f"bucket {ordinal}: mixed terminator batch")
             _validate_positions(local, int(self.sizes[ordinal]), ordinal)
             self._dollars[ordinal] = local.astype(np.int64)
             self.sizes[ordinal] += len(local)

@@ -207,20 +207,20 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, needs_output: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, kappa: bool = True) -> None:
         p.add_argument("--input", required=True, help="FASTA, FASTQ or one-sequence-per-line file")
-        if needs_output:
-            p.add_argument("--output", required=True)
-        p.add_argument("--kappa", type=int, default=5, help="navigation bits (default 5)")
+        if kappa:
+            p.add_argument("--kappa", type=int, default=5, help="navigation bits (default 5)")
         p.add_argument("--threads", type=int, default=None,
                        help="accepted and ignored: builds merge on one thread")
         p.add_argument("--tmp-dir", default=None)
         p.add_argument("--backend", choices=BACKENDS, default="external")
         p.add_argument("--ambiguous", choices=AMBIGUOUS_POLICIES, default="drop-char")
-        p.add_argument("--report", choices=("text", "tsv"), default="text")
 
     p_build = sub.add_parser("build", help="construct the transform")
-    common(p_build, needs_output=True)
+    common(p_build)
+    p_build.add_argument("--output", required=True)
+    p_build.add_argument("--report", choices=("text", "tsv"), default="text")
     p_build.set_defaults(func=cmd_build)
 
     p_verify = sub.add_parser("verify", help="cross-check against the brute-force reference")
@@ -233,8 +233,10 @@ def make_parser() -> argparse.ArgumentParser:
     p_invert.add_argument("--output", required=True)
     p_invert.set_defaults(func=cmd_invert)
 
-    p_bench = sub.add_parser("bench", help="sweep kappa and report timing as TSV")
-    common(p_bench)
+    # no abbreviations: bench reads no --kappa, which would abbreviate --kappa-range
+    p_bench = sub.add_parser("bench", help="sweep kappa and report timing as TSV",
+                             allow_abbrev=False)
+    common(p_bench, kappa=False)
     p_bench.add_argument(
         "--kappa-range", type=_kappa_range, default=(3, 8), help="inclusive lo:hi sweep"
     )

@@ -8,6 +8,7 @@ arithmetically instead of materialising padded strings.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Union
 
@@ -170,57 +171,39 @@ class WordCollection:
 
 def detect_format(data: bytes) -> str:
     """Guess the input format from the first non-blank byte."""
-    for ch in data[:4096]:
-        if ch in b" \t\r\n":
-            continue
-        if ch == ord(">"):
-            return "fasta"
-        if ch == ord("@"):
-            return "fastq"
-        return "raw-lines"
-    return "raw-lines"
+    first = re.search(rb"[^ \t\r\n]", data)
+    return {b">": "fasta", b"@": "fastq"}.get(first and first.group(), "raw-lines")
 
 
-def _extract_records(data: bytes, fmt: str) -> list[tuple[int, list[tuple[int, bytes]]]]:
-    """Split input into records of (record_line_no, [(line_no, payload), ...])."""
-    lines = data.split(b"\n")
-    records: list[tuple[int, list[tuple[int, bytes]]]] = []
+def _record_layout(lines: list[bytes], sizes: np.ndarray,
+                   fmt: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each record's first-line index, the sequence lines' indices and each
+    sequence line's record, over stripped ``lines`` of byte lengths
+    ``sizes``; raises the first structural error."""
     if fmt == "fasta":
-        current: list[tuple[int, bytes]] | None = None
-        for ln, raw in enumerate(lines, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith(b">"):
-                current = []
-                records.append((ln, current))
-            elif current is None:
-                raise ParseError(f"line {ln}: sequence data before first '>' header")
-            else:
-                current.append((ln, line))
-    elif fmt == "fastq":
-        stripped = [(ln, raw.strip()) for ln, raw in enumerate(lines, 1)]
-        while stripped and not stripped[-1][1]:
-            stripped.pop()
-        if len(stripped) % 4 != 0:
-            raise ParseError(
-                f"line {stripped[-1][0] if stripped else 1}: truncated FASTQ record"
-            )
-        for i in range(0, len(stripped), 4):
-            (ln_h, header), (ln_s, seq), (ln_p, plus), (ln_q, qual) = stripped[i : i + 4]
-            if not header.startswith(b"@"):
-                raise ParseError(f"line {ln_h}: expected '@' FASTQ header")
-            if not plus.startswith(b"+"):
-                raise ParseError(f"line {ln_p}: expected '+' separator")
-            if len(qual) != len(seq):
-                raise ParseError(f"line {ln_q}: quality length differs from sequence")
-            records.append((ln_h, [(ln_s, seq)]))
-    else:  # raw-lines
-        for ln, raw in enumerate(lines, 1):
-            line = raw.strip()
-            if line:
-                records.append((ln, [(ln, line)]))
-    return records
+        is_header = np.array([ln[:1] == b">" for ln in lines], dtype=bool)
+        heads = np.flatnonzero(is_header)
+        seq = np.flatnonzero((sizes > 0) & ~is_header)
+        if seq.size and (not heads.size or seq[0] < heads[0]):
+            raise ParseError(f"line {seq[0] + 1}: sequence data before first '>' header")
+        return heads, seq, np.searchsorted(heads, seq) - 1
+    if fmt == "fastq":
+        # four lines a record, blank ones included; trailing blank lines end the input
+        nonblank = np.flatnonzero(sizes)
+        n = int(nonblank[-1]) + 1 if nonblank.size else 0
+        if n % 4:
+            raise ParseError(f"line {n}: truncated FASTQ record")
+        for h in range(0, n, 4):
+            if not lines[h].startswith(b"@"):
+                raise ParseError(f"line {h + 1}: expected '@' FASTQ header")
+            if not lines[h + 2].startswith(b"+"):
+                raise ParseError(f"line {h + 3}: expected '+' separator")
+            if len(lines[h + 3]) != len(lines[h + 1]):
+                raise ParseError(f"line {h + 4}: quality length differs from sequence")
+        heads = np.arange(0, n, 4)
+        return heads, heads + 1, np.arange(len(heads))
+    seq = np.flatnonzero(sizes)
+    return seq, seq, np.arange(len(seq))
 
 
 def parse_sequences(
@@ -229,56 +212,39 @@ def parse_sequences(
     """Parse a byte stream into a :class:`WordCollection` under ``policy``."""
     policy = policy or IngestPolicy()
     data = stream if isinstance(stream, bytes) else stream.read()
-    records = _extract_records(data, policy.format)
-    if not records:
+    lines = [ln.strip() for ln in data.split(b"\n")]  # line number = index + 1
+    sizes = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+    heads, seq, record_of = _record_layout(lines, sizes, policy.format)
+    if not heads.size:
         raise ParseError("input contains no sequence records")
+    seq_sizes = sizes[seq]
+    lengths = np.bincount(record_of, weights=seq_sizes, minlength=len(heads)).astype(np.int64)
+    if not lengths.all():
+        raise ParseError(f"line {heads[lengths.argmin()] + 1}: record has an empty sequence")
 
-    chunk_lines: list[int] = []
-    chunk_offsets = [0]
-    payloads = []
-    record_lengths = []
-    for header_ln, chunks in records:
-        total = 0
-        for ln, payload in chunks:
-            payloads.append(payload)
-            chunk_lines.append(ln)
-            chunk_offsets.append(chunk_offsets[-1] + len(payload))
-            total += len(payload)
-        if total == 0:
-            raise ParseError(f"line {header_ln}: record has an empty sequence")
-        record_lengths.append(total)
+    codes = _LUT[np.frombuffer(b"".join([lines[i] for i in seq.tolist()]), dtype=np.uint8)]
+    del lines  # the largest object left: free it before the mask arrays
+    seq_ends = np.cumsum(seq_sizes)
 
-    codes = _LUT[np.frombuffer(b"".join(payloads), dtype=np.uint8)]
-    offsets_by_chunk = np.asarray(chunk_offsets)
-
-    def _line_of(global_offset: int) -> int:
-        chunk = int(np.searchsorted(offsets_by_chunk, global_offset, side="right")) - 1
-        return chunk_lines[chunk]
+    def _line_of(offset: int) -> int:
+        return int(seq[np.searchsorted(seq_ends, offset, side="right")]) + 1
 
     bad = np.flatnonzero(codes == _BAD)
     if bad.size:
-        raise ParseError(f"line {_line_of(int(bad[0]))}: invalid sequence character")
-
+        raise ParseError(f"line {_line_of(bad[0])}: invalid sequence character")
     amb = codes == _AMBIG
-    record_starts = np.cumsum([0] + record_lengths[:-1])
     if amb.any():
         if policy.ambiguous_handling == "fail":
-            first = int(np.flatnonzero(amb)[0])
-            raise ParseError(f"line {_line_of(first)}: ambiguous base with policy 'fail'")
+            raise ParseError(f"line {_line_of(amb.argmax())}: ambiguous base with policy 'fail'")
+        # drop-record drops a record with any ambiguous base; drop-char drops
+        # the bases, then the records they emptied
+        keep = ~amb
+        starts = np.cumsum(lengths) - lengths
         if policy.ambiguous_handling == "drop-record":
-            dirty = np.maximum.reduceat(amb, record_starts)
-            keep_codes = np.repeat(~dirty, record_lengths)
-            codes = codes[keep_codes]
-            record_lengths = list(np.asarray(record_lengths)[~dirty])
-            record_starts = np.cumsum([0] + record_lengths[:-1])
-        else:  # drop-char; records emptied by the drop are discarded
-            keep = ~amb
-            new_lengths = np.add.reduceat(keep, record_starts)
-            codes = codes[keep]
-            record_lengths = list(new_lengths[new_lengths > 0])
-            record_starts = np.cumsum([0] + record_lengths[:-1])
-
-    if not record_lengths:
-        raise ParseError("no sequence records survived the ambiguity policy")
-    offsets = np.concatenate([[0], np.cumsum(record_lengths)])
-    return WordCollection(codes.astype(np.uint8), offsets)
+            keep = np.repeat(np.logical_and.reduceat(keep, starts), lengths)
+        codes = codes[keep]
+        lengths = np.add.reduceat(keep, starts)
+        lengths = lengths[lengths > 0]
+        if not lengths.size:
+            raise ParseError("no sequence records survived the ambiguity policy")
+    return WordCollection(codes, np.concatenate([[0], np.cumsum(lengths)]))

@@ -508,7 +508,8 @@ def test_both_backends_refuse_misplaced_terminators(tmp_path):
                     assert store.merge_counts[1] == (1 if n0 else 0)
                     store.close()
     # unranked, a batch mixing terminators with bases is refused, and so
-    # is a bucket's second terminator batch
+    # is any merge after a bucket's terminator batch: a second one, or
+    # bases, ranked or not, which would shift the side list's positions
     for store in _stores(tmp_path / "unranked", 3):
         with pytest.raises(ConsistencyError, match="mixed terminator"):
             store.merge_insert(0, np.array([0, 1], dtype=np.int64),
@@ -520,4 +521,16 @@ def test_both_backends_refuse_misplaced_terminators(tmp_path):
                                base=0, want_ranks=False)
         assert store.read(0).tolist() == [DOLLAR]
         assert store.sizes[0] == 1 and store.merge_counts[0] == 1
+        store.merge_insert(1, np.arange(3, dtype=np.int64), np.array([0, 1, 2], dtype=np.uint8),
+                           base=0, want_ranks=False)
+        store.merge_insert(1, np.array([1], dtype=np.int64), np.array([DOLLAR], dtype=np.uint8),
+                           base=0, want_ranks=False)
+        for bucket, want_ranks in ((0, True), (0, False), (1, True), (1, False)):
+            with pytest.raises(ConsistencyError, match="after its terminator batch"):
+                store.merge_insert(bucket, np.array([0], dtype=np.int64),
+                                   np.array([3], dtype=np.uint8), base=0, want_ranks=want_ranks)
+        assert store.read(0).tolist() == [DOLLAR]
+        assert store.read(1).tolist() == [0, DOLLAR, 1, 2]
+        assert store.sizes.tolist()[:2] == [1, 4]
+        assert store.merge_counts.tolist()[:2] == [1, 2]
         store.close()

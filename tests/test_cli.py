@@ -220,6 +220,17 @@ def test_cmd_bench_rejects_bad_kappa_range(tmp_path, capsys, kappa_range):
     assert "--kappa-range" in err and "lo <= hi" in err
 
 
+@pytest.mark.parametrize("argv", [["verify", "--report", "tsv"], ["bench", "--kappa", "7"]])
+def test_flags_a_command_would_ignore_are_refused(tmp_path, capsys, argv):
+    # verify prints no report, and bench sweeps --kappa-range instead of --kappa
+    inp = tmp_path / "reads.txt"
+    inp.write_text("ACGT\n")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--input", str(inp), "--backend", "memory"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cmd_selftest(capsys):
     rc = main(["selftest", "--count", "5", "--seed", "1"])
     assert rc == 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dnabwt import IngestPolicy, ParseError, WordCollection, detect_format, parse_sequences
+from dnabwt.collection import FORMATS
 from reference import start_iteration, symbol_at, to_raw_lines
 
 
@@ -69,22 +70,98 @@ def test_parse_fastq_ignores_quality_and_validates_structure():
         parse_sequences(b"@r1\nACGT\n+\n", IngestPolicy(format="fastq"))
 
 
-def _reference_fastq_parse(data: bytes, ambiguous: str) -> list[bytes]:
-    # independent line-by-line parse used as the comparison oracle
-    lines = [ln.strip() for ln in data.split(b"\n") if ln.strip()]
+def _reference_parse(data: bytes, fmt: str, ambiguous: str) -> list[bytes] | str:
+    """Independent line-by-line parse used as the comparison oracle: the
+    words, or the message of the first error the parser must raise."""
+    lines = [raw.strip() for raw in data.split(b"\n")]
+    records = []  # (first line number, [(line number, sequence line)])
+    if fmt == "fasta":
+        for ln, line in enumerate(lines, 1):
+            if line.startswith(b">"):
+                records.append((ln, []))
+            elif line and not records:
+                return f"line {ln}: sequence data before first '>' header"
+            elif line:
+                records[-1][1].append((ln, line))
+    elif fmt == "fastq":
+        while lines and not lines[-1]:
+            lines.pop()
+        if len(lines) % 4:
+            return f"line {len(lines)}: truncated FASTQ record"
+        for ln in range(1, len(lines), 4):
+            header, seq, plus, qual = lines[ln - 1 : ln + 3]
+            if not header.startswith(b"@"):
+                return f"line {ln}: expected '@' FASTQ header"
+            if not plus.startswith(b"+"):
+                return f"line {ln + 2}: expected '+' separator"
+            if len(qual) != len(seq):
+                return f"line {ln + 3}: quality length differs from sequence"
+            records.append((ln, [(ln + 1, seq)]))
+    else:
+        records = [(ln, [(ln, line)]) for ln, line in enumerate(lines, 1) if line]
+    if not records:
+        return "input contains no sequence records"
+    for ln, seqs in records:
+        if not b"".join(s for _, s in seqs):
+            return f"line {ln}: record has an empty sequence"
+    for _, seqs in records:
+        for ln, s in seqs:
+            if any(ch not in b"ACGTNRYSWKMBDHVU" for ch in s.upper()):
+                return f"line {ln}: invalid sequence character"
     words = []
-    for i in range(0, len(lines), 4):
-        seq = lines[i + 1].upper()
-        kept = bytes(ch for ch in seq if ch in b"ACGT")
-        has_amb = len(kept) != len(seq)
-        if ambiguous == "drop-record" and has_amb:
-            continue
-        if kept:
-            words.append(kept)
-    return words
+    for _, seqs in records:
+        word, ambiguous_seen = b"", False
+        for ln, s in seqs:
+            for ch in s.upper():
+                if ch in b"ACGT":
+                    word += bytes([ch])
+                elif ambiguous == "fail":
+                    return f"line {ln}: ambiguous base with policy 'fail'"
+                else:
+                    ambiguous_seen = True
+        if word and not (ambiguous_seen and ambiguous == "drop-record"):
+            words.append(word)
+    return words or "no sequence records survived the ambiguity policy"
 
 
-@pytest.mark.parametrize("ambiguous", ["drop-char", "drop-record"])
+def _parse_or_error(data: bytes, fmt: str, ambiguous: str) -> list[bytes] | str:
+    try:
+        return parse_sequences(data, IngestPolicy(ambiguous, fmt)).words()
+    except ParseError as exc:
+        return str(exc)
+
+
+def _random_input(rng: random.Random, fmt: str) -> bytes:
+    """Mostly well-formed ``fmt`` input with blank and whitespace-only lines,
+    padded lines, CRLF ends and N, R and X bytes; now and then sequence data
+    before the first header, an empty record or a short FASTQ file."""
+    def seq():
+        alphabet = "ACGTacgtNRnX" if rng.random() < 0.3 else "ACGTacgt"
+        return "".join(rng.choice(alphabet) for _ in range(rng.choice([0, 1, 3, 8, 20])))
+
+    lines = []
+    if fmt == "fasta":
+        if rng.random() < 0.1:
+            lines.append(seq())
+        for i in range(rng.randint(0, 5)):
+            lines.append(f">r{i}")
+            lines += [seq() for _ in range(rng.choice([0, 1, 1, 1, 2, 3]))]
+    elif fmt == "fastq":
+        for i in range(rng.randint(0, 5)):
+            s = seq()
+            qual = "I" * (len(s) + (rng.random() < 0.05))
+            lines += [rng.choice([f"@r{i}"] * 19 + ["r"]), s, rng.choice(["+"] * 19 + ["-"]), qual]
+        if rng.random() < 0.1:
+            del lines[rng.randrange(len(lines) + 1):]
+    else:
+        lines = [seq() for _ in range(rng.randint(0, 6))]
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", " ", "\t", " \t\r"]))
+    lines = [f" {ln}\t" if rng.random() < 0.1 else ln for ln in lines]
+    return "".join(ln + rng.choice(["\n", "\r\n"]) for ln in lines).encode()
+
+
+@pytest.mark.parametrize("ambiguous", ["drop-char", "drop-record", "fail"])
 def test_parse_random_fastq_matches_reference_parser(ambiguous):
     rng = random.Random(50)
     chunks = []
@@ -92,9 +169,13 @@ def test_parse_random_fastq_matches_reference_parser(ambiguous):
         seq = "".join(rng.choice("ACGTacgtN") for _ in range(rng.randint(1, 120)))
         chunks.append(f"@read{i}\n{seq}\n+\n{'I' * len(seq)}\n")
     data = "".join(chunks).encode()
-    expected = _reference_fastq_parse(data, ambiguous)
-    got = parse_sequences(data, IngestPolicy(ambiguous_handling=ambiguous, format="fastq"))
-    assert got.words() == expected
+    expected = _reference_parse(data, "fastq", ambiguous)
+    assert _parse_or_error(data, "fastq", ambiguous) == expected
+    # random inputs of all three formats, with the faults the parser reports
+    for _ in range(400):
+        fmt = rng.choice(FORMATS)
+        data = _random_input(rng, fmt)
+        assert _parse_or_error(data, fmt, ambiguous) == _reference_parse(data, fmt, ambiguous), data
 
 
 def test_parse_raw_lines_skips_blanks():
@@ -114,6 +195,7 @@ def test_detect_format():
     assert detect_format(b"@x\nAC\n+\nII\n") == "fastq"
     assert detect_format(b"ACGT\n") == "raw-lines"
     assert detect_format(b"  \n>x\nAC\n") == "fasta"
+    assert detect_format(b"\n" * 5000 + b">a\nACGT\n") == "fasta"
 
 
 def test_symbol_at_right_aligned_view():
