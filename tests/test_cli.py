@@ -1,3 +1,4 @@
+import errno
 import os
 import random
 
@@ -101,6 +102,29 @@ def test_cmd_build_disk_error_is_reported_and_cleaned_up(tmp_path, capsys, monke
                "--backend", "external", "--tmp-dir", str(scratch)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: bucket ")
+    assert list(scratch.iterdir()) == []
+    assert not outp.exists()
+
+
+def test_cmd_build_full_disk_fails_before_round_0(tmp_path, capsys, monkeypatch):
+    # the external store allocates its one file before round 0, so a disk
+    # too small for the buckets fails there: no round runs, and no output
+    # or bucket file is left
+    def fallocate(fd, offset, length):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    rounds = []
+    monkeypatch.setattr(os, "posix_fallocate", fallocate)
+    monkeypatch.setattr(cli.BwtBuilder, "activate_new_words", lambda *a: rounds.append(a))
+    inp, outp, scratch = tmp_path / "in.fasta", tmp_path / "out.bwt", tmp_path / "scratch"
+    _write_fasta(inp, ["GATTACA", "CCT", "AAAA"])
+    scratch.mkdir()
+    rc = main(["build", "--input", str(inp), "--output", str(outp),
+               "--backend", "external", "--tmp-dir", str(scratch)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No space left on device" in err
+    assert rounds == []
     assert list(scratch.iterdir()) == []
     assert not outp.exists()
 

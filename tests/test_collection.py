@@ -1,12 +1,17 @@
 import io
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dnabwt.collection as collection
 from dnabwt import IngestPolicy, ParseError, WordCollection, detect_format, parse_sequences
-from dnabwt.collection import FORMATS
-from reference import start_iteration, symbol_at, to_raw_lines
+from dnabwt.buckets import context_symbols
+from dnabwt.collection import FORMATS, _pack, _unpack
+from reference import bucket_offsets, start_iteration, symbol_at, to_raw_lines
 
 
 def test_parse_single_fasta_record():
@@ -196,6 +201,57 @@ def test_detect_format():
     assert detect_format(b"ACGT\n") == "raw-lines"
     assert detect_format(b"  \n>x\nAC\n") == "fasta"
     assert detect_format(b"\n" * 5000 + b">a\nACGT\n") == "fasta"
+    # blank as bytes.strip has it, vertical tab and form feed included
+    assert detect_format(b"\x0b>a\nACGT\n") == "fasta"
+    assert parse_sequences(b"\x0b>a\nACGT\n", IngestPolicy(format="fasta")).words() == [b"ACGT"]
+    assert detect_format(b"\x0c@r\nAC\n+\nII\n") == "fastq"
+
+
+def test_pack_round_trip():
+    rng = np.random.default_rng(37)
+    for n in range(10):
+        codes = rng.integers(0, 4, size=n, dtype=np.uint8)
+        packed = _pack(codes)
+        assert packed.dtype == np.uint8 and len(packed) == (n + 3) // 4
+        assert _unpack(packed, n).tolist() == codes.tolist()
+    assert _pack(np.array([1, 2, 3, 0, 3], dtype=np.uint8)).tolist() == [0b01101100, 0b11000000]
+
+
+def test_pack_copies_no_codes_for_a_partial_quad():
+    # a length that is not a multiple of four packs in the same peak memory
+    codes = np.zeros(20_000_001, dtype=np.uint8)
+    peaks = []
+    for view in (codes[:-1], codes):
+        tracemalloc.start()
+        _pack(view)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1 << 20, peaks
+
+
+@st.composite
+def _counted_collections(draw):
+    """Words with duplicates, one-letter words and words shorter than the
+    context, over one to four letters, and a count chunk of a few symbols
+    or the build's own."""
+    kappa = draw(st.integers(3, 19))
+    letters = draw(st.sampled_from(["A", "C", "AC", "ACGT"]))
+    word = st.text(alphabet=letters, min_size=1, max_size=draw(st.sampled_from([1, 2, 12])))
+    words = draw(st.lists(word, min_size=1, max_size=8))
+    words += draw(st.lists(st.sampled_from(words), max_size=4))
+    return draw(st.permutations(words)), kappa, draw(st.sampled_from([4, 8, collection._COUNT_CHUNK]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_counted_collections())
+def test_context_counts_match_bucket_offsets(case):
+    words, kappa, chunk = case
+    c = WordCollection.from_words(words)
+    n_sym = context_symbols(kappa)
+    expected = np.diff(np.append(bucket_offsets(c, kappa), c.total_length))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(collection, "_COUNT_CHUNK", chunk)
+        assert c.context_counts(n_sym, 2 * n_sym - kappa).tolist() == expected.tolist()
 
 
 def test_symbol_at_right_aligned_view():

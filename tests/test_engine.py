@@ -395,46 +395,63 @@ def test_build_identical_words_diverse_counts():
 
 
 
-def test_flip_parity_matches_merge_counts_after_build():
-    # after a build, buckets with an odd and with an even number of plain
-    # merges alike read back what the memory backend holds, merge for merge
+def test_backends_agree_bucket_for_bucket_after_build():
+    # after a build, both backends' buckets have the counted final sizes and
+    # the external one reads back what the memory one holds
     rng = random.Random(53)
     c = random_collection(rng)
     with BwtBuilder(c, Config(kappa=4, backend="memory")) as mem:
         mem.run()
         with BwtBuilder(c, Config(kappa=4, backend="external", threads=1)) as ext:
             ext.run()
-            parities = set()
-            for o in range(ext.store.n):
-                assert int(ext.store.merge_counts[o]) == int(mem.store.merge_counts[o])
-                merges = int(ext.store.merge_counts[o]) - (o in ext.store._dollars)
-                if merges:
-                    parities.add(merges % 2)
+            assert mem.store.sizes.tolist() == ext.store.sizes.tolist() == ext.store.final.tolist()
+            assert mem.store.final.tolist() == ext.store.final.tolist()
+            for o in range(len(ext.store.sizes)):
                 np.testing.assert_array_equal(ext.store.read(o), mem.store.read(o))
-            assert parities == {0, 1}
 
 
-def test_external_store_keeps_one_file_per_merged_bucket():
-    # checked every round, the last one (terminators) included, before close
+@pytest.mark.parametrize("backend", ["memory", "external"])
+def test_bucket_contents_stay_in_their_slots(backend, monkeypatch):
+    # checked every round, the last one (terminators) included, before close:
+    # no bucket outgrows the size counted before round 0, and the external
+    # store is one file holding every slot, opened once
     rng = random.Random(53)
     c = random_collection(rng)
-    seen = []
+    seen, opened = [], []
+    real_open = os.open
+    monkeypatch.setattr(os, "open", lambda *a, **k: opened.append(a[0]) or real_open(*a, **k))
 
     def check(builder):
         store = builder.store
-        files = {}
-        for o in range(store.n):
-            plain = int(store.sizes[o]) - len(store._dollars.get(o, ()))
-            if int(store.merge_counts[o]) - (o in store._dollars):
-                files[f"bucket_{o}.bin"] = (plain + 3) // 4
-        on_disk = {name: os.path.getsize(os.path.join(store.tmp_dir, name))
-                   for name in os.listdir(store.tmp_dir)}
-        assert on_disk == files
+        assert (store.sizes <= store.final).all()
+        if backend == "external":
+            assert os.listdir(store.tmp_dir) == ["buckets.bin"]
+            assert os.path.getsize(store._path) == int(((store.final + 3) // 4).sum())
         seen.append(builder.t)
 
-    with BwtBuilder(c, Config(kappa=4, backend="external", threads=1)) as builder:
+    with BwtBuilder(c, Config(kappa=4, backend=backend, threads=1)) as builder:
         assert builder.run(inspect=check) == naive_bwt(c)
+        assert builder.store.sizes.tolist() == builder.store.final.tolist()
     assert seen[-1] == c.max_length
+    assert [os.path.basename(p) for p in opened] == (["buckets.bin"] if backend == "external" else [])
+
+
+@pytest.mark.parametrize("backend", ["memory", "external"])
+def test_counted_sizes_that_differ_from_the_build_raise(backend, monkeypatch, tmp_path):
+    # a count one short fails the merge that outgrows its slot; one over
+    # fails the check of the final sizes
+    c = WordCollection.from_words(["GATTACA", "CCTGA", "TTAGGCA"])
+    counts = WordCollection.context_counts
+    for delta, message in ((-1, "overflow its slot"), (1, "differ from the counted")):
+        def miscount(self, n_sym, drop, delta=delta):
+            out = counts(self, n_sym, drop)
+            out[int(np.argmax(out))] += delta
+            return out
+
+        monkeypatch.setattr(WordCollection, "context_counts", miscount)
+        with pytest.raises(engine.ConsistencyError, match=message):
+            build(c, Config(kappa=4, backend=backend, tmp_dir=str(tmp_path)))
+        assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("fail_at", [1, 30])
@@ -470,12 +487,31 @@ def test_external_build_removes_temp_files_on_every_exit(tmp_path):
 
     def stop(builder):
         if builder.t == 4:
-            assert list(tmp_path.glob("dnabwt_*/bucket_*.bin"))
+            assert list(tmp_path.glob("dnabwt_*/buckets.bin"))
             raise Stop
 
     with pytest.raises(Stop):
         build(c, config, inspect=stop)
     assert not list(tmp_path.glob("dnabwt_*"))
+
+
+def test_every_small_collection_over_two_letters(tmp_path):
+    # bounded-exhaustive: every collection of 1 to 3 words of length 1 to 3
+    # over {A, C}, duplicates and every order included. Words shorter than
+    # the context are where the bucket count reads A past a word's end
+    words = ["".join(p) for n in (1, 2, 3) for p in itertools.product("AC", repeat=n)]
+    cases = [ws for m in (1, 2, 3) for ws in itertools.product(words, repeat=m)]
+    assert len(cases) == 2954
+    failures = []
+    for i, ws in enumerate(cases):
+        c = WordCollection.from_words(ws)
+        expected = naive_bwt(c)
+        for kappa in (3, 4, 7):
+            for backend in ("memory", "external") if i % 10 == 0 else ("memory",):
+                if build(c, Config(kappa=kappa, backend=backend, tmp_dir=str(tmp_path))) != expected:
+                    failures.append((ws, kappa, backend))
+    assert not failures, failures[:5]
+    assert not list(tmp_path.iterdir())
 
 
 @st.composite
