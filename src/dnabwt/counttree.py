@@ -16,21 +16,24 @@ symbol so that simultaneous insertions still see each other.
 two (high bit then low bit, so A=00 < C=01 < G=10 < T=11 keeps leaves in
 context order). An odd ``kappa`` consumes only the high bit of the last
 context symbol, halving the final split ({A,C} left vs {G,T} right).
+
+Node i spans 2**h leaves from leaf id ``i << h``, h = kappa + 1 - bit_length(i).
 """
 from __future__ import annotations
 
 import numpy as np
 
-def path_steps(leaf, depth: int):
-    """Yield ``(node, right)`` for the ``depth`` nodes above a leaf id, root first.
 
-    In the implicit layout the node ``d`` levels above leaf id ``leaf`` is
-    ``leaf >> d``, and the step below it goes right (to ``2 * node + 1``)
-    exactly when bit ``d - 1`` of ``leaf`` is set. Works elementwise on
-    Python ints and on integer arrays alike.
-    """
+def _step(leaf, d):
+    """The node ``d`` levels above leaf id ``leaf``, and 1 if the path steps
+    right below it. Elementwise on Python ints and integer arrays alike."""
+    return leaf >> d, (leaf >> (d - 1)) & 1
+
+
+def path_steps(leaf, depth: int):
+    """Yield :func:`_step` for the ``depth`` nodes above a leaf id, root first."""
     for d in range(depth, 0, -1):
-        yield leaf >> d, (leaf >> (d - 1)) & 1
+        yield _step(leaf, d)
 
 
 class TreeArray:
@@ -42,30 +45,13 @@ class TreeArray:
         self.leaves_per_tree = self.n_leaves >> 2
         # extra all-zero row at index n_leaves pads the right-step gather
         self.counters = np.zeros((self.n_leaves + 1, 5), dtype=np.int64)
+        # row i's left subtree holds the leaf ordinals [_node_lo[i], _node_mid[i])
+        rows = np.arange(4, self.n_leaves, dtype=np.int64)
+        half = self.n_leaves >> np.frexp(rows)[1]  # frexp's exponent is bit_length
         self._node_lo = np.zeros(self.n_leaves, dtype=np.int64)
         self._node_mid = np.zeros(self.n_leaves, dtype=np.int64)
-        self._fill_ranges()
-        self._right_nodes = self._build_right_nodes()
-
-    def _fill_ranges(self) -> None:
-        stack = [(4 + x, x * self.leaves_per_tree, (x + 1) * self.leaves_per_tree) for x in range(4)]
-        while stack:
-            node, lo, hi = stack.pop()
-            mid = (lo + hi) // 2
-            self._node_lo[node] = lo
-            self._node_mid[node] = mid
-            if 2 * node < self.n_leaves:
-                stack.append((2 * node, lo, mid))
-                stack.append((2 * node + 1, mid, hi))
-
-    def _build_right_nodes(self) -> np.ndarray:
-        # one row per leaf: its right-step nodes from the root down, then the
-        # all-zero pad row in the unused slots so a flat gather-sum works
-        leaves = self.n_leaves + np.arange(self.n_leaves, dtype=np.int64)
-        nodes, right = (np.column_stack(a) for a in zip(*path_steps(leaves, self.kappa - 2)))
-        table = np.where(right == 1, nodes, self.n_leaves)
-        order = np.argsort(right == 0, axis=1, kind="stable")
-        return np.take_along_axis(table, order, axis=1)
+        self._node_lo[4:] = 2 * rows * half - self.n_leaves
+        self._node_mid[4:] = self._node_lo[4:] + half
 
     # -- per-iteration bulk operations ---------------------------------------
 
@@ -77,24 +63,20 @@ class TreeArray:
         the running sum over trees 0..x, restoring the cumulative invariant
         for the post-insertion state.
         """
-        h = np.zeros(5, dtype=np.int64)
-        for x in range(4):
-            h += per_tree_counts[x]
-            self.counters[x] += h
+        self.counters[:4] += per_tree_counts.cumsum(axis=0)
 
     def apply_left_increments(self, ordinals: np.ndarray, syms: np.ndarray) -> None:
         """Record one iteration's insertions in the internal-node counters.
 
-        ``ordinals`` (sorted) are the target bucket ordinals, ``syms`` the
-        inserted symbol codes. Every node whose left subtree contains a
-        target bucket is incremented once per such insertion, which is
-        exactly what per-entry left steps would do.
+        ``ordinals`` are the target bucket ordinals, in any order, ``syms``
+        the inserted symbol codes. Each node gains the insertions into its
+        left subtree, counted per symbol from the cumulative per-leaf
+        histogram, as a recount of the bucket contents would count them.
         """
-        lo = self._node_lo[4:]
-        mid = self._node_mid[4:]
-        for c in np.unique(syms):
-            oc = ordinals[syms == c]
-            self.counters[4 : self.n_leaves, c] += np.searchsorted(oc, mid) - np.searchsorted(oc, lo)
+        n = self.n_leaves
+        cum = np.zeros((n + 1, 5), dtype=np.int64)
+        np.cumsum(np.bincount(ordinals * 5 + syms, minlength=5 * n).reshape(n, 5), axis=0, out=cum[1:])
+        self.counters[4:n] += cum.take(self._node_mid[4:], axis=0) - cum.take(self._node_lo[4:], axis=0)
 
     def accumulators_for(self, ordinals: np.ndarray) -> np.ndarray:
         """Per-bucket accumulators: counter sums over each path's right-step nodes.
@@ -102,9 +84,12 @@ class TreeArray:
         Must be called after :meth:`apply_left_increments` for the iteration;
         the counters then already include same-iteration insertions into
         buckets left of each queried one, which is the value a sequential
-        left-before-right descent would read.
+        left-before-right descent would read. Left-step slots gather the
+        all-zero pad row.
         """
-        return self.counters[self._right_nodes[ordinals]].sum(axis=1)
+        d = np.arange(self.kappa - 2, 0, -1)
+        nodes, right = _step(self.n_leaves + ordinals[:, None], d)
+        return self.counters.take(np.where(right == 1, nodes, self.n_leaves), axis=0).sum(axis=1)
 
     # -- scalar forms for rounds with few insertions ---------------------------
 

@@ -45,8 +45,9 @@ BACKENDS = ("external", "memory")
 # Python ints (BwtBuilder._sparse_round); the measured crossover, see README
 SPARSE_MAX = 16
 
-# largest accepted kappa: the count trees' right-node table holds
-# 2**kappa * (kappa - 2) int64, 71 MB at 19 and doubling with every step
+# largest accepted kappa. Every dense round works over all 2**kappa leaves:
+# the count trees hold 56 bytes a leaf (59 MB at 20, under tracemalloc), and
+# a 40-word build peaks at about four times that (236 MB traced at 20)
 MAX_KAPPA = 19
 
 
@@ -74,8 +75,8 @@ class Config:
             msg = f"kappa must be an integer in [3, {MAX_KAPPA}], got {self.kappa}"
             if isinstance(self.kappa, int) and self.kappa > MAX_KAPPA:
                 k = self.kappa
-                msg += (f": the count trees' right-node table alone would hold 2**{k} x {k - 2} int64 "
-                        f"({(8 << k) * (k - 2) / 1e6:,.0f} MB)")
+                msg += (f": the count trees alone would hold 2**{k} leaves x 56 bytes ({(56 << k) / 1e6:,.0f} MB), "
+                        "and a small build peaks at about four times that")
             raise ConfigError(msg)
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
@@ -136,13 +137,8 @@ def stable_radix_step(
     """Re-sort the active list for the next iteration.
 
     One stable partition of the entries into A, C, G, T groups keyed by the
-    symbol each word just inserted; entries whose symbol was the terminator
-    (final round) are dropped instead.
+    symbol each word just inserted.
     """
-    live = syms != DOLLAR
-    if not live.all():
-        syms = syms[live]
-        arrays = tuple(a[live] for a in arrays)
     order = np.argsort(syms, kind="stable")
     return tuple(a[order] for a in arrays)
 
@@ -202,6 +198,8 @@ class BwtBuilder:
         return tuple(np.asarray(a, dtype=np.int64) for a in self._active)
 
     def run(self, inspect: Callable[["BwtBuilder"], None] | None = None) -> bytes:
+        if self.store is not None:
+            raise RuntimeError("BwtBuilder.run() builds once: make a new BwtBuilder for another build")
         c = self.collection
         M = c.max_length
         final = c.context_counts(context_symbols(self.config.kappa), self._shifts()[0])

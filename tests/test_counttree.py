@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,10 +123,11 @@ def test_descend_accumulator_matches_bucket_scan():
 
 
 def test_bulk_updates_equal_reference_descent():
+    # the bulk pair takes its batch in any order; the reference descends the
+    # sorted batch. Batches of up to 2,000 entries, terminators included
     rng = random.Random(22)
-    for kappa in (3, 4, 5, 7):
-        for _ in range(20):
-            n = rng.randint(1, 20)
+    for kappa in range(3, 13):
+        for n in [rng.randint(1, 20) for _ in range(6)] + [rng.randint(20, 2000) for _ in range(4)]:
             ords = np.sort(np.array([rng.randrange(1 << kappa) for _ in range(n)], dtype=np.int64))
             syms = np.array([rng.randrange(5) for _ in range(n)], dtype=np.uint8)
             ref, bulk = TreeArray(kappa), TreeArray(kappa)
@@ -134,13 +136,14 @@ def test_bulk_updates_equal_reference_descent():
             ref.counters += seed
             bulk.counters += seed
             expected = ref.descend_iteration(ords.copy(), syms.copy())
-            bulk.apply_left_increments(ords, syms)
+            shuffled = rng.sample(range(n), n)
+            bulk.apply_left_increments(ords[shuffled], syms[shuffled])
             uniq = np.unique(ords)
             racc = bulk.accumulators_for(uniq)
-            assert np.array_equal(ref.counters, bulk.counters)
+            assert np.array_equal(ref.counters, bulk.counters), (kappa, n)
             by_ordinal = {o: r for o, _, _, r in expected}
             for i, o in enumerate(uniq):
-                assert racc[i].tolist() == by_ordinal[int(o)].tolist()
+                assert racc[i].tolist() == by_ordinal[int(o)].tolist(), (kappa, n, o)
 
 
 def test_scalar_updates_equal_bulk_updates():
@@ -165,31 +168,31 @@ def test_scalar_updates_equal_bulk_updates():
             assert [scalar.accumulator(o) for o in uniq.tolist()] == racc.tolist()
 
 
-def _right_nodes_by_descent(tree):
-    # reference: walk each leaf's range bisection from its root, recording
-    # the nodes where the path steps right; unused slots hold the pad row
-    depth = tree.kappa - 2
-    table = np.full((tree.n_leaves, depth), tree.n_leaves, dtype=np.int64)
-    for o in range(tree.n_leaves):
-        node = 4 + (o >> depth)
-        lo = (o >> depth) * tree.leaves_per_tree
-        hi = lo + tree.leaves_per_tree
-        col = 0
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if o < mid:
-                node, hi = 2 * node, mid
-            else:
-                table[o, col] = node
-                col += 1
-                node, lo = 2 * node + 1, mid
-    return table
-
-
-def test_right_nodes_table_matches_descent():
+def test_accumulators_of_every_leaf_equal_scalar_and_descent():
+    # on one seeded state, the bulk gather, the scalar walk and a reference
+    # descent of a single entry read the same right-step nodes of every leaf
     for kappa in range(3, 13):
         tree = TreeArray(kappa)
-        assert np.array_equal(tree._right_nodes, _right_nodes_by_descent(tree)), kappa
+        tree.counters[:-1] = np.random.default_rng(kappa).integers(0, 50, size=(tree.n_leaves, 5))
+        seeded = tree.counters.copy()
+        bulk = tree.accumulators_for(np.arange(tree.n_leaves, dtype=np.int64))
+        for o in range(tree.n_leaves):
+            assert tree.accumulator(o) == bulk[o].tolist(), (kappa, o)
+            [(_, _, _, r)] = tree.descend_iteration(np.array([o], dtype=np.int64), np.array([4], dtype=np.uint8))
+            assert r.tolist() == bulk[o].tolist(), (kappa, o)
+            tree.counters[:] = seeded  # undo the descent's left increments
+
+
+def test_tree_footprint_at_largest_kappa():
+    # counters plus the node ranges: 56 bytes a leaf, 29.4 MB at kappa 19
+    tracemalloc.start()
+    try:
+        tree = TreeArray(19)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tree.n_leaves == 1 << 19
+    assert held <= 35e6, held
 
 
 def test_level1_base():

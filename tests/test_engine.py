@@ -83,7 +83,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         Config(kappa=40)
     assert Config(kappa=engine.MAX_KAPPA).kappa == 19
-    with pytest.raises(ConfigError, match=r"\[3, 19\], got 20: .* 2\*\*20 x 18 int64 \(151 MB\)"):
+    with pytest.raises(ConfigError, match=r"\[3, 19\], got 20: .* 2\*\*20 leaves x 56 bytes \(59 MB\)"):
         Config(kappa=20)
     with pytest.raises(ConfigError):
         Config(backend="tape")
@@ -269,14 +269,6 @@ def test_stable_radix_step_active_word_fixture():
     syms = np.array([2, 0, 1, 1], dtype=np.uint8)  # G, A, C, C
     (j2,) = stable_radix_step(syms, j)
     assert j2.tolist() == [8, 2, 3, 7]
-
-
-def test_stable_radix_step_drops_finished_words():
-    from dnabwt.collection import DOLLAR
-
-    syms = np.array([DOLLAR, DOLLAR], dtype=np.uint8)
-    (j2,) = stable_radix_step(syms, np.array([0, 1]))
-    assert j2.tolist() == []
 
 
 def test_stable_radix_step_matches_comparison_sort():
@@ -495,6 +487,20 @@ def test_external_build_removes_temp_files_on_every_exit(tmp_path):
     assert not list(tmp_path.glob("dnabwt_*"))
 
 
+@pytest.mark.parametrize("backend", engine.BACKENDS)
+def test_second_run_is_refused_before_any_state_changes(backend, tmp_path):
+    c = WordCollection.from_words(["GATTACA", "CCTGA", "TTAGGCA"])
+    builder = BwtBuilder(c, Config(kappa=4, backend=backend, tmp_dir=str(tmp_path)))
+    assert builder.run() == naive_bwt(c)
+    store, counters, alpha = builder.store, builder.tree.counters.copy(), builder.alpha
+    with pytest.raises(RuntimeError, match=r"run\(\) builds once: make a new BwtBuilder"):
+        builder.run()
+    assert builder.store is store and builder.alpha == alpha
+    assert np.array_equal(builder.tree.counters, counters)
+    builder.close()
+    assert not list(tmp_path.iterdir())
+
+
 def test_every_small_collection_over_two_letters(tmp_path):
     # bounded-exhaustive: every collection of 1 to 3 words of length 1 to 3
     # over {A, C}, duplicates and every order included. Words shorter than
@@ -536,6 +542,74 @@ def test_round_paths_match_oracle(words, kappa, backend):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "SPARSE_MAX", cut)
             assert build(c, Config(kappa=kappa, backend=backend, threads=2)) == expected, cut
+
+
+_DNA = st.text(alphabet="ACGT", min_size=1, max_size=12)
+
+
+@st.composite
+def duplicate_and_periodic_words(draw):
+    """Copies of a few words, and repeats of a short period cut anywhere."""
+    bases = draw(st.lists(_DNA, min_size=1, max_size=3))
+    words = draw(st.lists(st.sampled_from(bases), min_size=1, max_size=8))
+    period = draw(st.text(alphabet="ACGT", min_size=1, max_size=4))
+    for n in draw(st.lists(st.integers(1, 40), max_size=5)):
+        words.append((period * 40)[:n])
+    return draw(st.permutations(words))
+
+
+@st.composite
+def homopolymers(draw):
+    """Runs of one letter, some of equal length, with a few mixed words."""
+    runs = st.builds(lambda ch, n: ch * n, st.sampled_from("ACGT"), st.integers(1, 40))
+    words = draw(st.lists(runs, min_size=1, max_size=10)) + draw(st.lists(_DNA, max_size=2))
+    return draw(st.permutations(words))
+
+
+@st.composite
+def suffix_and_prefix_families(draw):
+    """Suffixes and prefixes of one word, each possibly more than once."""
+    word = draw(st.text(alphabet="ACGT", min_size=2, max_size=30))
+    cuts = draw(st.lists(st.integers(0, len(word) - 1), min_size=1, max_size=12))
+    words = [word] + [word[i:] if i % 2 else word[: i + 1] for i in cuts]
+    return draw(st.permutations(words))
+
+
+def many_one_letter_words():
+    """Up to 40 words of one letter, with at most one longer word among them."""
+    return st.builds(
+        lambda ones, extra, at: ones[:at] + extra + ones[at:],
+        st.lists(st.sampled_from("ACGT"), min_size=1, max_size=40),
+        st.lists(_DNA, max_size=1),
+        st.integers(0, 40),
+    )
+
+
+def words_shorter_than_the_context():
+    """Words of 1 to 5 letters: shorter than the 6-letter context at kappa 12."""
+    return st.lists(st.text(alphabet="ACGT", min_size=1, max_size=5), min_size=1, max_size=20)
+
+
+REPETITIVE = {
+    "duplicate_and_periodic": duplicate_and_periodic_words(),
+    "homopolymers": homopolymers(),
+    "suffix_and_prefix_families": suffix_and_prefix_families(),
+    "many_one_letter_words": many_one_letter_words(),
+    "shorter_than_the_context": words_shorter_than_the_context(),
+}
+
+
+@pytest.mark.parametrize("family", REPETITIVE)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_repetitive_collections_match_naive(family, data):
+    # equal suffixes of different words, where multi-string builders go
+    # wrong, on both backends and at kappa up to 12 (4,096 leaves)
+    c = WordCollection.from_words(data.draw(REPETITIVE[family], label="words"))
+    expected = naive_bwt(c)
+    for kappa in (3, 4, 7, 10, 12):
+        for backend in engine.BACKENDS:
+            assert build(c, Config(kappa=kappa, backend=backend)) == expected, (kappa, backend)
 
 
 @pytest.mark.parametrize("path", ROUND_PATHS)
