@@ -2,7 +2,9 @@
 
 Each of the 2**kappa buckets holds one contiguous segment of the partial
 transform. A merge reads the bucket's content, splices the new symbols in
-and writes the result back in place. Terminators are only ever inserted in
+and writes the result back in place. The ranks that the next round's insert
+positions need are counted on the spliced content, a chunk of consecutive
+merges at a time in a dense round. Terminators are only ever inserted in
 the final round; on both backends their positions go into a per-bucket
 side list and are spliced in when the bucket is read.
 """
@@ -17,7 +19,11 @@ from .collection import DOLLAR, SYMBOL_BYTES, _unpack, _pack
 
 # batches of at most this many entries take _splice_few; measured crossover
 # against _splice_numpy, see README
-SPLICE_FEW_MAX = 16
+SPLICE_FEW_MAX = 2
+
+# merge_many ranks the spliced contents of consecutive merges once they hold
+# this many symbols; measured, see README
+RANK_CHUNK = 1 << 18
 
 
 class ConsistencyError(RuntimeError):
@@ -36,7 +42,7 @@ def context_symbols(kappa: int) -> int:
 def _splice_numpy(old: np.ndarray, local: np.ndarray, syms: np.ndarray,
                   want_ranks: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Large-batch splice: one scatter of the batch and one masked copy of
-    ``old``, then the ranks from :func:`_ranks_before`."""
+    ``old``, then the ranks from :func:`_counts_before`."""
     n0, k = len(old), len(local)
     new = np.empty(n0 + k, dtype=old.dtype)
     new[local] = syms
@@ -45,63 +51,55 @@ def _splice_numpy(old: np.ndarray, local: np.ndarray, syms: np.ndarray,
     new[mask] = old
     if not want_ranks:
         return new, None
-    return new, _ranks_before(new, local, syms)
+    return new, _counts_before(new, local)[syms, np.arange(k)]
 
 
-# rank capture reads eight symbols per little-endian uint64 lane: byte r of
-# a lane is its bits 8r..8r+7, so _LOW_BYTES[r] keeps the lane's first r
-# symbols, and a lane of 0/1 bytes times _BYTE_SUM holds their sum in the
-# top byte
-_LANE = np.dtype("<u8")
-_BYTE_SUM = np.uint64(0x0101010101010101)
-_TOP_BYTE = np.uint64(56)
-_LOW_BYTES = np.array([(1 << (8 * r)) - 1 for r in range(8)], dtype=np.uint64)
+# rank capture reads 64 symbols per little-endian uint64 word of packed bits
+_WORD = np.dtype("<u8")
+_ONE = np.uint64(1)
 
 
-def _ranks_before(new: np.ndarray, local: np.ndarray, syms: np.ndarray) -> np.ndarray:
-    """Per entry, the count of its symbol in ``new`` before its position.
+def _counts_before(content: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Per point p, the counts of A, C, G and T in ``content[:p]``, as rows
+    0 to 3 of an int64 array.
 
-    ``local`` is ascending and not empty. ``new`` is the spliced content,
-    so the count covers the stream copies and the earlier entries of the
-    batch alike. A, C and G are counted
-    eight symbols at a time: a comparison gives one 0/1 byte per symbol,
-    read as uint64 lanes, each lane's count comes from one multiply, and a
-    cumsum over the lanes gives the count before each lane. An entry adds
-    the bytes of its own lane that precede it. The three symbols share one
-    cumsum, each in its own bit field wide enough for any count, unless
-    the content is too long for three such fields in 64 bits. T is what
-    remains of the position, so the content read must hold only A, C, G, T.
+    ``points`` is not empty and lies in ``0..len(content)``. A, C and G are
+    counted on packed bits: a comparison gives one bit per symbol, read as
+    uint64 words of 64 symbols, and one cumsum of the words' popcounts
+    gives the count before each word. A point adds the popcount of its own
+    word below its bit. T is what remains of the position, so the content
+    read, up to the largest point, must hold only A, C, G and T.
     """
-    k, end = len(local), int(local[-1])
-    if new[: end + 1].max() > 3:
+    seen = content[: int(points.max()) + 1]
+    if seen.size and seen.max() > 3:
         raise ConsistencyError("rank capture over a symbol code above T")
-    n_lanes = end // 8 + 1
-    hits = np.zeros(8 * n_lanes, dtype=bool)
-    lanes = hits.view(_LANE)
-    lane_of, lane_mask = local >> 3, _LOW_BYTES[local & 7]
-    width = max(end.bit_length(), 1)
-    per_cumsum = min(3, 64 // width)
-    counts = np.empty((4, k), dtype=np.uint64)
-    lane_counts = np.empty(n_lanes, dtype=np.uint64)
-    cum = np.empty(n_lanes + 1, dtype=np.uint64)
-    for first in range(0, 3, per_cumsum):
-        group = range(first, min(first + per_cumsum, 3))
-        cum[0] = 0
-        for j, c in enumerate(group):
-            np.equal(new[:end], c, out=hits[:end])
-            counts[c] = ((lanes[lane_of] & lane_mask) * _BYTE_SUM) >> _TOP_BYTE
-            out = cum[1:] if j == 0 else lane_counts
-            np.multiply(lanes, _BYTE_SUM, out=out)
-            np.right_shift(out, _TOP_BYTE, out=out)
-            if j:
-                np.left_shift(out, np.uint64(j * width), out=out)
-                np.bitwise_or(cum[1:], out, out=cum[1:])
-        np.cumsum(cum, out=cum)
-        shifts = np.arange(0, len(group) * width, width, dtype=np.uint64)[:, None]
-        counts[group.start : group.stop] += (cum[lane_of] >> shifts) & np.uint64((1 << width) - 1)
-    counts[3] = local
-    counts[3] -= counts[:3].sum(axis=0)
-    return counts[syms, np.arange(k)].view(np.int64)
+    n_words = len(seen) // 64 + 1
+    bits = np.zeros(8 * n_words, dtype=np.uint8)
+    words = bits.view(_WORD)
+    word_of = points >> 6
+    below = (_ONE << (points & 63).astype(np.uint64)) - _ONE
+    before = np.zeros(n_words + 1, dtype=np.int64)
+    counts = np.empty((4, len(points)), dtype=np.int64)
+    for c in range(3):
+        bits[: (len(seen) + 7) // 8] = np.packbits(seen == c, bitorder="little")
+        np.cumsum(np.bitwise_count(words), out=before[1:])
+        counts[c] = before[word_of] + np.bitwise_count(words[word_of] & below)
+    counts[3] = points - counts[:3].sum(axis=0)
+    return counts
+
+
+def _chunk_ranks(held: list[np.ndarray], local: np.ndarray, syms: np.ndarray,
+                 ks: list[int]) -> np.ndarray:
+    """Ranks of the entries of consecutive merges from one pass over their
+    spliced contents ``held``: ``ks[b]`` entries, at ``local`` positions, went
+    into ``held[b]``. An entry's rank is the count of its symbol before it
+    in the concatenation minus the count before its bucket's start."""
+    sizes = [len(h) for h in held]
+    starts = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(len(held)), ks)
+    k = len(local)
+    counts = _counts_before(np.concatenate(held), np.concatenate([local + starts[owner], starts]))
+    return counts[syms, np.arange(k)] - counts[syms, k + owner]
 
 
 def _splice_few(old: np.ndarray, local: np.ndarray, syms: np.ndarray,
@@ -192,18 +190,43 @@ class BucketStore:
 
     def merge_many(self, batches, want_ranks=True):
         """Merge (ordinal, positions, symbols, base) batches one at a time, in
-        order, on the calling thread; ranks in batch order."""
-        chunks = [self.merge_insert(*b, want_ranks) for b in batches]
+        order, on the calling thread; ranks in batch order.
+
+        Each batch is spliced unranked by :meth:`merge_insert`. With
+        ``want_ranks``, a batch holding a terminator is refused before any
+        bucket changes, and the spliced contents are held until they reach
+        ``RANK_CHUNK`` symbols, then ranked in one pass over their
+        concatenation (:func:`_chunk_ranks`).
+        """
         if not want_ranks:
+            for b in batches:
+                self.merge_insert(*b, False)
             return None
-        return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+        if not batches:
+            return np.empty(0, dtype=np.int64)
+        syms = np.concatenate([b[2] for b in batches])
+        if syms.size and syms.max() > 3:
+            raise ConsistencyError("rank capture over a symbol code above T")
+        ks = [len(b[2]) for b in batches]
+        local = np.concatenate([b[1] for b in batches]) - np.repeat([b[3] for b in batches], ks)
+        ranks = np.empty(len(syms), dtype=np.int64)
+        held, first, lo, n_held = [], 0, 0, 0
+        for i, b in enumerate(batches):
+            held.append(self.merge_insert(*b, False))
+            n_held += len(held[-1])
+            if n_held >= RANK_CHUNK or i == len(batches) - 1:
+                hi = lo + sum(ks[first : i + 1])
+                ranks[lo:hi] = _chunk_ranks(held, local[lo:hi], syms[lo:hi], ks[first : i + 1])
+                held, first, lo, n_held = [], i + 1, hi, 0
+        return ranks
 
     def merge_insert(self, ordinal, tree_positions, syms, base, want_ranks=True):
         """Insert ``syms`` at ``tree_positions - base``; with ``want_ranks``,
         return each entry's rank (see :func:`_splice`, whose rank capture
-        refuses a terminator). A pure unranked terminator batch goes to the
-        side list; it must be the bucket's last merge, since the side list
-        holds final positions that a later merge would shift."""
+        refuses a terminator), without, the bucket's spliced content. A pure
+        unranked terminator batch goes to the side list and returns None; it
+        must be the bucket's last merge, since the side list holds final
+        positions that a later merge would shift."""
         if ordinal in self._dollars:
             raise ConsistencyError(
                 f"bucket {ordinal}: merge after its terminator batch, such as a second one")
@@ -212,7 +235,7 @@ class BucketStore:
         if n0 + len(local) > self.final[ordinal]:
             raise ConsistencyError(
                 f"bucket {ordinal}: {n0} + {len(local)} symbols overflow its slot of {self.final[ordinal]}")
-        captured = None
+        new = captured = None
         if not want_ranks and syms.size and (syms == DOLLAR).any():
             if (syms != DOLLAR).any():
                 raise ConsistencyError(f"bucket {ordinal}: mixed terminator batch")
@@ -235,7 +258,7 @@ class BucketStore:
                 raise BucketIOError(f"bucket {ordinal}: {exc}") from exc
             self.bytes_written += len(packed)
         self.sizes[ordinal] = n0 + len(local)
-        return captured
+        return captured if want_ranks else new
 
     def read(self, ordinal: int) -> np.ndarray:
         """Bucket ``ordinal``'s symbols, terminators spliced back in."""

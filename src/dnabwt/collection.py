@@ -68,22 +68,41 @@ class IngestPolicy:
             raise ValueError(f"unknown format {self.format!r}")
 
 
+# a little-endian uint32 of four codes times _SPREAD holds them packed, high
+# bits first, in its top byte; a uint32 of one packed byte times _SPREAD,
+# shifted right 6, holds them in its four bytes' low bits
+_SPREAD = np.uint32(2**30 + 2**20 + 2**10 + 1)
+_QUAD = np.dtype("<u4")
+# quads per step of _pack: its one temporary stays at 32 KB
+_PACK_PIECE = 1 << 13
+
+
 def _pack(codes: np.ndarray) -> np.ndarray:
-    """Four codes a byte, high bits first, from views: no padded copy."""
-    packed = np.zeros((len(codes) + 3) // 4, dtype=np.uint8)
-    for i in range(4):
-        part = codes[i::4]
-        packed[: len(part)] |= part << (6 - 2 * i)
+    """Four codes a byte, high bits first, one multiply per quad of codes;
+    the partial tail quad is packed on its own, so nothing is copied for it."""
+    codes = np.ascontiguousarray(codes)
+    full = len(codes) // 4
+    packed = np.empty((len(codes) + 3) // 4, dtype=np.uint8)
+    quads = codes[: 4 * full].view(_QUAD)
+    piece = np.empty(min(full, _PACK_PIECE), dtype=np.uint32)
+    for a in range(0, full, _PACK_PIECE):
+        part = quads[a : a + _PACK_PIECE]
+        q = piece[: len(part)]
+        np.multiply(part, _SPREAD, out=q)
+        np.right_shift(q, 24, out=q)
+        packed[a : a + len(q)] = q
+    if full < len(packed):
+        packed[full] = sum(c << (6 - 2 * i) for i, c in enumerate(codes[4 * full :].tolist()))
     return packed
 
 
 def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
-    out = np.empty(4 * len(packed), dtype=np.uint8)
-    out[0::4] = packed >> 6
-    out[1::4] = (packed >> 4) & 3
-    out[2::4] = (packed >> 2) & 3
-    out[3::4] = packed & 3
-    return out[:n]
+    """The first ``n`` codes of ``packed``, in place in one uint32 copy."""
+    quads = packed.astype(_QUAD)
+    quads *= _SPREAD
+    quads >>= 6
+    quads &= 0x03030303
+    return quads.view(np.uint8)[:n]
 
 
 class WordCollection:

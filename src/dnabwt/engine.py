@@ -5,7 +5,7 @@ iteration ``M - |S_j|`` (M = longest word), so every word submits its first
 character in iteration M-1 and its terminator in iteration M. Per
 iteration, each active word's symbol is routed through the count trees to
 its context bucket and spliced into the bucket stream; the bucket-level
-rank captured during the write, the tree accumulators and the cumulative
+rank counted on the spliced content, the tree accumulators and the cumulative
 prefix totals together yield the word's next insert position without ever
 materialising a global position.
 

@@ -129,23 +129,23 @@ def test_merge_insert_matches_array_splice_oracle(tmp_path):
 
 
 def _large_splice_cases(rng):
-    """(old, positions, syms) batches of more than ``SPLICE_FEW_MAX`` entries
-    into buckets of 1k to 70k symbols, over random, single-symbol and all-T
-    content: entries with 0, 1, 7 or 8 mod 8 old symbols before them,
-    entries at 0, 1, 7 or 8 mod 8 in the spliced content (either side of
-    an eight-symbol lane edge), all entries first and all entries last."""
-    k = 2 * buckets.SPLICE_FEW_MAX
+    """(old, positions, syms) batches of 32 entries into buckets of 1k to 70k
+    symbols, over random, single-symbol and all-T content: entries with 0,
+    1, 63 or 64 mod 64 old symbols before them, entries at 0, 1, 63 or 64
+    mod 64 in the spliced content (either side of the rank kernel's
+    64-symbol word edge), all entries first and all entries last."""
+    k = 32
     for n0 in (1000, 8191, 70_000):
         contents = {
             "random": [rng.randrange(4) for _ in range(n0)],
             "single": [1] * n0,
             "all T": [3] * n0,
         }
-        lanes = rng.sample(range(0, n0 // 8, 2), k // 4)
-        edges = sorted(8 * q + r for q in lanes for r in (0, 1, 7, 8))
+        words = rng.sample(range(0, n0 // 64, 2), k // 4)
+        edges = sorted(64 * q + r for q in words for r in (0, 1, 63, 64))
         layouts = {
-            "old lane edges": [ob + i for i, ob in enumerate(edges)],
-            "new lane edges": edges,
+            "old word edges": [ob + i for i, ob in enumerate(edges)],
+            "new word edges": edges,
             "first": list(range(k)),
             "last": list(range(n0, n0 + k)),
         }
@@ -193,10 +193,9 @@ def test_splice_numpy_matches_naive_splice(case, want_ranks):
 
 
 def test_splice_numpy_ranks_past_three_count_fields():
-    # content past 2**21 symbols leaves no room for three count fields in
-    # one 64-bit cumsum, so the counts take two; most of it is G, whose
-    # count then needs more than the 20 bits a third field would keep.
-    # The small-batch splice is the reference
+    # content past 2**21 symbols, most of it G, so that a rank needs more
+    # than 20 bits and any narrower count would wrap. The small-batch
+    # splice is the reference
     rng = np.random.default_rng(36)
     n0 = (1 << 21) + 1000
     old = rng.choice(4, size=n0, p=[0.1, 0.1, 0.7, 0.1]).astype(np.uint8)
@@ -227,9 +226,55 @@ def test_rank_capture_rejects_codes_above_t():
     store.fill(0, old)
     with pytest.raises(ConsistencyError, match="above T"):
         store.merge_insert(0, positions, syms, base=0)
-    syms[3] = DOLLAR
+    syms[k // 2] = DOLLAR
     with pytest.raises(ConsistencyError, match="above T"):
         buckets._splice_numpy(np.zeros(40, dtype=np.uint8), positions, syms, True)
+
+
+def _merge_many_cases(rng, slot):
+    """Rounds of (ordinal, positions, symbols, base) batches in ascending
+    bucket order over 16 buckets: prefilled and empty buckets, single-entry
+    batches, and one batch that fills a bucket to nearly its ``slot``."""
+    for _ in range(6):
+        fill = {o: [rng.randrange(4) for _ in range(rng.choice([0, 1, 9, 40]))] for o in range(16)}
+        batches = []
+        for o in sorted(rng.sample(range(16), rng.randint(1, 10))):
+            n0 = len(fill[o])
+            k = rng.choice([1, 1, 3, buckets.SPLICE_FEW_MAX + 5, slot - n0 - 2])
+            base = rng.randrange(1000)
+            positions = np.array(sorted(rng.sample(range(n0 + k), k)), dtype=np.int64) + base
+            syms = np.array([rng.choice([rng.randrange(4), 3]) for _ in range(k)], dtype=np.uint8)
+            batches.append((o, positions, syms, base))
+        yield fill, batches
+
+
+@pytest.mark.parametrize("chunk", [1, 7, buckets.RANK_CHUNK])
+def test_merge_many_ranks_equal_per_batch_ranks_at_any_chunk_bound(chunk, tmp_path, monkeypatch):
+    # merge_many ranks consecutive merges from one pass per chunk of spliced
+    # content: at a bound of one symbol (one bucket a pass), of a few, and
+    # the default, on both backends, its ranks and contents equal ranked
+    # small-batch splices of each batch alone
+    monkeypatch.setattr(buckets, "RANK_CHUNK", chunk)
+    passes = []
+    count = buckets._counts_before
+    monkeypatch.setattr(buckets, "_counts_before", lambda c, p: passes.append(len(c)) or count(c, p))
+    for trial, (fill, batches) in enumerate(_merge_many_cases(random.Random(39), SLOT)):
+        expected_ranks, expected = [], {o: list(c) for o, c in fill.items()}
+        for o, positions, syms, base in batches:
+            new, ranks = buckets._splice_few(np.array(fill[o], dtype=np.uint8), positions - base, syms, True)
+            expected[o], expected_ranks = new.tolist(), expected_ranks + ranks.tolist()
+        for store in _stores(tmp_path / f"m{trial}", 4):
+            for o, codes in fill.items():
+                if codes:
+                    store.merge_insert(o, np.arange(len(codes), dtype=np.int64),
+                                       np.array(codes, dtype=np.uint8), base=0, want_ranks=False)
+            captured = store.merge_many(batches)
+            assert captured.dtype == np.int64
+            assert captured.tolist() == expected_ranks
+            assert [store.read(o).tolist() for o in range(16)] == [expected[o] for o in range(16)]
+            store.close()
+    # a pass reads less than one chunk bound plus the bucket that reached it
+    assert passes and max(passes) < chunk + SLOT
 
 
 def test_merge_insert_rank_capture_counts_copied_and_inserted(tmp_path):
@@ -531,6 +576,14 @@ def test_both_backends_refuse_misplaced_terminators(tmp_path):
                     with pytest.raises(ConsistencyError):
                         store.merge_insert(1, np.arange(k, dtype=np.int64) + n0 // 2, syms, base=0)
                     assert store.read(1).tolist() == content
+                    assert store.sizes.tolist() == sizes
+                    assert store.bytes_written == written
+                    # through merge_many, as the second batch of a round: the
+                    # first batch, into bucket 2, is not merged either
+                    first = (2, np.arange(3, dtype=np.int64), np.array([0, 3, 1], dtype=np.uint8), 0)
+                    with pytest.raises(ConsistencyError, match="above T"):
+                        store.merge_many([first, (1, np.arange(k, dtype=np.int64) + n0 // 2, syms, 0)])
+                    assert store.read(1).tolist() == content and store.read(2).tolist() == []
                     assert store.sizes.tolist() == sizes
                     assert store.bytes_written == written
                     store.close()

@@ -165,13 +165,38 @@ def test_first_mismatch():
     assert first_mismatch(b"ABC", b"ABCD") == 3
 
 
-def test_cmd_invert_round_trip(tmp_path, capsys):
+def _write_records(path, fmt, words):
+    if fmt == "fasta":
+        records = [f">s{i}\n{w[:30]}\n{w[30:]}" if len(w) > 30 else f">s{i}\n{w}" for i, w in enumerate(words)]
+    elif fmt == "fastq":
+        records = [f"@r{i}\n{w}\n+\n{'I' * len(w)}" for i, w in enumerate(words)]
+    else:
+        records = words
+    path.write_text("\n".join(records) + "\n")
+
+
+@pytest.mark.parametrize("backend", ["memory", "external"])
+@pytest.mark.parametrize("fmt", ["fasta", "fastq", "raw-lines"])
+def test_cmd_invert_round_trip(tmp_path, capsys, fmt, backend):
+    # build then invert through the CLI, on random files of each format and
+    # on both backends, give back the parsed words. FASTQ reads hold N under
+    # drop-char, as the external_mixed benchmark input does: the bases go,
+    # and a read of N alone goes with them
+    rng = random.Random(62)
     words = ["GATTACA", "CCT", "AAAA"]
-    inp, bwt, rec = tmp_path / "in.fasta", tmp_path / "out.bwt", tmp_path / "rec.txt"
-    _write_fasta(inp, words)
-    assert main(["build", "--input", str(inp), "--output", str(bwt), "--backend", "memory"]) == 0
+    words += ["".join(rng.choice("ACGT") for _ in range(rng.randint(1, 70))) for _ in range(40)]
+    if fmt == "fastq":
+        words = ["".join("N" if rng.random() < 0.05 else ch for ch in w) for w in words] + ["NN"]
+    expected = [w.replace("N", "") for w in words if w.replace("N", "")]
+    inp, bwt, rec = tmp_path / f"in.{fmt}", tmp_path / "out.bwt", tmp_path / "rec.txt"
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    _write_records(inp, fmt, words)
+    assert main(["build", "--input", str(inp), "--output", str(bwt), "--backend", backend,
+                 "--ambiguous", "drop-char", "--tmp-dir", str(tmp)]) == 0
     assert main(["invert", "--input", str(bwt), "--output", str(rec)]) == 0
-    assert rec.read_bytes() == ("\n".join(words) + "\n").encode()
+    assert rec.read_bytes() == ("\n".join(expected) + "\n").encode()
+    assert not list(tmp.iterdir())
 
 
 def test_cmd_invert_unwritable_output_fails_before_inverting(tmp_path, capsys, monkeypatch):

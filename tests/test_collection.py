@@ -208,8 +208,11 @@ def test_detect_format():
 
 
 def test_pack_round_trip():
+    # every length up to 40 codes, so every partial tail quad, and one
+    # length over several of _pack's pieces
     rng = np.random.default_rng(37)
-    for n in range(10):
+    assert 40_003 > 4 * collection._PACK_PIECE
+    for n in [*range(41), 40_003]:
         codes = rng.integers(0, 4, size=n, dtype=np.uint8)
         packed = _pack(codes)
         assert packed.dtype == np.uint8 and len(packed) == (n + 3) // 4
@@ -218,7 +221,9 @@ def test_pack_round_trip():
 
 
 def test_pack_copies_no_codes_for_a_partial_quad():
-    # a length that is not a multiple of four packs in the same peak memory
+    # a length that is not a multiple of four packs in the same peak memory,
+    # and packing 20 M codes takes little more than its 5 MB result: the
+    # parse-time peak must not grow with a faster pack
     codes = np.zeros(20_000_001, dtype=np.uint8)
     peaks = []
     for view in (codes[:-1], codes):
@@ -227,6 +232,7 @@ def test_pack_copies_no_codes_for_a_partial_quad():
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] - peaks[0] < 1 << 20, peaks
+    assert max(peaks) < 12 << 20, peaks
 
 
 @st.composite

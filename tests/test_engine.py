@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dnabwt.buckets as buckets
 import dnabwt.engine as engine
 from dnabwt import Config, ConfigError, WordCollection, build, naive_bwt
 from dnabwt.buckets import BucketIOError
@@ -534,13 +535,17 @@ def long_tail_words(draw):
     words=long_tail_words(),
     kappa=st.integers(3, 8),
     backend=st.sampled_from(["memory", "external"]),
+    rank_chunk=st.sampled_from([1, 5, buckets.RANK_CHUNK]),
 )
-def test_round_paths_match_oracle(words, kappa, backend):
+def test_round_paths_match_oracle(words, kappa, backend, rank_chunk):
+    # dense rounds rank their merges a chunk of spliced content at a time:
+    # at a bound of one symbol, of a few and the default
     c = WordCollection.from_words(words)
     expected = naive_bwt(c)
     for cut in ROUND_PATHS.values():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "SPARSE_MAX", cut)
+            mp.setattr(buckets, "RANK_CHUNK", rank_chunk)
             assert build(c, Config(kappa=kappa, backend=backend, threads=2)) == expected, cut
 
 
