@@ -1,8 +1,13 @@
 """Storage of context buckets and the merge insertion.
 
 Each of the 2**kappa buckets holds one contiguous segment of the partial
-transform. A merge reads the bucket's content, splices the new symbols in
-and writes the result back in place. The ranks that the next round's insert
+transform, at the start of a slot sized for its final content. A merge
+splices the new symbols into the bucket's content. A batch of at most
+``SPLICE_FEW_MAX`` entries is spliced in place, in RAM inside the slot
+itself and on disk in a bytearray of the unpacked bucket
+(:func:`_splice_in_place`); a larger one is spliced into a new array
+(:func:`_splice`) and copied back. Every check of a merge runs before any
+of its bytes is read or moved. The ranks that the next round's insert
 positions need are counted on the spliced content, a chunk of consecutive
 merges at a time in a dense round. Terminators are only ever inserted in
 the final round; on both backends their positions go into a per-bucket
@@ -10,6 +15,7 @@ side list and are spliced in when the bucket is read.
 """
 from __future__ import annotations
 
+import operator
 import os
 from typing import BinaryIO
 
@@ -17,9 +23,14 @@ import numpy as np
 
 from .collection import DOLLAR, SYMBOL_BYTES, _unpack, _pack
 
-# batches of at most this many entries take _splice_few; measured crossover
-# against _splice_numpy, see README
-SPLICE_FEW_MAX = 2
+# batches of at most this many entries are spliced in place; measured
+# crossover against the copying splice, see README
+SPLICE_FEW_MAX = 16
+
+# an in-place rank counts a range of fewer symbols than this with
+# bytearray.count, a longer one with numpy, whose fixed cost then pays;
+# measured, see README
+COUNT_NUMPY_MIN = 1 << 12
 
 # merge_many ranks the spliced contents of consecutive merges once they hold
 # this many symbols; measured, see README
@@ -39,10 +50,16 @@ def context_symbols(kappa: int) -> int:
     return (kappa + 1) // 2
 
 
-def _splice_numpy(old: np.ndarray, local: np.ndarray, syms: np.ndarray,
-                  want_ranks: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Large-batch splice: one scatter of the batch and one masked copy of
-    ``old``, then the ranks from :func:`_counts_before`."""
+def _splice(old: np.ndarray, local: np.ndarray, syms: np.ndarray,
+            want_ranks: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Splice ``syms`` into ``old`` at post-insertion positions ``local``, into
+    a new array: one scatter of the batch and one masked copy of ``old``.
+
+    When ``want_ranks`` is set, also captures, per entry, the number of
+    equal symbols written before it (stream copies plus earlier batch
+    entries), which is the bucket-level rank the next insert position
+    needs, from :func:`_counts_before`.
+    """
     n0, k = len(old), len(local)
     new = np.empty(n0 + k, dtype=old.dtype)
     new[local] = syms
@@ -102,55 +119,60 @@ def _chunk_ranks(held: list[np.ndarray], local: np.ndarray, syms: np.ndarray,
     return counts[syms, np.arange(k)] - counts[syms, k + owner]
 
 
-def _splice_few(old: np.ndarray, local: np.ndarray, syms: np.ndarray,
-                want_ranks: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Small-batch form of :func:`_splice_numpy`, one Python step per entry.
+def _splice_in_place(buf: bytearray, at: int, n0: int, ps: list[int], ss: list[int],
+                     want_ranks: bool) -> list[int] | None:
+    """Small-batch form of :func:`_splice`, in place: ``buf[at : at + n0]``
+    holds the content, and ``buf`` has room for ``len(ps)`` more symbols
+    after it. Positions and symbols are Python int lists; ranks come back
+    as one.
 
-    The old content is copied around each entry in slices; each rank is then
-    a C-level count of the entry's symbol over the prefix it is written
-    after, resumed from that symbol's previous entry, so a batch reads the
-    new content at most once per symbol.
+    Right to left, each run of old content between two entries moves to its
+    new place in one bytearray slice assignment, and the entry is written
+    before it. Each rank is then a count of the entry's symbol over the
+    prefix it is written after, resumed from that symbol's previous entry,
+    so a batch reads the new content at most once per symbol.
     """
-    ps, ss = local.tolist(), syms.tolist()
-    new = np.empty(len(old) + len(ps), dtype=old.dtype)
-    src = 0
-    for i, (p, s) in enumerate(zip(ps, ss)):
-        new[src + i : p] = old[src : p - i]
-        new[p] = s
-        src = p - i
-    new[src + len(ps) :] = old[src:]
+    end, src = at + n0 + len(ps), at + n0
+    for i in range(len(ps) - 1, -1, -1):
+        p = at + ps[i]
+        buf[p + 1 : end] = buf[p - i : src]
+        buf[p] = ss[i]
+        end, src = p, p - i
     if not want_ranks:
-        return new, None
-    seen, upto = [0] * 4, [0] * 4  # A, C, G and T only: a terminator fails the index
-    captured = []
-    try:
-        for p, s in zip(ps, ss):
-            seen[s] += int(np.count_nonzero(new[upto[s] : p] == s))
-            upto[s] = p
-            captured.append(seen[s])
-    except IndexError:
-        raise ConsistencyError("rank capture over a symbol code above T") from None
-    return new, np.array(captured, dtype=np.int64)
+        return None
+    seen, upto, ranks, view = [0] * 4, [at] * 4, [], None
+    for p, s in zip(ps, ss):
+        p += at
+        if p - upto[s] < COUNT_NUMPY_MIN:
+            seen[s] += buf.count(s, upto[s], p)
+        else:
+            if view is None:
+                view = np.frombuffer(buf, dtype=np.uint8)
+            seen[s] += int(np.count_nonzero(view[upto[s] : p] == s))
+        upto[s] = p
+        ranks.append(seen[s])
+    return ranks
 
 
-def _validate_positions(local: np.ndarray, n0: int, ordinal: int) -> None:
+def _check_merge(ordinal: int, local, syms, n0: int, want_ranks: bool) -> bool:
+    """Refuse a merge of ``syms`` at post-insertion positions ``local`` into
+    ``n0`` symbols, both Python int lists or both arrays, before any byte of
+    the bucket is read; True for a pure terminator batch, unranked."""
     k = len(local)
-    if k and (local[0] < 0 or int(local[-1]) - (k - 1) > n0 or (k > 1 and (local[1:] <= local[:-1]).any())):
+    if k and (local[0] < 0 or local[-1] - (k - 1) > n0 or k > 1 and not (
+            all(map(operator.lt, local, local[1:])) if isinstance(local, list)
+            else (local[1:] > local[:-1]).all())):
         raise ConsistencyError(f"bucket {ordinal}: insert positions inconsistent with content")
-
-
-def _splice(old: np.ndarray, local: np.ndarray, syms: np.ndarray, want_ranks: bool,
-            ordinal: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Splice ``syms`` into ``old`` at post-insertion positions ``local``.
-
-    When ``want_ranks`` is set, also captures, per entry, the number of equal
-    symbols written before it (stream copies plus earlier batch entries),
-    which is the bucket-level rank the next insert position needs.
-    """
-    _validate_positions(local, len(old), ordinal)
-    if len(local) <= SPLICE_FEW_MAX:
-        return _splice_few(old, local, syms, want_ranks)
-    return _splice_numpy(old, local, syms, want_ranks)
+    if not k:
+        return False
+    if want_ranks:
+        if (max(syms) if isinstance(syms, list) else int(syms.max())) > 3:
+            raise ConsistencyError("rank capture over a symbol code above T")
+        return False
+    dollars = syms.count(DOLLAR) if isinstance(syms, list) else int(np.count_nonzero(syms == DOLLAR))
+    if 0 < dollars < k:
+        raise ConsistencyError(f"bucket {ordinal}: mixed terminator batch")
+    return dollars == k
 
 
 class BucketStore:
@@ -177,7 +199,10 @@ class BucketStore:
         extents = self.final if tmp_dir is None else (self.final + 3) // 4
         self._start = (np.cumsum(extents) - extents).tolist()
         if tmp_dir is None:
-            self._codes = np.empty(int(extents.sum()), dtype=np.uint8)
+            # one bytearray, which small merges splice in place, and a numpy
+            # view of it for the rest
+            self._buf = bytearray(int(extents.sum()))
+            self._codes = np.frombuffer(self._buf, dtype=np.uint8)
             return
         self._path = os.path.join(tmp_dir, "buckets.bin")
         try:
@@ -193,8 +218,10 @@ class BucketStore:
         order, on the calling thread; ranks in batch order.
 
         Each batch is spliced unranked by :meth:`merge_insert`. With
-        ``want_ranks``, a batch holding a terminator is refused before any
-        bucket changes, and the spliced contents are held until they reach
+        ``want_ranks``, a batch holding a terminator, or a list naming one
+        bucket twice, is refused before any bucket changes: in RAM a spliced
+        content is a view of its slot, which a second merge would overwrite
+        before it is ranked. The spliced contents are held until they reach
         ``RANK_CHUNK`` symbols, then ranked in one pass over their
         concatenation (:func:`_chunk_ranks`).
         """
@@ -204,6 +231,8 @@ class BucketStore:
             return None
         if not batches:
             return np.empty(0, dtype=np.int64)
+        if len({b[0] for b in batches}) < len(batches):
+            raise ConsistencyError("ranked merges name one bucket twice")
         syms = np.concatenate([b[2] for b in batches])
         if syms.size and syms.max() > 3:
             raise ConsistencyError("rank capture over a symbol code above T")
@@ -221,44 +250,68 @@ class BucketStore:
         return ranks
 
     def merge_insert(self, ordinal, tree_positions, syms, base, want_ranks=True):
-        """Insert ``syms`` at ``tree_positions - base``; with ``want_ranks``,
-        return each entry's rank (see :func:`_splice`, whose rank capture
-        refuses a terminator), without, the bucket's spliced content. A pure
-        unranked terminator batch goes to the side list and returns None; it
-        must be the bucket's last merge, since the side list holds final
-        positions that a later merge would shift."""
+        """Insert ``syms`` at ``tree_positions - base``, given as Python int
+        lists, as sparse rounds pass them, or as arrays.
+
+        With ``want_ranks``, return each entry's rank (see :func:`_splice`,
+        whose rank capture refuses a terminator), a list for lists and an
+        array for arrays; without, the bucket's spliced content, in RAM a
+        view of its slot after a small merge. A pure unranked terminator
+        batch goes to the side list and returns None; it must be the
+        bucket's last merge, since the side list holds final positions that
+        a later merge would shift. Every check runs before any byte of the
+        bucket is read.
+        """
         if ordinal in self._dollars:
             raise ConsistencyError(
                 f"bucket {ordinal}: merge after its terminator batch, such as a second one")
-        local = tree_positions - base
-        n0, start = int(self.sizes[ordinal]), self._start[ordinal]
-        if n0 + len(local) > self.final[ordinal]:
+        k, n0, start = len(syms), int(self.sizes[ordinal]), self._start[ordinal]
+        if n0 + k > self.final[ordinal]:
             raise ConsistencyError(
-                f"bucket {ordinal}: {n0} + {len(local)} symbols overflow its slot of {self.final[ordinal]}")
-        new = captured = None
-        if not want_ranks and syms.size and (syms == DOLLAR).any():
-            if (syms != DOLLAR).any():
-                raise ConsistencyError(f"bucket {ordinal}: mixed terminator batch")
-            _validate_positions(local, n0, ordinal)
-            self._dollars[ordinal] = local.astype(np.int64)
-        elif self.tmp_dir is None:
-            new, captured = _splice(self._codes[start : start + n0], local, syms, want_ranks, ordinal)
-            p0 = int(local[0]) if len(local) else n0  # the slot before the first entry is unchanged
-            self._codes[start + p0 : start + len(new)] = new[p0:]
+                f"bucket {ordinal}: {n0} + {k} symbols overflow its slot of {self.final[ordinal]}")
+        as_list, few = isinstance(syms, list), k <= SPLICE_FEW_MAX
+        if few:
+            local = [p - base for p in tree_positions] if as_list else (tree_positions - base).tolist()
+            syms = syms if as_list else syms.tolist()
+        else:
+            local = np.asarray(tree_positions, dtype=np.int64) - base
+            syms = np.asarray(syms, dtype=np.uint8)
+        if _check_merge(ordinal, local, syms, n0, want_ranks):
+            self._dollars[ordinal] = np.asarray(local, dtype=np.int64)
+            self.sizes[ordinal] = n0 + k
+            return None
+        if self.tmp_dir is None:
+            if few:
+                captured = _splice_in_place(self._buf, start, n0, local, syms, want_ranks)
+                new = None if want_ranks else self._codes[start : start + n0 + k]
+            else:
+                new, captured = _splice(self._codes[start : start + n0], local, syms, want_ranks)
+                p0 = int(local[0])  # the slot before the first entry is unchanged
+                self._codes[start + p0 : start + n0 + k] = new[p0:]
             self.bytes_read += n0
-            self.bytes_written += len(new)
+            self.bytes_written += n0 + k
         else:
             try:
                 old = self._pread_codes(ordinal, n0)
-                new, captured = _splice(old, local, syms, want_ranks, ordinal)
+                if few:
+                    buf = bytearray(n0 + k)
+                    memoryview(buf)[:n0] = old
+                    captured = _splice_in_place(buf, 0, n0, local, syms, want_ranks)
+                    new = np.frombuffer(buf, dtype=np.uint8)
+                else:
+                    new, captured = _splice(old, local, syms, want_ranks)
                 packed = _pack(new)
                 if os.pwrite(self._fd, packed, start) != len(packed):
                     raise BucketIOError(f"bucket {ordinal}: short write")
             except OSError as exc:
                 raise BucketIOError(f"bucket {ordinal}: {exc}") from exc
             self.bytes_written += len(packed)
-        self.sizes[ordinal] = n0 + len(local)
-        return captured if want_ranks else new
+        self.sizes[ordinal] = n0 + k
+        if not want_ranks:
+            return new
+        if as_list != few:
+            return captured.tolist() if as_list else np.array(captured, dtype=np.int64)
+        return captured
 
     def read(self, ordinal: int) -> np.ndarray:
         """Bucket ``ordinal``'s symbols, terminators spliced back in."""
@@ -273,7 +326,7 @@ class BucketStore:
         dollars = self._dollars.get(ordinal)
         if dollars is None:
             return codes.copy()  # never hand out a view of the RAM array
-        return _splice_numpy(codes, dollars, np.full(len(dollars), DOLLAR, dtype=np.uint8), False)[0]
+        return _splice(codes, dollars, np.full(len(dollars), DOLLAR, dtype=np.uint8), False)[0]
 
     def assemble(self, out: BinaryIO) -> int:
         lut = np.frombuffer(SYMBOL_BYTES, dtype=np.uint8)
@@ -290,7 +343,7 @@ class BucketStore:
 
     def close(self) -> None:
         """Drop the RAM codes, or remove the bucket file and ``tmp_dir``."""
-        self._codes = None
+        self._codes = self._buf = None
         if self._fd is not None:
             os.close(self._fd)
             self._fd = None

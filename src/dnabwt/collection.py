@@ -113,7 +113,7 @@ class WordCollection:
     ``S_j[max_length - 1 - t]``, and the terminator at ``t == max_length``.
     """
 
-    __slots__ = ("_packed", "_offsets", "m", "max_length", "total_length")
+    __slots__ = ("_bytes", "_packed", "_offsets", "m", "max_length", "total_length")
 
     def __init__(self, codes: np.ndarray, offsets: np.ndarray):
         if len(offsets) < 2:
@@ -121,7 +121,10 @@ class WordCollection:
         lengths = np.diff(offsets)
         if np.any(lengths < 1):
             raise ParseError("collection contains an empty word")
-        self._packed = _pack(codes)
+        # the packed words as bytes, which fetch_code reads as Python ints,
+        # and a numpy view of them
+        self._bytes = _pack(codes).tobytes()
+        self._packed = np.frombuffer(self._bytes, dtype=np.uint8)
         self._offsets = offsets.astype(np.int64)
         self.m = len(offsets) - 1
         self.max_length = int(lengths.max())
@@ -175,8 +178,8 @@ class WordCollection:
 
     def fetch_code(self, j: int, t: int) -> int:
         """Scalar :meth:`fetch_codes` for one active word."""
-        idx = int(self._offsets[j]) + (self.max_length - 1 - t)
-        return (int(self._packed[idx >> 2]) >> (2 * (3 - (idx & 3)))) & 3
+        idx = self._offsets.item(j) + (self.max_length - 1 - t)
+        return self._bytes[idx >> 2] >> (6 - 2 * (idx & 3)) & 3
 
     def context_counts(self, n_sym: int, drop: int) -> np.ndarray:
         """Per ordinal, the number of suffixes, empty ones too, whose first

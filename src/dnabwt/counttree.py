@@ -21,6 +21,8 @@ Node i spans 2**h leaves from leaf id ``i << h``, h = kappa + 1 - bit_length(i).
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -30,10 +32,12 @@ def _step(leaf, d):
     return leaf >> d, (leaf >> (d - 1)) & 1
 
 
-def path_steps(leaf, depth: int):
-    """Yield :func:`_step` for the ``depth`` nodes above a leaf id, root first."""
-    for d in range(depth, 0, -1):
-        yield _step(leaf, d)
+@functools.lru_cache(maxsize=1 << 12)
+def _path(leaf: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The nodes above a leaf id where its path steps left, and right; kept
+    for the leaves that sparse rounds insert into most recently."""
+    steps = [_step(leaf, d) for d in range(leaf.bit_length() - 3, 0, -1)]
+    return tuple(n for n, r in steps if not r), tuple(n for n, r in steps if r)
 
 
 class TreeArray:
@@ -45,6 +49,8 @@ class TreeArray:
         self.leaves_per_tree = self.n_leaves >> 2
         # extra all-zero row at index n_leaves pads the right-step gather
         self.counters = np.zeros((self.n_leaves + 1, 5), dtype=np.int64)
+        # the counters as Python ints, for the scalar forms
+        self.view = memoryview(self.counters)
         # row i's left subtree holds the leaf ordinals [_node_lo[i], _node_mid[i])
         rows = np.arange(4, self.n_leaves, dtype=np.int64)
         half = self.n_leaves >> np.frexp(rows)[1]  # frexp's exponent is bit_length
@@ -99,24 +105,20 @@ class TreeArray:
         Same arguments as :meth:`apply_left_increments`, as Python int lists;
         each insertion walks its own path instead of a per-round batch.
         """
-        cv = memoryview(self.counters)
-        depth = self.kappa - 2
+        cv, depth = self.view, self.kappa - 2
         for o, s in zip(ordinals, syms):
             for x in range(o >> depth, 4):
                 cv[x, s] += 1
-            for node, right in path_steps(self.n_leaves + o, depth):
-                if not right:
-                    cv[node, s] += 1
+            for node in _path(self.n_leaves + o)[0]:
+                cv[node, s] += 1
 
     def accumulator(self, ordinal: int) -> list[int]:
         """Scalar :meth:`accumulators_for` of one bucket, as five Python ints.
 
         Like the bulk form, it must follow the round's :meth:`add_insertions`.
         """
-        cv = memoryview(self.counters)
-        acc = [0] * 5
-        for node, right in path_steps(self.n_leaves + ordinal, self.kappa - 2):
-            if right:
-                for c in range(5):
-                    acc[c] += cv[node, c]
+        cv, acc = self.view, [0] * 5
+        for node in _path(self.n_leaves + ordinal)[1]:
+            for c in range(5):
+                acc[c] += cv[node, c]
         return acc

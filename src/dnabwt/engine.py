@@ -17,10 +17,14 @@ positions taken from a rank over the activation bitvector.
 An iteration runs as per-round numpy batches, or, while at most
 ``SPARSE_MAX`` words are active, as the same steps on plain Python ints,
 which avoids the batches' fixed cost in the long runs of rounds where only
-the longest words are active.
+the longest words are active. There each symbol is read as a Python int
+from the packed words, each bucket's batch goes to the store as lists,
+and the store splices it in place, so such a round costs about its
+words' Python steps.
 """
 from __future__ import annotations
 
+import functools
 import math
 import tempfile
 import warnings
@@ -41,9 +45,12 @@ from .counttree import TreeArray
 
 BACKENDS = ("external", "memory")
 
+# the words and positions of a round in which no word starts
+_NONE = np.empty(0, dtype=np.int64)
+
 # a round before the final one with at most this many active words runs on
 # Python ints (BwtBuilder._sparse_round); the measured crossover, see README
-SPARSE_MAX = 16
+SPARSE_MAX = 32
 
 # largest accepted kappa. Every dense round works over all 2**kappa leaves:
 # the count trees hold 56 bytes a leaf (59 MB at 20, under tracemalloc), and
@@ -107,7 +114,7 @@ def next_positions(counters, tree_sym, sym, acc, rank, alpha_next):
     accumulator for ``sym``, plus the rank of ``sym`` captured during the
     splice, plus ``alpha_next`` when ``sym`` is A: the A tree also fronts the
     rows of the ``alpha_next`` words started by the next round. ``counters``
-    is the tree's counter table or a memoryview of it; its last row is the
+    is the tree's counter table or its memoryview ``view``; its last row is the
     all-zero pad, so row ``tree_sym - 1`` gives the A tree base 0.
     """
     return counters[tree_sym - 1, sym] + acc + rank + (sym == 0) * alpha_next
@@ -169,26 +176,21 @@ class BwtBuilder:
     def _prepare_starts(self) -> None:
         c = self.collection
         starts = (c.max_length - c.lengths).astype(np.int64)
-        order = np.argsort(starts, kind="stable")  # ties resolved by word index
-        self._starts_sorted = starts[order]
-        self._start_order = order
-        self._start_bounds = np.searchsorted(self._starts_sorted, np.arange(c.max_length + 2))
-
-    def _starting_words(self, t: int) -> np.ndarray:
-        if t > self.collection.max_length:
-            return np.empty(0, dtype=np.int64)
-        return self._start_order[self._start_bounds[t] : self._start_bounds[t + 1]]
+        self._start_order = np.argsort(starts, kind="stable")  # ties resolved by word index
+        # the words starting at t are _start_order[bounds[t] : bounds[t + 1]],
+        # for t up to max_length + 1; a round reads them with .item(), as
+        # Python ints
+        self._start_bounds = np.searchsorted(starts[self._start_order], np.arange(c.max_length + 3))
 
     def activate_new_words(self, sb: StartBitvector, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Set activation bits for words starting at t; return (indices, positions)."""
-        new_js = self._starting_words(t)
-        if new_js.size:
-            sb.set_many(new_js)
-            positions = sb.ranks(new_js)
-            self.alpha += len(new_js)
-        else:
-            positions = np.empty(0, dtype=np.int64)
-        return new_js, positions
+        lo, hi = self._start_bounds.item(t), self._start_bounds.item(t + 1)
+        if lo == hi:
+            return _NONE, _NONE
+        new_js = self._start_order[lo:hi]
+        sb.set_many(new_js)
+        self.alpha += len(new_js)
+        return new_js, sb.ranks(new_js)
 
     # -- main loop --------------------------------------------------------------
 
@@ -202,7 +204,7 @@ class BwtBuilder:
             raise RuntimeError("BwtBuilder.run() builds once: make a new BwtBuilder for another build")
         c = self.collection
         M = c.max_length
-        final = c.context_counts(context_symbols(self.config.kappa), self._shifts()[0])
+        final = c.context_counts(context_symbols(self.config.kappa), self._shifts[0])
         if self.config.backend == "memory":
             self.store = MemoryBucketStore(final)
         else:
@@ -216,7 +218,7 @@ class BwtBuilder:
         for t in range(M + 1):
             self.t = t
             new_js, new_pos = self.activate_new_words(sb, t)
-            alpha_next = self.alpha + len(self._starting_words(t + 1))
+            alpha_next = self.alpha + self._start_bounds.item(t + 2) - self._start_bounds.item(t + 1)
             sparse = sparse and t < M and len(state[0]) + len(new_js) <= SPARSE_MAX
             round_ = self._sparse_round if sparse else self._dense_round
             state = round_(t, state, new_js, new_pos, alpha_next, inspect)
@@ -227,6 +229,7 @@ class BwtBuilder:
         self.store.assemble(out)
         return out.getvalue()
 
+    @functools.cached_property
     def _shifts(self) -> tuple[int, int, int]:
         """(context-to-ordinal, context-to-tree, ordinal-to-tree) right shifts."""
         kappa = self.config.kappa
@@ -238,7 +241,7 @@ class BwtBuilder:
         """One round as per-round numpy batches; returns the next round's state."""
         c = self.collection
         M = c.max_length
-        drop, top_shift, per_tree_shift = self._shifts()
+        drop, top_shift, per_tree_shift = self._shifts
         j_arr, pos, ctx = (np.asarray(a, dtype=np.int64) for a in state)
         if new_js.size:
             j_arr = np.concatenate([new_js, j_arr])
@@ -282,10 +285,12 @@ class BwtBuilder:
         """One round before the final one on Python ints, for few active words.
 
         Same steps, same store and tree state and same result as
-        :meth:`_dense_round`, without its fixed per-round numpy cost.
+        :meth:`_dense_round`, without its fixed per-round numpy cost: the
+        state, the symbols and each bucket's batch stay Python int lists
+        from the fetch to the merge.
         """
         c = self.collection
-        drop, top_shift, _ = self._shifts()
+        drop, top_shift, _ = self._shifts
         j, pos, ctx = state
         if new_js.size:
             j = new_js.tolist() + j
@@ -302,24 +307,19 @@ class BwtBuilder:
         for o, lo, hi in zip(uniq, bounds, bounds[1:]):
             acc = self.tree.accumulator(o)
             entry_acc += [acc] * (hi - lo)
-            captured += self.store.merge_insert(
-                o,
-                np.array(pos[lo:hi], dtype=np.int64),
-                np.array(syms[lo:hi], dtype=np.uint8),
-                sum(acc),
-            ).tolist()
+            captured += self.store.merge_insert(o, pos[lo:hi], syms[lo:hi], sum(acc))
 
         if inspect is not None:
             inspect(self)
 
-        cv = memoryview(self.tree.counters)
+        cv = self.tree.view
         nxt = [
             next_positions(cv, x >> top_shift, s, acc[s], r, alpha_next)
             for x, s, acc, r in zip(ctx, syms, entry_acc, captured)
         ]
         ctx = [(s << top_shift) | (x >> 2) for s, x in zip(syms, ctx)]
         order = sorted(range(len(syms)), key=syms.__getitem__)  # stable
-        return tuple([a[i] for i in order] for a in (j, nxt, ctx))
+        return [j[i] for i in order], [nxt[i] for i in order], [ctx[i] for i in order]
 
     def bucket_sizes(self) -> np.ndarray:
         return self.store.sizes.copy()

@@ -6,7 +6,8 @@ the packed symbol fetch. The forms here state the same rules one symbol,
 one context or one word at a time, so that tests can check the bulk forms
 against them and pin worked examples to them. The bucket stores here give
 every bucket the same slot, so that a test can merge into any bucket
-without counting a collection first.
+without counting a collection first, and ``naive_splice`` states the
+splice one list insert at a time.
 """
 from __future__ import annotations
 
@@ -163,6 +164,19 @@ def bucket_offsets(collection: WordCollection, kappa: int) -> np.ndarray:
 
 
 # -- bucket stores with one slot size for every bucket -------------------------
+
+
+def naive_splice(old, positions, syms) -> tuple[list[int], list[int]]:
+    """Insert ``syms`` one at a time at post-insertion ``positions`` into a
+    copy of ``old``; each entry's rank is the count of its symbol before it
+    when it is inserted. Returns (content, ranks) as lists."""
+    out = list(old)
+    ranks = []
+    for p, s in zip(positions, syms):
+        ranks.append(out[:p].count(s))
+        out.insert(p, s)
+    return out, ranks
+
 
 # symbols per bucket slot: more than any store test merges into one bucket
 SLOT = 256

@@ -11,7 +11,7 @@ import dnabwt.buckets as buckets
 from dnabwt.buckets import BucketIOError, ConsistencyError
 from dnabwt.collection import DOLLAR
 from reference import (SLOT, ExternalBucketStore, MemoryBucketStore, bucket_id, leaf_ordinal,
-                       n_buckets, ordinal_context)
+                       n_buckets, naive_splice, ordinal_context)
 
 
 def _stores(tmp_path, kappa):
@@ -61,15 +61,6 @@ def test_merge_insert_empty_bucket_single_entry(tmp_path):
         store.close()
 
 
-def _naive_splice(old, positions, syms):
-    out = list(old)
-    ranks = []
-    for p, s in zip(positions, syms):
-        ranks.append(out[:p].count(s))
-        out.insert(p, s)
-    return out, ranks
-
-
 def test_captured_ranks_monotone_per_symbol():
     rng = random.Random(34)
     for _ in range(30):
@@ -107,7 +98,7 @@ def _splice_cases(rng):
 def test_merge_insert_matches_array_splice_oracle(tmp_path):
     rng = random.Random(31)
     for trial, (old, positions, syms) in enumerate(_splice_cases(rng)):
-        expected, expected_ranks = _naive_splice(old, positions, syms)
+        expected, expected_ranks = naive_splice(old, positions, syms)
         for store in _stores(tmp_path / f"t{trial}", 3):
             if isinstance(store, MemoryBucketStore):
                 store.fill(2, old)
@@ -155,9 +146,9 @@ def _large_splice_cases(rng):
                 yield old, positions, [old[0]] * k
 
 
-def _check_splice_numpy(old, positions, syms, want_ranks):
-    expected, expected_ranks = _naive_splice(old, positions, syms)
-    new, captured = buckets._splice_numpy(
+def _check_splice(old, positions, syms, want_ranks):
+    expected, expected_ranks = naive_splice(old, positions, syms)
+    new, captured = buckets._splice(
         np.array(old, dtype=np.uint8), np.array(positions, dtype=np.int64),
         np.array(syms, dtype=np.uint8), want_ranks,
     )
@@ -172,7 +163,7 @@ def _check_splice_numpy(old, positions, syms, want_ranks):
 @pytest.mark.parametrize("want_ranks", [True, False])
 def test_splice_numpy_large_buckets_match_naive_splice(want_ranks):
     for old, positions, syms in _large_splice_cases(random.Random(35)):
-        _check_splice_numpy(old, positions, syms, want_ranks)
+        _check_splice(old, positions, syms, want_ranks)
 
 
 @st.composite
@@ -189,13 +180,13 @@ def _splice_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=_splice_inputs(), want_ranks=st.booleans())
 def test_splice_numpy_matches_naive_splice(case, want_ranks):
-    _check_splice_numpy(*case, want_ranks)
+    _check_splice(*case, want_ranks)
 
 
 def test_splice_numpy_ranks_past_three_count_fields():
     # content past 2**21 symbols, most of it G, so that a rank needs more
-    # than 20 bits and any narrower count would wrap. The small-batch
-    # splice is the reference
+    # than 20 bits and any narrower count would wrap. The in-place splice,
+    # which counts each rank on the spliced bytes, is the reference
     rng = np.random.default_rng(36)
     n0 = (1 << 21) + 1000
     old = rng.choice(4, size=n0, p=[0.1, 0.1, 0.7, 0.1]).astype(np.uint8)
@@ -203,10 +194,132 @@ def test_splice_numpy_ranks_past_three_count_fields():
     positions = np.sort(rng.choice(n0 + k, size=k, replace=False)).astype(np.int64)
     positions[-3:] = np.arange(n0 + k - 3, n0 + k)
     syms = rng.integers(0, 4, size=k, dtype=np.uint8)
-    new, captured = buckets._splice_numpy(old, positions, syms, True)
-    expected, expected_ranks = buckets._splice_few(old, positions, syms, True)
-    assert np.array_equal(new, expected)
-    assert captured.tolist() == expected_ranks.tolist()
+    new, captured = buckets._splice(old, positions, syms, True)
+    expected = bytearray(n0 + k)
+    expected[:n0] = old.tobytes()
+    expected_ranks = buckets._splice_in_place(expected, 0, n0, positions.tolist(), syms.tolist(), True)
+    assert new.tobytes() == bytes(expected)
+    assert captured.tolist() == expected_ranks
+
+
+def _slot_bytes(store):
+    """Every slot's bytes: the RAM array, or the bucket file."""
+    if store.tmp_dir is None:
+        return store._codes.tobytes()
+    with open(store._path, "rb") as fh:
+        return fh.read()
+
+
+GUARD = 0xA5  # a byte no symbol code takes
+
+
+def _layouts(rng, n, k):
+    """Post-insertion positions of k entries among n symbols: all first (an
+    entry at 0), all last (an entry at n - 1), both ends, and random."""
+    yield list(range(k))
+    yield list(range(n - k, n))
+    if k > 1:
+        yield [0, *sorted(rng.sample(range(1, n - 1), k - 2)), n - 1]
+    yield sorted(rng.sample(range(n), k))
+
+
+@pytest.mark.parametrize("count_numpy_min", [0, buckets.COUNT_NUMPY_MIN, 1 << 30])
+def test_in_place_splice_matches_naive_splice_between_guard_bytes(count_numpy_min, tmp_path, monkeypatch):
+    # a small merge splices in place, in RAM inside its slot and on disk in a
+    # bytearray of the unpacked bucket. With guard bytes in every slot byte
+    # around the bucket's content, the merge changes only the bytes of its
+    # spliced content, which equals the naive splice; its ranks equal the
+    # naive splice's and a count on the spliced content. Batches of up to 8
+    # entries splice in place here, into empty, part-filled and exactly
+    # filled slots; ranks are counted all by numpy, by range length, or all
+    # by bytearray.count
+    monkeypatch.setattr(buckets, "SPLICE_FEW_MAX", 8)
+    monkeypatch.setattr(buckets, "COUNT_NUMPY_MIN", count_numpy_min)
+    rng = random.Random(61)
+    slot, ordinal = 40, 2
+    for trial in range(12):
+        k = rng.randint(1, 8)
+        n0 = [0, 1, rng.randrange(slot - k), slot - k][trial % 4]
+        old = [rng.randrange(4) for _ in range(n0)]
+        for positions in _layouts(rng, n0 + k, k):
+            syms = [rng.randrange(4) for _ in range(k)]
+            expected, expected_ranks = naive_splice(old, positions, syms)
+            for want_ranks in (True, False):
+                for store in (MemoryBucketStore(3, slot), ExternalBucketStore(3, str(tmp_path / "g"), slot)):
+                    if store.tmp_dir is None:
+                        store._codes[:] = GUARD
+                        store.fill(ordinal, old)
+                        start, end = store._start[ordinal], store._start[ordinal] + n0 + k
+                    else:
+                        os.pwrite(store._fd, bytes([GUARD]) * (8 * slot // 4), 0)
+                        if old:
+                            store.merge_insert(ordinal, np.arange(n0, dtype=np.int64),
+                                               np.array(old, dtype=np.uint8), base=0, want_ranks=False)
+                        start, end = store._start[ordinal], store._start[ordinal] + (n0 + k + 3) // 4
+                    before = _slot_bytes(store)
+                    out = store.merge_insert(ordinal, positions, syms, base=0, want_ranks=want_ranks)
+                    after = _slot_bytes(store)
+                    assert after[:start] == before[:start] and after[end:] == before[end:]
+                    assert store.read(ordinal).tolist() == expected
+                    if want_ranks:
+                        counted = buckets._counts_before(np.array(expected, dtype=np.uint8),
+                                                         np.array(positions, dtype=np.int64))
+                        assert out == expected_ranks == counted[syms, np.arange(k)].tolist()
+                    else:
+                        assert out.tolist() == expected
+                    store.close()
+
+
+def test_refused_small_merges_leave_the_store_untouched(tmp_path):
+    # every check of a merge runs before any byte of its bucket is read or
+    # moved: a refused merge leaves every slot byte, the sizes and the I/O
+    # counts as they were, on both backends, given lists or arrays
+    refused = {
+        "negative position": (1, [-1], [0], True),
+        "position past the end": (1, [31], [0], True),
+        "repeated positions": (1, [3, 3], [0, 1], False),
+        "decreasing positions": (1, [4, 3], [0, 1], True),
+        "slot overflow": (3, [0, 1], [2, 2], False),
+        "code above T with ranks": (1, [0, 5], [1, DOLLAR], True),
+        "merge after a terminator batch, ranked": (0, [0], [2], True),
+        "merge after a terminator batch, unranked": (0, [0], [2], False),
+        "second terminator batch": (0, [1], [DOLLAR], False),
+    }
+    for store in _stores(tmp_path, 3):
+        store.merge_insert(1, np.arange(30, dtype=np.int64), np.arange(30, dtype=np.uint8) % 4,
+                           base=0, want_ranks=False)
+        store.merge_insert(3, np.arange(SLOT - 1, dtype=np.int64), np.ones(SLOT - 1, dtype=np.uint8),
+                           base=0, want_ranks=False)
+        store.merge_insert(0, [0], [DOLLAR], base=0, want_ranks=False)
+        state = _slot_bytes(store), store.sizes.tolist(), store.bytes_read, store.bytes_written
+        for name, (ordinal, positions, syms, want_ranks) in refused.items():
+            for form in (list, np.array):
+                with pytest.raises(ConsistencyError):
+                    store.merge_insert(ordinal, form(positions), form(syms), base=0, want_ranks=want_ranks)
+                assert (_slot_bytes(store), store.sizes.tolist(), store.bytes_read,
+                        store.bytes_written) == state, (name, form)
+        store.close()
+
+
+def test_ranked_merge_many_refuses_a_bucket_named_twice(tmp_path):
+    # in RAM, a small unranked merge hands merge_many a view of its slot,
+    # which a second merge into that bucket would overwrite before the view
+    # is ranked. So, on both backends, a ranked round naming one bucket
+    # twice is refused before any bucket changes; unranked, it is merged
+    batches = [(1, np.array([0], dtype=np.int64), np.array([2], dtype=np.uint8), 0),
+               (2, np.array([5, 6], dtype=np.int64), np.array([3, 0], dtype=np.uint8), 5),
+               (1, np.array([4], dtype=np.int64), np.array([3], dtype=np.uint8), 0)]
+    for store in _stores(tmp_path, 3):
+        store.merge_insert(1, np.arange(6, dtype=np.int64), np.array([0, 1, 2, 3, 0, 1], dtype=np.uint8),
+                           base=0, want_ranks=False)
+        state = _slot_bytes(store), store.sizes.tolist(), store.bytes_read, store.bytes_written
+        with pytest.raises(ConsistencyError, match="twice"):
+            store.merge_many(batches)
+        assert (_slot_bytes(store), store.sizes.tolist(), store.bytes_read, store.bytes_written) == state
+        assert store.merge_many(batches, want_ranks=False) is None
+        assert store.read(1).tolist() == [2, 0, 1, 2, 3, 3, 0, 1]
+        assert store.read(2).tolist() == [3, 0]
+        store.close()
 
 
 def test_rank_capture_rejects_codes_above_t():
@@ -219,8 +332,8 @@ def test_rank_capture_rejects_codes_above_t():
     positions = np.arange(20, 20 + k, dtype=np.int64)
     syms = np.full(k, 3, dtype=np.uint8)
     with pytest.raises(ConsistencyError, match="above T"):
-        buckets._splice_numpy(old, positions, syms, True)
-    new, captured = buckets._splice_numpy(old, positions, syms, False)
+        buckets._splice(old, positions, syms, True)
+    new, captured = buckets._splice(old, positions, syms, False)
     assert captured is None and new[5] == DOLLAR
     store = MemoryBucketStore(3)
     store.fill(0, old)
@@ -228,7 +341,7 @@ def test_rank_capture_rejects_codes_above_t():
         store.merge_insert(0, positions, syms, base=0)
     syms[k // 2] = DOLLAR
     with pytest.raises(ConsistencyError, match="above T"):
-        buckets._splice_numpy(np.zeros(40, dtype=np.uint8), positions, syms, True)
+        buckets._splice(np.zeros(40, dtype=np.uint8), positions, syms, True)
 
 
 def _merge_many_cases(rng, slot):
@@ -252,8 +365,8 @@ def _merge_many_cases(rng, slot):
 def test_merge_many_ranks_equal_per_batch_ranks_at_any_chunk_bound(chunk, tmp_path, monkeypatch):
     # merge_many ranks consecutive merges from one pass per chunk of spliced
     # content: at a bound of one symbol (one bucket a pass), of a few, and
-    # the default, on both backends, its ranks and contents equal ranked
-    # small-batch splices of each batch alone
+    # the default, on both backends, its ranks and contents equal naive
+    # splices of each batch alone
     monkeypatch.setattr(buckets, "RANK_CHUNK", chunk)
     passes = []
     count = buckets._counts_before
@@ -261,8 +374,8 @@ def test_merge_many_ranks_equal_per_batch_ranks_at_any_chunk_bound(chunk, tmp_pa
     for trial, (fill, batches) in enumerate(_merge_many_cases(random.Random(39), SLOT)):
         expected_ranks, expected = [], {o: list(c) for o, c in fill.items()}
         for o, positions, syms, base in batches:
-            new, ranks = buckets._splice_few(np.array(fill[o], dtype=np.uint8), positions - base, syms, True)
-            expected[o], expected_ranks = new.tolist(), expected_ranks + ranks.tolist()
+            expected[o], ranks = naive_splice(fill[o], (positions - base).tolist(), syms.tolist())
+            expected_ranks += ranks
         for store in _stores(tmp_path / f"m{trial}", 4):
             for o, codes in fill.items():
                 if codes:
@@ -530,7 +643,7 @@ def test_backends_identical_bucket_contents(tmp_path):
             )
             for s in stores
         ]
-        model[ordinal] = _naive_splice(model[ordinal], positions, syms)[0]
+        model[ordinal] = naive_splice(model[ordinal], positions, syms)[0]
         assert outs[0].tolist() == outs[1].tolist()
         for s in stores[1:]:
             assert s.read(ordinal).tolist() == stores[0].read(ordinal).tolist()
@@ -545,7 +658,7 @@ def test_backends_identical_bucket_contents(tmp_path):
             dollars = np.full(len(positions), DOLLAR, dtype=np.uint8)
             assert s.merge_insert(ordinal, np.array(positions, dtype=np.int64), dollars, base=0,
                                   want_ranks=False) is None
-        model[ordinal] = _naive_splice(model[ordinal], positions, [DOLLAR] * len(positions))[0]
+        model[ordinal] = naive_splice(model[ordinal], positions, [DOLLAR] * len(positions))[0]
     assembled = []
     for s in stores:
         for o in range(n_buckets(4)):

@@ -536,16 +536,20 @@ def long_tail_words(draw):
     kappa=st.integers(3, 8),
     backend=st.sampled_from(["memory", "external"]),
     rank_chunk=st.sampled_from([1, 5, buckets.RANK_CHUNK]),
+    splice_few_max=st.sampled_from([0, 2, 64]),
 )
-def test_round_paths_match_oracle(words, kappa, backend, rank_chunk):
+def test_round_paths_match_oracle(words, kappa, backend, rank_chunk, splice_few_max):
     # dense rounds rank their merges a chunk of spliced content at a time:
-    # at a bound of one symbol, of a few and the default
+    # at a bound of one symbol, of a few and the default. Batches of at most
+    # splice_few_max entries splice in place: none, those of one or two
+    # entries, or every batch of these builds, dense rounds' included
     c = WordCollection.from_words(words)
     expected = naive_bwt(c)
     for cut in ROUND_PATHS.values():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "SPARSE_MAX", cut)
             mp.setattr(buckets, "RANK_CHUNK", rank_chunk)
+            mp.setattr(buckets, "SPLICE_FEW_MAX", splice_few_max)
             assert build(c, Config(kappa=kappa, backend=backend, threads=2)) == expected, cut
 
 
