@@ -2,16 +2,19 @@
 
 Each of the 2**kappa buckets holds one contiguous segment of the partial
 transform, at the start of a slot sized for its final content. A merge
-splices the new symbols into the bucket's content. A batch of at most
-``SPLICE_FEW_MAX`` entries is spliced in place, in RAM inside the slot
-itself and on disk in a bytearray of the unpacked bucket
-(:func:`_splice_in_place`); a larger one is spliced into a new array
-(:func:`_splice`) and copied back. Every check of a merge runs before any
-of its bytes is read or moved. The ranks that the next round's insert
-positions need are counted on the spliced content, a chunk of consecutive
-merges at a time in a dense round. Terminators are only ever inserted in
-the final round; on both backends their positions go into a per-bucket
-side list and are spliced in when the bucket is read.
+splices the new symbols into the bucket's content, in RAM inside the slot
+itself and on disk inside a bytearray of the unpacked bucket, which is
+then packed and written back. A ranked merge, as a sparse round makes it,
+gives its entries as Python int lists, at most ``SPARSE_MAX`` of them, and
+is spliced in place (:func:`_splice_in_place`), which counts each entry's
+rank as it goes. An unranked merge, as a dense round makes it, gives
+arrays: at most ``SPLICE_FEW_MAX`` entries are spliced in place, more by
+one scatter and one masked copy (:func:`_splice`), and the dense round's
+ranks are counted on the spliced contents, a chunk of consecutive merges
+at a time. Every check of a merge runs before any of its bytes is read or
+moved. Terminators are only ever inserted in the final round; on both
+backends their positions go into a per-bucket side list and are spliced
+in when the bucket is read.
 """
 from __future__ import annotations
 
@@ -23,8 +26,8 @@ import numpy as np
 
 from .collection import DOLLAR, SYMBOL_BYTES, _unpack, _pack
 
-# batches of at most this many entries are spliced in place; measured
-# crossover against the copying splice, see README
+# unranked batches of at most this many entries are spliced in place;
+# measured crossover against the copying splice, see README
 SPLICE_FEW_MAX = 16
 
 # an in-place rank counts a range of fewer symbols than this with
@@ -50,25 +53,16 @@ def context_symbols(kappa: int) -> int:
     return (kappa + 1) // 2
 
 
-def _splice(old: np.ndarray, local: np.ndarray, syms: np.ndarray,
-            want_ranks: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _splice(old: np.ndarray, local: np.ndarray, syms: np.ndarray) -> np.ndarray:
     """Splice ``syms`` into ``old`` at post-insertion positions ``local``, into
-    a new array: one scatter of the batch and one masked copy of ``old``.
-
-    When ``want_ranks`` is set, also captures, per entry, the number of
-    equal symbols written before it (stream copies plus earlier batch
-    entries), which is the bucket-level rank the next insert position
-    needs, from :func:`_counts_before`.
-    """
+    a new array: one scatter of the batch and one masked copy of ``old``."""
     n0, k = len(old), len(local)
     new = np.empty(n0 + k, dtype=old.dtype)
     new[local] = syms
     mask = np.ones(n0 + k, dtype=bool)
     mask[local] = False
     new[mask] = old
-    if not want_ranks:
-        return new, None
-    return new, _counts_before(new, local)[syms, np.arange(k)]
+    return new
 
 
 # rank capture reads 64 symbols per little-endian uint64 word of packed bits
@@ -106,14 +100,15 @@ def _counts_before(content: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def _chunk_ranks(held: list[np.ndarray], local: np.ndarray, syms: np.ndarray,
-                 ks: list[int]) -> np.ndarray:
+                 bounds: np.ndarray) -> np.ndarray:
     """Ranks of the entries of consecutive merges from one pass over their
-    spliced contents ``held``: ``ks[b]`` entries, at ``local`` positions, went
-    into ``held[b]``. An entry's rank is the count of its symbol before it
-    in the concatenation minus the count before its bucket's start."""
+    spliced contents ``held``: entries ``bounds[b] : bounds[b + 1]``, at
+    ``local`` positions, went into ``held[b]``. An entry's rank is the count
+    of its symbol before it in the concatenation minus the count before its
+    bucket's start."""
     sizes = [len(h) for h in held]
     starts = np.cumsum(sizes) - sizes
-    owner = np.repeat(np.arange(len(held)), ks)
+    owner = np.repeat(np.arange(len(held)), np.diff(bounds))
     k = len(local)
     counts = _counts_before(np.concatenate(held), np.concatenate([local + starts[owner], starts]))
     return counts[syms, np.arange(k)] - counts[syms, k + owner]
@@ -121,10 +116,11 @@ def _chunk_ranks(held: list[np.ndarray], local: np.ndarray, syms: np.ndarray,
 
 def _splice_in_place(buf: bytearray, at: int, n0: int, ps: list[int], ss: list[int],
                      want_ranks: bool) -> list[int] | None:
-    """Small-batch form of :func:`_splice`, in place: ``buf[at : at + n0]``
-    holds the content, and ``buf`` has room for ``len(ps)`` more symbols
-    after it. Positions and symbols are Python int lists; ranks come back
-    as one.
+    """:func:`_splice` in place: ``buf[at : at + n0]`` holds the content, and
+    ``buf`` has room for ``len(ps)`` more symbols after it. Positions and
+    symbols are Python int lists; with ``want_ranks``, each entry's rank,
+    the count of its symbol before it in the spliced content, comes back
+    in one.
 
     Right to left, each run of old content between two entries moves to its
     new place in one bytearray slice assignment, and the entry is written
@@ -154,22 +150,23 @@ def _splice_in_place(buf: bytearray, at: int, n0: int, ps: list[int], ss: list[i
     return ranks
 
 
-def _check_merge(ordinal: int, local, syms, n0: int, want_ranks: bool) -> bool:
+def _check_merge(ordinal: int, local, syms, n0: int, want_ranks: bool, in_place: bool) -> bool:
     """Refuse a merge of ``syms`` at post-insertion positions ``local`` into
-    ``n0`` symbols, both Python int lists or both arrays, before any byte of
-    the bucket is read; True for a pure terminator batch, unranked."""
+    ``n0`` symbols, in the form its splice takes (Python int lists in place,
+    arrays otherwise), before any byte of the bucket is read; True for a
+    pure terminator batch."""
     k = len(local)
-    if k and (local[0] < 0 or local[-1] - (k - 1) > n0 or k > 1 and not (
-            all(map(operator.lt, local, local[1:])) if isinstance(local, list)
-            else (local[1:] > local[:-1]).all())):
-        raise ConsistencyError(f"bucket {ordinal}: insert positions inconsistent with content")
     if not k:
         return False
+    increasing = (all(map(operator.lt, local, local[1:])) if in_place
+                  else (local[1:] > local[:-1]).all())
+    if local[0] < 0 or local[-1] - (k - 1) > n0 or not increasing:
+        raise ConsistencyError(f"bucket {ordinal}: insert positions inconsistent with content")
     if want_ranks:
-        if (max(syms) if isinstance(syms, list) else int(syms.max())) > 3:
+        if max(syms) > 3:
             raise ConsistencyError("rank capture over a symbol code above T")
         return False
-    dollars = syms.count(DOLLAR) if isinstance(syms, list) else int(np.count_nonzero(syms == DOLLAR))
+    dollars = syms.count(DOLLAR) if in_place else int(np.count_nonzero(syms == DOLLAR))
     if 0 < dollars < k:
         raise ConsistencyError(f"bucket {ordinal}: mixed terminator batch")
     return dollars == k
@@ -180,11 +177,12 @@ class BucketStore:
 
     Bucket o's slot holds ``final[o]`` symbols, its size at the end of the
     build, and its content sits at the start of the slot while it grows.
-    In RAM the slots are one array of plain (A, C, G, T) codes; on disk, one
-    file, ``tmp_dir/buckets.bin``, of ``ceil(final / 4)``-byte slots of
-    2-bit packed symbols (high bits first), allocated in full here, so that
-    a disk too small fails before any merge. ``bytes_read`` and
-    ``bytes_written`` count code bytes in RAM and packed bytes on disk.
+    In RAM the slots are one bytearray of plain (A, C, G, T) codes; on disk,
+    one file, ``tmp_dir/buckets.bin``, of ``ceil(final / 4)``-byte slots of
+    2-bit packed symbols (high bits first). Both are allocated in full
+    here, so that too little memory or disk fails before any merge, with
+    the bytes that were asked for. ``bytes_read`` and ``bytes_written``
+    count code bytes in RAM and packed bytes on disk.
     """
 
     def __init__(self, final: np.ndarray, tmp_dir: str | None = None):
@@ -198,120 +196,115 @@ class BucketStore:
         # slot offsets, in symbols in RAM and in packed bytes on disk
         extents = self.final if tmp_dir is None else (self.final + 3) // 4
         self._start = (np.cumsum(extents) - extents).tolist()
+        total = int(extents.sum())
         if tmp_dir is None:
-            # one bytearray, which small merges splice in place, and a numpy
-            # view of it for the rest
-            self._buf = bytearray(int(extents.sum()))
+            # one bytearray, which merges splice in place, and a numpy view of it
+            try:
+                self._buf = bytearray(total)
+            except MemoryError:
+                raise BucketIOError(f"cannot allocate {total:,} bytes of bucket slots in RAM") from None
             self._codes = np.frombuffer(self._buf, dtype=np.uint8)
             return
         self._path = os.path.join(tmp_dir, "buckets.bin")
         try:
             os.makedirs(tmp_dir, exist_ok=True)
             self._fd = os.open(self._path, os.O_RDWR | os.O_CREAT, 0o600)
-            os.posix_fallocate(self._fd, 0, int(extents.sum()))
+            os.posix_fallocate(self._fd, 0, total)
         except OSError as exc:
+            failed = "" if self._fd is None else f"cannot allocate {total:,} bytes of bucket slots: "
             self.close()
-            raise BucketIOError(f"{self._path}: {exc}") from exc
+            raise BucketIOError(f"{self._path}: {failed}{exc}") from exc
 
-    def merge_many(self, batches, want_ranks=True):
-        """Merge (ordinal, positions, symbols, base) batches one at a time, in
-        order, on the calling thread; ranks in batch order.
+    def merge_many(self, ordinals, bounds, positions, syms, bases, want_ranks=True):
+        """Merge a dense round's entries, given as arrays: bucket
+        ``ordinals[i]`` takes entries ``bounds[i] : bounds[i + 1]`` of
+        ``positions`` and ``syms``, with base ``bases[i]``. Each bucket is
+        spliced unranked by :meth:`merge_insert`, one at a time, in order, on
+        the calling thread; ranks come back in entry order.
 
-        Each batch is spliced unranked by :meth:`merge_insert`. With
-        ``want_ranks``, a batch holding a terminator, or a list naming one
-        bucket twice, is refused before any bucket changes: in RAM a spliced
-        content is a view of its slot, which a second merge would overwrite
-        before it is ranked. The spliced contents are held until they reach
-        ``RANK_CHUNK`` symbols, then ranked in one pass over their
-        concatenation (:func:`_chunk_ranks`).
+        With ``want_ranks``, a round holding a terminator, or whose ordinals
+        do not strictly increase, is refused before any bucket changes: in
+        RAM a spliced content is a view of its slot, which a second merge
+        into that bucket would overwrite before it is ranked. The spliced
+        contents are held until they reach ``RANK_CHUNK`` symbols, then
+        ranked in one pass over their concatenation (:func:`_chunk_ranks`).
         """
-        if not want_ranks:
-            for b in batches:
-                self.merge_insert(*b, False)
-            return None
-        if not batches:
-            return np.empty(0, dtype=np.int64)
-        if len({b[0] for b in batches}) < len(batches):
-            raise ConsistencyError("ranked merges name one bucket twice")
-        syms = np.concatenate([b[2] for b in batches])
-        if syms.size and syms.max() > 3:
-            raise ConsistencyError("rank capture over a symbol code above T")
-        ks = [len(b[2]) for b in batches]
-        local = np.concatenate([b[1] for b in batches]) - np.repeat([b[3] for b in batches], ks)
-        ranks = np.empty(len(syms), dtype=np.int64)
-        held, first, lo, n_held = [], 0, 0, 0
-        for i, b in enumerate(batches):
-            held.append(self.merge_insert(*b, False))
-            n_held += len(held[-1])
-            if n_held >= RANK_CHUNK or i == len(batches) - 1:
-                hi = lo + sum(ks[first : i + 1])
-                ranks[lo:hi] = _chunk_ranks(held, local[lo:hi], syms[lo:hi], ks[first : i + 1])
-                held, first, lo, n_held = [], i + 1, hi, 0
-        return ranks
+        if want_ranks:
+            if not (ordinals[1:] > ordinals[:-1]).all():
+                raise ConsistencyError("ranked merges must name each bucket once, in increasing order")
+            if syms.size and syms.max() > 3:
+                raise ConsistencyError("rank capture over a symbol code above T")
+            local = positions - np.repeat(bases, np.diff(bounds))
+            ranks = np.empty(len(syms), dtype=np.int64)
+        b, last = bounds.tolist(), len(ordinals) - 1
+        held, first, n_held = [], 0, 0
+        for i, (o, base) in enumerate(zip(ordinals.tolist(), bases.tolist())):
+            new = self.merge_insert(o, positions[b[i] : b[i + 1]], syms[b[i] : b[i + 1]], base, False)
+            if not want_ranks:
+                continue
+            held.append(new)
+            n_held += len(new)
+            if n_held >= RANK_CHUNK or i == last:
+                lo, hi = b[first], b[i + 1]
+                ranks[lo:hi] = _chunk_ranks(held, local[lo:hi], syms[lo:hi], bounds[first : i + 2] - lo)
+                held, first, n_held = [], i + 1, 0
+        return ranks if want_ranks else None
 
     def merge_insert(self, ordinal, tree_positions, syms, base, want_ranks=True):
-        """Insert ``syms`` at ``tree_positions - base``, given as Python int
-        lists, as sparse rounds pass them, or as arrays.
+        """Insert ``syms`` at ``tree_positions - base``.
 
-        With ``want_ranks``, return each entry's rank (see :func:`_splice`,
-        whose rank capture refuses a terminator), a list for lists and an
-        array for arrays; without, the bucket's spliced content, in RAM a
-        view of its slot after a small merge. A pure unranked terminator
-        batch goes to the side list and returns None; it must be the
-        bucket's last merge, since the side list holds final positions that
-        a later merge would shift. Every check runs before any byte of the
-        bucket is read.
+        Ranked, positions and symbols are Python int lists, as sparse rounds
+        pass them; the batch is spliced in place and each entry's rank (see
+        :func:`_splice_in_place`) comes back in a list. Unranked, they are
+        arrays, as :meth:`merge_many` passes them, and the bucket's spliced
+        content comes back, in RAM a view of its slot. A pure unranked
+        terminator batch goes to the side list and returns None; it must be
+        the bucket's last merge, since the side list holds final positions
+        that a later merge would shift. Every check runs before any byte of
+        the bucket is read.
         """
         if ordinal in self._dollars:
             raise ConsistencyError(
                 f"bucket {ordinal}: merge after its terminator batch, such as a second one")
-        k, n0, start = len(syms), int(self.sizes[ordinal]), self._start[ordinal]
+        k, n0 = len(syms), int(self.sizes[ordinal])
         if n0 + k > self.final[ordinal]:
             raise ConsistencyError(
                 f"bucket {ordinal}: {n0} + {k} symbols overflow its slot of {self.final[ordinal]}")
-        as_list, few = isinstance(syms, list), k <= SPLICE_FEW_MAX
-        if few:
-            local = [p - base for p in tree_positions] if as_list else (tree_positions - base).tolist()
-            syms = syms if as_list else syms.tolist()
-        else:
-            local = np.asarray(tree_positions, dtype=np.int64) - base
-            syms = np.asarray(syms, dtype=np.uint8)
-        if _check_merge(ordinal, local, syms, n0, want_ranks):
+        # ranked merges and small unranked ones are spliced in place, as lists
+        in_place = want_ranks or k <= SPLICE_FEW_MAX
+        if in_place and not want_ranks:
+            tree_positions, syms = tree_positions.tolist(), syms.tolist()
+        local = [p - base for p in tree_positions] if in_place else tree_positions - base
+        if _check_merge(ordinal, local, syms, n0, want_ranks, in_place):
             self._dollars[ordinal] = np.asarray(local, dtype=np.int64)
             self.sizes[ordinal] = n0 + k
             return None
+        # the content goes to buf[at : at + n0], with room for k more after it
         if self.tmp_dir is None:
-            if few:
-                captured = _splice_in_place(self._buf, start, n0, local, syms, want_ranks)
-                new = None if want_ranks else self._codes[start : start + n0 + k]
-            else:
-                new, captured = _splice(self._codes[start : start + n0], local, syms, want_ranks)
-                p0 = int(local[0])  # the slot before the first entry is unchanged
-                self._codes[start + p0 : start + n0 + k] = new[p0:]
+            buf, codes, at = self._buf, self._codes, self._start[ordinal]
             self.bytes_read += n0
+        else:
+            buf, at = bytearray(n0 + k), 0
+            codes = np.frombuffer(buf, dtype=np.uint8)
+            codes[:n0] = self._pread_codes(ordinal, n0)
+        if in_place:
+            ranks = _splice_in_place(buf, at, n0, local, syms, want_ranks)
+        else:
+            p0 = int(local[0])  # the content before the first entry is unchanged
+            codes[at + p0 : at + n0 + k] = _splice(codes[at : at + n0], local, syms)[p0:]
+        if self.tmp_dir is None:
             self.bytes_written += n0 + k
         else:
+            packed = _pack(codes)
             try:
-                old = self._pread_codes(ordinal, n0)
-                if few:
-                    buf = bytearray(n0 + k)
-                    memoryview(buf)[:n0] = old
-                    captured = _splice_in_place(buf, 0, n0, local, syms, want_ranks)
-                    new = np.frombuffer(buf, dtype=np.uint8)
-                else:
-                    new, captured = _splice(old, local, syms, want_ranks)
-                packed = _pack(new)
-                if os.pwrite(self._fd, packed, start) != len(packed):
-                    raise BucketIOError(f"bucket {ordinal}: short write")
+                short = os.pwrite(self._fd, packed, self._start[ordinal]) != len(packed)
             except OSError as exc:
                 raise BucketIOError(f"bucket {ordinal}: {exc}") from exc
+            if short:
+                raise BucketIOError(f"bucket {ordinal}: short write")
             self.bytes_written += len(packed)
         self.sizes[ordinal] = n0 + k
-        if not want_ranks:
-            return new
-        if as_list != few:
-            return captured.tolist() if as_list else np.array(captured, dtype=np.int64)
-        return captured
+        return ranks if want_ranks else codes[at : at + n0 + k]
 
     def read(self, ordinal: int) -> np.ndarray:
         """Bucket ``ordinal``'s symbols, terminators spliced back in."""
@@ -319,16 +312,14 @@ class BucketStore:
         if self.tmp_dir is None:
             codes = self._codes[self._start[ordinal] : self._start[ordinal] + n_plain]
         else:
-            try:
-                codes = self._pread_codes(ordinal, n_plain)
-            except OSError as exc:
-                raise BucketIOError(f"bucket {ordinal}: {exc}") from exc
+            codes = self._pread_codes(ordinal, n_plain)
         dollars = self._dollars.get(ordinal)
         if dollars is None:
             return codes.copy()  # never hand out a view of the RAM array
-        return _splice(codes, dollars, np.full(len(dollars), DOLLAR, dtype=np.uint8), False)[0]
+        return _splice(codes, dollars, np.full(len(dollars), DOLLAR, dtype=np.uint8))
 
     def assemble(self, out: BinaryIO) -> int:
+        """Write the transform to ``out`` one bucket at a time; return its length."""
         lut = np.frombuffer(SYMBOL_BYTES, dtype=np.uint8)
         written = 0
         for o in np.flatnonzero(self.sizes):
@@ -356,7 +347,10 @@ class BucketStore:
 
     def _pread_codes(self, ordinal: int, n_plain: int) -> np.ndarray:
         want = (n_plain + 3) // 4
-        raw = os.pread(self._fd, want, self._start[ordinal])
+        try:
+            raw = os.pread(self._fd, want, self._start[ordinal])
+        except OSError as exc:
+            raise BucketIOError(f"bucket {ordinal}: {exc}") from exc
         if len(raw) != want:
             raise BucketIOError(f"bucket {ordinal}: read {len(raw)} of {want} bytes")
         self.bytes_read += want

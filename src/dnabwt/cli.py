@@ -72,13 +72,12 @@ def cmd_build(args: argparse.Namespace) -> int:
     with _output_file(args.output, args.input) as fh:
         t0 = time.perf_counter()
         with BwtBuilder(collection, _config_from(args)) as builder:
-            data = builder.run()
+            written = builder.run(out=fh)
             stats = builder.store.io_stats
         wall = time.perf_counter() - t0
-        fh.write(data)
     pairs: list[tuple[str, object]] = [
         ("words", collection.m),
-        ("output_bytes", len(data)),
+        ("output_bytes", written),
         ("wall_seconds", round(wall, 4)),
         ("bucket_bytes_read", stats["read"]),
         ("bucket_bytes_written", stats["written"]),

@@ -14,13 +14,13 @@ an iteration it is re-sorted for the next one by a single stable partition
 on the symbol just inserted, and newly started words are prepended with
 positions taken from a rank over the activation bitvector.
 
-An iteration runs as per-round numpy batches, or, while at most
-``SPARSE_MAX`` words are active, as the same steps on plain Python ints,
-which avoids the batches' fixed cost in the long runs of rounds where only
-the longest words are active. There each symbol is read as a Python int
-from the packed words, each bucket's batch goes to the store as lists,
-and the store splices it in place, so such a round costs about its
-words' Python steps.
+An iteration runs on per-round numpy arrays, which go to the store whole,
+or, while at most ``SPARSE_MAX`` words are active, as the same steps on
+plain Python ints, which avoids the arrays' fixed cost in the long runs of
+rounds where only the longest words are active. There each symbol is read
+as a Python int from the packed words, each bucket's batch goes to the
+store as lists, and the store splices it in place, so such a round costs
+about its words' Python steps.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 from io import BytesIO
-from typing import Callable, Optional
+from typing import BinaryIO, Callable, Optional
 
 import numpy as np
 
@@ -199,7 +199,10 @@ class BwtBuilder:
         """(word indices, tree-relative positions, contexts) of the current round."""
         return tuple(np.asarray(a, dtype=np.int64) for a in self._active)
 
-    def run(self, inspect: Callable[["BwtBuilder"], None] | None = None) -> bytes:
+    def run(self, inspect: Callable[["BwtBuilder"], None] | None = None,
+            out: BinaryIO | None = None) -> bytes | int:
+        """Build the transform. Given a binary stream ``out``, write it there
+        one bucket at a time and return its length; else return it."""
         if self.store is not None:
             raise RuntimeError("BwtBuilder.run() builds once: make a new BwtBuilder for another build")
         c = self.collection
@@ -225,6 +228,8 @@ class BwtBuilder:
 
         if not np.array_equal(self.store.sizes, final):
             raise ConsistencyError("final bucket sizes differ from the counted ones")
+        if out is not None:
+            return self.store.assemble(out)
         out = BytesIO()
         self.store.assemble(out)
         return out.getvalue()
@@ -238,7 +243,7 @@ class BwtBuilder:
 
     def _dense_round(self, t: int, state: tuple, new_js: np.ndarray, new_pos: np.ndarray,
                      alpha_next: int, inspect: Callable | None) -> tuple | None:
-        """One round as per-round numpy batches; returns the next round's state."""
+        """One round on per-round numpy arrays; returns the next round's state."""
         c = self.collection
         M = c.max_length
         drop, top_shift, per_tree_shift = self._shifts
@@ -262,13 +267,7 @@ class BwtBuilder:
         self.tree.update_prefix_totals(htree)
         self.tree.apply_left_increments(ordinals, syms)
         racc = self.tree.accumulators_for(uniq)
-        bases = racc.sum(axis=1)
-
-        batches = [
-            (int(uniq[i]), pos[bounds[i] : bounds[i + 1]], syms[bounds[i] : bounds[i + 1]], int(bases[i]))
-            for i in range(len(uniq))
-        ]
-        captured = self.store.merge_many(batches, want_ranks=(t < M))
+        captured = self.store.merge_many(uniq, bounds, pos, syms, racc.sum(axis=1), t < M)
 
         if inspect is not None:
             inspect(self)

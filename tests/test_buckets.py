@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 from io import BytesIO
@@ -17,6 +18,24 @@ from reference import (SLOT, ExternalBucketStore, MemoryBucketStore, bucket_id, 
 def _stores(tmp_path, kappa):
     yield MemoryBucketStore(kappa)
     yield ExternalBucketStore(kappa, str(tmp_path / "packed"))
+
+
+def _merge(store, ordinal, positions, syms, want_ranks=True, base=0):
+    """``merge_insert`` in the form each kind takes: Python int lists ranked,
+    as sparse rounds merge, and arrays unranked, as dense rounds merge."""
+    if want_ranks:
+        return store.merge_insert(ordinal, [int(p) for p in positions], [int(c) for c in syms], base)
+    return store.merge_insert(ordinal, np.asarray(positions, dtype=np.int64),
+                              np.asarray(syms, dtype=np.uint8), base, False)
+
+
+def _round_arrays(batches):
+    """``merge_many``'s arrays for (ordinal, positions, symbols, base) batches."""
+    return (np.array([b[0] for b in batches], dtype=np.int64),
+            np.cumsum([0] + [len(b[2]) for b in batches]),
+            np.concatenate([np.asarray(b[1], dtype=np.int64) for b in batches]),
+            np.concatenate([np.asarray(b[2], dtype=np.uint8) for b in batches]),
+            np.array([b[3] for b in batches], dtype=np.int64))
 
 
 def test_bucket_id_worked_examples():
@@ -40,23 +59,16 @@ def test_merge_insert_worked_example(tmp_path):
     # bucket base of 1: ranks captured before each write are 0 then 1
     for store in _stores(tmp_path, 4):
         ordinal = leaf_ordinal("CG", 4)
-        captured = store.merge_insert(
-            ordinal,
-            np.array([1, 2], dtype=np.int64),
-            np.array([1, 1], dtype=np.uint8),
-            base=1,
-        )
-        assert captured.tolist() == [0, 1]
+        captured = store.merge_insert(ordinal, [1, 2], [1, 1], base=1)
+        assert captured == [0, 1]
         assert store.read(ordinal).tolist() == [1, 1]
         store.close()
 
 
 def test_merge_insert_empty_bucket_single_entry(tmp_path):
     for store in _stores(tmp_path, 4):
-        captured = store.merge_insert(
-            0, np.array([0], dtype=np.int64), np.array([0], dtype=np.uint8), base=0
-        )
-        assert captured.tolist() == [0]
+        captured = store.merge_insert(0, [0], [0], base=0)
+        assert captured == [0]
         assert store.read(0).tolist() == [0]
         store.close()
 
@@ -69,11 +81,11 @@ def test_captured_ranks_monotone_per_symbol():
         store.fill(0, old)
         k = rng.randint(2, 10)
         positions = sorted(rng.sample(range(len(old) + k), k))
-        syms = np.array([rng.randrange(4) for _ in range(k)], dtype=np.uint8)
-        captured = store.merge_insert(0, np.array(positions, dtype=np.int64), syms, base=0)
+        syms = [rng.randrange(4) for _ in range(k)]
+        captured = store.merge_insert(0, positions, syms, base=0)
         for c in range(4):
-            per_sym = captured[syms == c]
-            assert np.all(np.diff(per_sym) >= 0)
+            per_sym = [r for r, s in zip(captured, syms) if s == c]
+            assert per_sym == sorted(per_sym)
 
 
 def _splice_cases(rng):
@@ -96,27 +108,25 @@ def _splice_cases(rng):
 
 
 def test_merge_insert_matches_array_splice_oracle(tmp_path):
+    # ranked, as lists, and unranked, as arrays, on both backends
     rng = random.Random(31)
     for trial, (old, positions, syms) in enumerate(_splice_cases(rng)):
         expected, expected_ranks = naive_splice(old, positions, syms)
-        for store in _stores(tmp_path / f"t{trial}", 3):
-            if isinstance(store, MemoryBucketStore):
-                store.fill(2, old)
-            else:
-                if old:
-                    store.merge_insert(
-                        2,
-                        np.arange(len(old), dtype=np.int64),
-                        np.array(old, dtype=np.uint8),
-                        base=0,
-                        want_ranks=False,
-                    )
-            captured = store.merge_insert(
-                2, np.array(positions, dtype=np.int64), np.array(syms, dtype=np.uint8), base=0
-            )
-            assert store.read(2).tolist() == expected
-            assert captured.tolist() == expected_ranks
-            store.close()
+        for want_ranks in (True, False):
+            for store in _stores(tmp_path / f"t{trial}_{want_ranks}", 3):
+                if isinstance(store, MemoryBucketStore):
+                    store.fill(2, old)
+                elif old:
+                    store.merge_insert(2, np.arange(len(old), dtype=np.int64),
+                                       np.array(old, dtype=np.uint8), base=0, want_ranks=False)
+                if want_ranks:
+                    assert store.merge_insert(2, positions, syms, base=0) == expected_ranks
+                else:
+                    out = store.merge_insert(2, np.array(positions, dtype=np.int64),
+                                             np.array(syms, dtype=np.uint8), base=0, want_ranks=False)
+                    assert out.tolist() == expected
+                assert store.read(2).tolist() == expected
+                store.close()
 
 
 def _large_splice_cases(rng):
@@ -146,24 +156,29 @@ def _large_splice_cases(rng):
                 yield old, positions, [old[0]] * k
 
 
-def _check_splice(old, positions, syms, want_ranks):
+def _naive_counts(content, points):
+    """Rows 0 to 3: the counts of A, C, G and T in ``content[:p]`` per point p."""
+    return [[content[:p].count(c) for p in points] for c in range(4)]
+
+
+def _check_splice(old, positions, syms, count_ranks):
+    # the copying splice, and with count_ranks the rank kernel over its
+    # result: every count before each entry, and so each entry's rank
     expected, expected_ranks = naive_splice(old, positions, syms)
-    new, captured = buckets._splice(
-        np.array(old, dtype=np.uint8), np.array(positions, dtype=np.int64),
-        np.array(syms, dtype=np.uint8), want_ranks,
-    )
+    new = buckets._splice(np.array(old, dtype=np.uint8), np.array(positions, dtype=np.int64),
+                          np.array(syms, dtype=np.uint8))
     assert new.tolist() == expected
-    if want_ranks:
-        assert captured.dtype == np.int64
-        assert captured.tolist() == expected_ranks
-    else:
-        assert captured is None
+    if count_ranks:
+        counts = buckets._counts_before(new, np.array(positions, dtype=np.int64))
+        assert counts.dtype == np.int64
+        assert counts.tolist() == _naive_counts(expected, positions)
+        assert counts[syms, np.arange(len(syms))].tolist() == expected_ranks
 
 
-@pytest.mark.parametrize("want_ranks", [True, False])
-def test_splice_numpy_large_buckets_match_naive_splice(want_ranks):
+@pytest.mark.parametrize("count_ranks", [True, False])
+def test_splice_numpy_large_buckets_match_naive_splice(count_ranks):
     for old, positions, syms in _large_splice_cases(random.Random(35)):
-        _check_splice(old, positions, syms, want_ranks)
+        _check_splice(old, positions, syms, count_ranks)
 
 
 @st.composite
@@ -178,28 +193,32 @@ def _splice_inputs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_splice_inputs(), want_ranks=st.booleans())
-def test_splice_numpy_matches_naive_splice(case, want_ranks):
-    _check_splice(*case, want_ranks)
+@given(case=_splice_inputs(), count_ranks=st.booleans())
+def test_splice_numpy_matches_naive_splice(case, count_ranks):
+    _check_splice(*case, count_ranks)
 
 
 def test_splice_numpy_ranks_past_three_count_fields():
-    # content past 2**21 symbols, most of it G, so that a rank needs more
-    # than 20 bits and any narrower count would wrap. The in-place splice,
-    # which counts each rank on the spliced bytes, is the reference
+    # content past 2**21 symbols, most of it G, so that a count needs more
+    # than 20 bits and any narrower count would wrap. The rank kernel over
+    # the copying splice's result is checked against counts of the spliced
+    # bytes, and its ranks against the in-place splice's, which counts each
+    # rank on those bytes
     rng = np.random.default_rng(36)
     n0 = (1 << 21) + 1000
     old = rng.choice(4, size=n0, p=[0.1, 0.1, 0.7, 0.1]).astype(np.uint8)
-    k = buckets.SPLICE_FEW_MAX + 8
+    k = 24
     positions = np.sort(rng.choice(n0 + k, size=k, replace=False)).astype(np.int64)
     positions[-3:] = np.arange(n0 + k - 3, n0 + k)
     syms = rng.integers(0, 4, size=k, dtype=np.uint8)
-    new, captured = buckets._splice(old, positions, syms, True)
+    new = buckets._splice(old, positions, syms)
     expected = bytearray(n0 + k)
     expected[:n0] = old.tobytes()
     expected_ranks = buckets._splice_in_place(expected, 0, n0, positions.tolist(), syms.tolist(), True)
     assert new.tobytes() == bytes(expected)
-    assert captured.tolist() == expected_ranks
+    counts = buckets._counts_before(new, positions)
+    assert counts.tolist() == [[expected.count(c, 0, p) for p in positions.tolist()] for c in range(4)]
+    assert counts[syms, np.arange(k)].tolist() == expected_ranks
 
 
 def _slot_bytes(store):
@@ -225,14 +244,14 @@ def _layouts(rng, n, k):
 
 @pytest.mark.parametrize("count_numpy_min", [0, buckets.COUNT_NUMPY_MIN, 1 << 30])
 def test_in_place_splice_matches_naive_splice_between_guard_bytes(count_numpy_min, tmp_path, monkeypatch):
-    # a small merge splices in place, in RAM inside its slot and on disk in a
+    # an in-place merge splices in RAM inside its slot and on disk in a
     # bytearray of the unpacked bucket. With guard bytes in every slot byte
     # around the bucket's content, the merge changes only the bytes of its
     # spliced content, which equals the naive splice; its ranks equal the
-    # naive splice's and a count on the spliced content. Batches of up to 8
-    # entries splice in place here, into empty, part-filled and exactly
-    # filled slots; ranks are counted all by numpy, by range length, or all
-    # by bytearray.count
+    # naive splice's and a count on the spliced content. Ranked merges, and
+    # unranked ones of up to 8 entries here, splice in place, into empty,
+    # part-filled and exactly filled slots; ranks are counted all by numpy,
+    # by range length, or all by bytearray.count
     monkeypatch.setattr(buckets, "SPLICE_FEW_MAX", 8)
     monkeypatch.setattr(buckets, "COUNT_NUMPY_MIN", count_numpy_min)
     rng = random.Random(61)
@@ -257,7 +276,7 @@ def test_in_place_splice_matches_naive_splice_between_guard_bytes(count_numpy_mi
                                                np.array(old, dtype=np.uint8), base=0, want_ranks=False)
                         start, end = store._start[ordinal], store._start[ordinal] + (n0 + k + 3) // 4
                     before = _slot_bytes(store)
-                    out = store.merge_insert(ordinal, positions, syms, base=0, want_ranks=want_ranks)
+                    out = _merge(store, ordinal, positions, syms, want_ranks)
                     after = _slot_bytes(store)
                     assert after[:start] == before[:start] and after[end:] == before[end:]
                     assert store.read(ordinal).tolist() == expected
@@ -270,78 +289,99 @@ def test_in_place_splice_matches_naive_splice_between_guard_bytes(count_numpy_mi
                     store.close()
 
 
+def test_ranked_merges_of_up_to_32_entries_splice_in_place_in_large_buckets(tmp_path):
+    # a ranked merge, as a sparse round of up to SPARSE_MAX = 32 words makes
+    # it, is spliced in place whatever the bucket's size. Into buckets above
+    # COUNT_NUMPY_MIN symbols some of its ranks are counted by numpy; entries
+    # all first, all last, at both ends and random, on both backends
+    rng = random.Random(62)
+    n0 = 3 * buckets.COUNT_NUMPY_MIN
+    for k in (17, 24, 32):
+        old = [rng.randrange(4) for _ in range(n0)]
+        for trial, positions in enumerate(_layouts(rng, n0 + k, k)):
+            syms = [rng.randrange(4) for _ in range(k)]
+            expected, expected_ranks = naive_splice(old, positions, syms)
+            for store in (MemoryBucketStore(3, n0 + k),
+                          ExternalBucketStore(3, str(tmp_path / f"big{k}_{trial}"), n0 + k)):
+                _merge(store, 5, range(n0), old, want_ranks=False)
+                assert _merge(store, 5, [p + 100 for p in positions], syms, base=100) == expected_ranks
+                assert store.read(5).tolist() == expected
+                store.close()
+
+
 def test_refused_small_merges_leave_the_store_untouched(tmp_path):
     # every check of a merge runs before any byte of its bucket is read or
     # moved: a refused merge leaves every slot byte, the sizes and the I/O
-    # counts as they were, on both backends, given lists or arrays
+    # counts as they were, on both backends, ranked (lists) or not (arrays)
     refused = {
-        "negative position": (1, [-1], [0], True),
-        "position past the end": (1, [31], [0], True),
-        "repeated positions": (1, [3, 3], [0, 1], False),
-        "decreasing positions": (1, [4, 3], [0, 1], True),
-        "slot overflow": (3, [0, 1], [2, 2], False),
-        "code above T with ranks": (1, [0, 5], [1, DOLLAR], True),
-        "merge after a terminator batch, ranked": (0, [0], [2], True),
-        "merge after a terminator batch, unranked": (0, [0], [2], False),
-        "second terminator batch": (0, [1], [DOLLAR], False),
+        "negative position": (1, [-1], [0]),
+        "position past the end": (1, [31], [0]),
+        "repeated positions": (1, [3, 3], [0, 1]),
+        "decreasing positions": (1, [4, 3], [0, 1]),
+        "slot overflow": (3, [0, 1], [2, 2]),
+        "terminator among bases": (1, [0, 5], [1, DOLLAR]),
+        "merge after a terminator batch": (0, [0], [2]),
+        "second terminator batch": (0, [1], [DOLLAR]),
     }
     for store in _stores(tmp_path, 3):
-        store.merge_insert(1, np.arange(30, dtype=np.int64), np.arange(30, dtype=np.uint8) % 4,
-                           base=0, want_ranks=False)
-        store.merge_insert(3, np.arange(SLOT - 1, dtype=np.int64), np.ones(SLOT - 1, dtype=np.uint8),
-                           base=0, want_ranks=False)
-        store.merge_insert(0, [0], [DOLLAR], base=0, want_ranks=False)
+        _merge(store, 1, range(30), np.arange(30) % 4, want_ranks=False)
+        _merge(store, 3, range(SLOT - 1), [1] * (SLOT - 1), want_ranks=False)
+        _merge(store, 0, [0], [DOLLAR], want_ranks=False)
         state = _slot_bytes(store), store.sizes.tolist(), store.bytes_read, store.bytes_written
-        for name, (ordinal, positions, syms, want_ranks) in refused.items():
-            for form in (list, np.array):
+        for name, (ordinal, positions, syms) in refused.items():
+            for want_ranks in (True, False):
                 with pytest.raises(ConsistencyError):
-                    store.merge_insert(ordinal, form(positions), form(syms), base=0, want_ranks=want_ranks)
+                    _merge(store, ordinal, positions, syms, want_ranks)
                 assert (_slot_bytes(store), store.sizes.tolist(), store.bytes_read,
-                        store.bytes_written) == state, (name, form)
+                        store.bytes_written) == state, (name, want_ranks)
         store.close()
 
 
 def test_ranked_merge_many_refuses_a_bucket_named_twice(tmp_path):
-    # in RAM, a small unranked merge hands merge_many a view of its slot,
-    # which a second merge into that bucket would overwrite before the view
-    # is ranked. So, on both backends, a ranked round naming one bucket
-    # twice is refused before any bucket changes; unranked, it is merged
-    batches = [(1, np.array([0], dtype=np.int64), np.array([2], dtype=np.uint8), 0),
-               (2, np.array([5, 6], dtype=np.int64), np.array([3, 0], dtype=np.uint8), 5),
-               (1, np.array([4], dtype=np.int64), np.array([3], dtype=np.uint8), 0)]
+    # in RAM, an unranked merge hands merge_many a view of its slot, which a
+    # second merge into that bucket would overwrite before the view is
+    # ranked. So, on both backends, a ranked round whose ordinals do not
+    # strictly increase, as when it names one bucket twice, is refused before
+    # any bucket changes; unranked, it is merged
+    twice = _round_arrays([(1, [0], [2], 0), (2, [5, 6], [3, 0], 5), (1, [4], [3], 0)])
+    adjacent = _round_arrays([(1, [0], [2], 0), (1, [4], [3], 0)])
+    decreasing = _round_arrays([(2, [5, 6], [3, 0], 5), (1, [4], [3], 0)])
     for store in _stores(tmp_path, 3):
-        store.merge_insert(1, np.arange(6, dtype=np.int64), np.array([0, 1, 2, 3, 0, 1], dtype=np.uint8),
-                           base=0, want_ranks=False)
+        _merge(store, 1, range(6), [0, 1, 2, 3, 0, 1], want_ranks=False)
         state = _slot_bytes(store), store.sizes.tolist(), store.bytes_read, store.bytes_written
-        with pytest.raises(ConsistencyError, match="twice"):
-            store.merge_many(batches)
-        assert (_slot_bytes(store), store.sizes.tolist(), store.bytes_read, store.bytes_written) == state
-        assert store.merge_many(batches, want_ranks=False) is None
+        for round_ in (twice, adjacent, decreasing):
+            with pytest.raises(ConsistencyError, match="each bucket once, in increasing order"):
+                store.merge_many(*round_)
+            assert (_slot_bytes(store), store.sizes.tolist(), store.bytes_read,
+                    store.bytes_written) == state
+        assert store.merge_many(*twice, False) is None
         assert store.read(1).tolist() == [2, 0, 1, 2, 3, 3, 0, 1]
         assert store.read(2).tolist() == [3, 0]
         store.close()
 
 
-def test_rank_capture_rejects_codes_above_t():
+def test_rank_capture_rejects_codes_above_t(tmp_path):
     # T's rank is derived from A, C and G, which needs content of the four
-    # bases only; a terminator in the content read or among the entries is
-    # an error when ranks are wanted
-    k = buckets.SPLICE_FEW_MAX + 1
+    # bases only: the rank kernel refuses a terminator in the content it
+    # reads, which the copying splice moves like any code, and a ranked
+    # merge or round refuses one among its entries
     old = np.zeros(40, dtype=np.uint8)
     old[5] = DOLLAR
+    assert buckets._counts_before(old, np.array([4])).tolist() == [[4], [0], [0], [0]]
+    with pytest.raises(ConsistencyError, match="above T"):
+        buckets._counts_before(old, np.array([2, 6]))
+    k = 20
     positions = np.arange(20, 20 + k, dtype=np.int64)
     syms = np.full(k, 3, dtype=np.uint8)
-    with pytest.raises(ConsistencyError, match="above T"):
-        buckets._splice(old, positions, syms, True)
-    new, captured = buckets._splice(old, positions, syms, False)
-    assert captured is None and new[5] == DOLLAR
-    store = MemoryBucketStore(3)
-    store.fill(0, old)
-    with pytest.raises(ConsistencyError, match="above T"):
-        store.merge_insert(0, positions, syms, base=0)
+    assert buckets._splice(old, positions, syms)[5] == DOLLAR
     syms[k // 2] = DOLLAR
-    with pytest.raises(ConsistencyError, match="above T"):
-        buckets._splice(np.zeros(40, dtype=np.uint8), positions, syms, True)
+    for store in _stores(tmp_path, 3):
+        with pytest.raises(ConsistencyError, match="above T"):
+            _merge(store, 0, range(k), syms)
+        with pytest.raises(ConsistencyError, match="above T"):
+            store.merge_many(*_round_arrays([(0, range(k), syms, 0)]))
+        assert store.sizes.tolist() == [0] * 8 and store.bytes_written == 0
+        store.close()
 
 
 def _merge_many_cases(rng, slot):
@@ -381,7 +421,7 @@ def test_merge_many_ranks_equal_per_batch_ranks_at_any_chunk_bound(chunk, tmp_pa
                 if codes:
                     store.merge_insert(o, np.arange(len(codes), dtype=np.int64),
                                        np.array(codes, dtype=np.uint8), base=0, want_ranks=False)
-            captured = store.merge_many(batches)
+            captured = store.merge_many(*_round_arrays(batches))
             assert captured.dtype == np.int64
             assert captured.tolist() == expected_ranks
             assert [store.read(o).tolist() for o in range(16)] == [expected[o] for o in range(16)]
@@ -395,31 +435,23 @@ def test_merge_insert_rank_capture_counts_copied_and_inserted(tmp_path):
     # as earlier batch entries of the same symbol
     store = MemoryBucketStore(3)
     store.fill(0, [1, 0, 1])
-    captured = store.merge_insert(
-        0,
-        np.array([1, 4], dtype=np.int64),
-        np.array([1, 1], dtype=np.uint8),
-        base=0,
-    )
+    captured = store.merge_insert(0, [1, 4], [1, 1], base=0)
     # content becomes C C A C C; first C sees one C before it, second sees three
     assert store.read(0).tolist() == [1, 1, 0, 1, 1]
-    assert captured.tolist() == [1, 3]
+    assert captured == [1, 3]
 
 
 def test_merge_insert_validates_positions(tmp_path):
     for store in _stores(tmp_path, 3):
         with pytest.raises(ConsistencyError):
-            store.merge_insert(
-                1, np.array([5], dtype=np.int64), np.array([0], dtype=np.uint8), base=0
-            )
+            store.merge_insert(1, [5], [0], base=0)
         store.close()
     store = MemoryBucketStore(3)
     with pytest.raises(ConsistencyError):
-        store.merge_insert(
-            0, np.array([1, 1], dtype=np.int64), np.array([0, 0], dtype=np.uint8), base=0
-        )
-    # each violation on both sides of the small-batch cut, into an empty
-    # bucket and into one of 30 symbols, on every store kind
+        store.merge_insert(0, [1, 1], [0, 0], base=0)
+    # each violation, ranked and unranked, on both sides of the unranked
+    # in-place cut, into an empty bucket and into one of 30 symbols, on
+    # every store kind
     for k in (2, buckets.SPLICE_FEW_MAX + 1, 3 * buckets.SPLICE_FEW_MAX):
         for n0 in (0, 30):
             ok = np.arange(k, dtype=np.int64) + n0 // 2
@@ -429,22 +461,19 @@ def test_merge_insert_validates_positions(tmp_path):
                 "repeated": np.concatenate([ok[:-1], ok[-2:-1]]),
                 "decreasing": np.concatenate([ok[:-2], ok[-1:], ok[-2:-1]]),
             }
-            for name, positions in bad.items():
-                for store in _stores(tmp_path / f"v{k}_{n0}_{name.replace(' ', '_')}", 3):
+            for (name, positions), want_ranks in itertools.product(bad.items(), (True, False)):
+                for store in _stores(tmp_path / f"v{k}_{n0}_{name.replace(' ', '_')}_{want_ranks}", 3):
                     if n0:
-                        store.merge_insert(
-                            1, np.arange(n0, dtype=np.int64), np.zeros(n0, dtype=np.uint8), base=0,
-                            want_ranks=False,
-                        )
+                        _merge(store, 1, range(n0), [0] * n0, want_ranks=False)
                     with pytest.raises(ConsistencyError, match="insert positions"):
-                        store.merge_insert(1, positions, np.zeros(k, dtype=np.uint8), base=0)
+                        _merge(store, 1, positions, [0] * k, want_ranks)
                     assert store.read(1).tolist() == [0] * n0, name
                     store.close()
 
 
 def test_skip_rule_untouched_buckets_do_no_io(tmp_path, monkeypatch):
     store = ExternalBucketStore(3, str(tmp_path / "skip"))
-    store.merge_insert(0, np.array([0], dtype=np.int64), np.array([1], dtype=np.uint8), base=0)
+    store.merge_insert(0, [0], [1], base=0)
     with open(store._path, "rb") as fh:
         file_bytes0 = fh.read()
     extent = SLOT // 4
@@ -455,7 +484,7 @@ def test_skip_rule_untouched_buckets_do_no_io(tmp_path, monkeypatch):
             return real(fd, arg, offset)
         monkeypatch.setattr(os, name, traced)
     for _ in range(10):
-        store.merge_insert(5, np.array([0], dtype=np.int64), np.array([2], dtype=np.uint8), base=0)
+        store.merge_insert(5, [0], [2], base=0)
     # an iteration's traffic only touches merged buckets: every read and
     # write of bucket 5 is at its own extent, and the rest of the file,
     # bucket 0's extent included, keeps its bytes
@@ -478,9 +507,7 @@ def test_one_file_holds_every_merge(tmp_path):
     content = []
     for merges in range(1, rng.randint(6, 9) + 1):
         sym = rng.randrange(4)
-        store.merge_insert(
-            4, np.array([0], dtype=np.int64), np.array([sym], dtype=np.uint8), base=0
-        )
+        store.merge_insert(4, [0], [sym], base=0)
         content.insert(0, sym)
         assert store.sizes[4] == merges
         assert os.listdir(store.tmp_dir) == ["buckets.bin"]
@@ -491,21 +518,20 @@ def test_one_file_holds_every_merge(tmp_path):
 
 def test_short_bucket_io_raises_instead_of_short_content(tmp_path, monkeypatch):
     store = ExternalBucketStore(3, str(tmp_path / "short"))
-    store.merge_insert(2, np.arange(9, dtype=np.int64), np.array([0, 1, 2, 3] * 2 + [1], dtype=np.uint8),
-                       base=0)
+    store.merge_insert(2, list(range(9)), [0, 1, 2, 3] * 2 + [1], base=0)
     # bucket 2's 9 symbols are 3 bytes at the start of its extent
     os.truncate(store._path, 2 * SLOT // 4 + 2)
     with pytest.raises(BucketIOError, match="read 2 of 3 bytes"):
         store.read(2)
     with pytest.raises(BucketIOError, match="read 2 of 3 bytes"):
-        store.merge_insert(2, np.array([0], dtype=np.int64), np.array([3], dtype=np.uint8), base=0)
+        store.merge_insert(2, [0], [3], base=0)
     assert store.sizes[2] == 9
     # a write that stops short of the packed content
     real_pwrite = os.pwrite
     monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: real_pwrite(fd, bytes(data)[:-1], offset))
     written = store.bytes_written
     with pytest.raises(BucketIOError, match="short write"):
-        store.merge_insert(4, np.arange(5, dtype=np.int64), np.zeros(5, dtype=np.uint8), base=0)
+        store.merge_insert(4, list(range(5)), [0] * 5, base=0)
     assert store.sizes[4] == 0 and store.bytes_written == written
     store.close()
 
@@ -513,7 +539,7 @@ def test_short_bucket_io_raises_instead_of_short_content(tmp_path, monkeypatch):
 def test_close_removes_the_one_file(tmp_path, monkeypatch):
     store = ExternalBucketStore(12, str(tmp_path / "wide"))
     for o in (7, 4000):
-        store.merge_insert(o, np.array([0, 1], dtype=np.int64), np.array([1, 2], dtype=np.uint8), base=0)
+        store.merge_insert(o, [0, 1], [1, 2], base=0)
     fd = store._fd
     unlinked = []
     real_unlink = os.unlink
@@ -541,23 +567,18 @@ def test_close_removes_the_one_file(tmp_path, monkeypatch):
 
 def test_merge_overflowing_its_slot_raises_and_spares_the_neighbour(tmp_path):
     for store in _stores(tmp_path, 3):
-        store.merge_insert(3, np.arange(SLOT - 2, dtype=np.int64), np.zeros(SLOT - 2, dtype=np.uint8),
-                           base=0, want_ranks=False)
-        store.merge_insert(4, np.arange(5, dtype=np.int64), np.array([1, 2, 3, 1, 2], dtype=np.uint8),
-                           base=0)
+        _merge(store, 3, range(SLOT - 2), [0] * (SLOT - 2), want_ranks=False)
+        _merge(store, 4, range(5), [1, 2, 3, 1, 2])
         for k in (3, buckets.SPLICE_FEW_MAX + 1):
             for want_ranks in (True, False):
                 with pytest.raises(ConsistencyError, match="overflow its slot"):
-                    store.merge_insert(3, np.arange(k, dtype=np.int64), np.full(k, 2, dtype=np.uint8),
-                                       base=0, want_ranks=want_ranks)
+                    _merge(store, 3, range(k), [2] * k, want_ranks)
         with pytest.raises(ConsistencyError, match="overflow its slot"):
-            store.merge_insert(3, np.arange(3, dtype=np.int64), np.full(3, DOLLAR, dtype=np.uint8),
-                               base=0, want_ranks=False)
+            _merge(store, 3, range(3), [DOLLAR] * 3, want_ranks=False)
         assert store.read(3).tolist() == [0] * (SLOT - 2)
         assert store.read(4).tolist() == [1, 2, 3, 1, 2]
         # a merge that fills the slot exactly is taken
-        store.merge_insert(3, np.array([0, SLOT - 1], dtype=np.int64), np.array([3, 3], dtype=np.uint8),
-                           base=0)
+        store.merge_insert(3, [0, SLOT - 1], [3, 3], base=0)
         assert store.read(3).tolist() == [3] + [0] * (SLOT - 2) + [3]
         assert store.read(4).tolist() == [1, 2, 3, 1, 2]
         store.close()
@@ -619,9 +640,7 @@ def test_assemble_concatenates_in_leaf_order(tmp_path):
     assert [ordinal_context(o, 4) for o in range(5)] == ["AA", "AC", "AG", "AT", "CA"]
     store = MemoryBucketStore(4)
     for ordinal, sym in ((0, 0), (1, 1), (4, 2)):
-        store.merge_insert(
-            ordinal, np.array([0], dtype=np.int64), np.array([sym], dtype=np.uint8), base=0
-        )
+        store.merge_insert(ordinal, [0], [sym], base=0)
     out = BytesIO()
     store.assemble(out)
     assert out.getvalue() == b"ACG"
@@ -637,14 +656,9 @@ def test_backends_identical_bucket_contents(tmp_path):
         size = int(stores[0].sizes[ordinal])
         positions = sorted(rng.sample(range(size + k), k))
         syms = [rng.randrange(4) for _ in range(k)]
-        outs = [
-            s.merge_insert(
-                ordinal, np.array(positions, dtype=np.int64), np.array(syms, dtype=np.uint8), base=0
-            )
-            for s in stores
-        ]
+        outs = [s.merge_insert(ordinal, positions, syms, base=0) for s in stores]
         model[ordinal] = naive_splice(model[ordinal], positions, syms)[0]
-        assert outs[0].tolist() == outs[1].tolist()
+        assert outs[0] == outs[1]
         for s in stores[1:]:
             assert s.read(ordinal).tolist() == stores[0].read(ordinal).tolist()
     # the terminator round: one pure, unranked batch into several touched
@@ -687,16 +701,16 @@ def test_both_backends_refuse_misplaced_terminators(tmp_path):
                     syms = np.full(k, 2, dtype=np.uint8)
                     syms[at] = DOLLAR
                     with pytest.raises(ConsistencyError):
-                        store.merge_insert(1, np.arange(k, dtype=np.int64) + n0 // 2, syms, base=0)
+                        _merge(store, 1, np.arange(k) + n0 // 2, syms)
                     assert store.read(1).tolist() == content
                     assert store.sizes.tolist() == sizes
                     assert store.bytes_written == written
                     # through merge_many, as the second batch of a round: the
-                    # first batch, into bucket 2, is not merged either
-                    first = (2, np.arange(3, dtype=np.int64), np.array([0, 3, 1], dtype=np.uint8), 0)
+                    # first batch, into bucket 0, is not merged either
+                    first = (0, np.arange(3), [0, 3, 1], 0)
                     with pytest.raises(ConsistencyError, match="above T"):
-                        store.merge_many([first, (1, np.arange(k, dtype=np.int64) + n0 // 2, syms, 0)])
-                    assert store.read(1).tolist() == content and store.read(2).tolist() == []
+                        store.merge_many(*_round_arrays([first, (1, np.arange(k) + n0 // 2, syms, 0)]))
+                    assert store.read(1).tolist() == content and store.read(0).tolist() == []
                     assert store.sizes.tolist() == sizes
                     assert store.bytes_written == written
                     store.close()

@@ -1,6 +1,7 @@
 import errno
 import os
 import random
+import re
 
 import pytest
 
@@ -26,7 +27,7 @@ def test_cmd_build_writes_transform(tmp_path, capsys):
     assert len(data) == c.total_length
     assert data == naive_bwt(c)
     report = capsys.readouterr().out
-    assert "wall_seconds" in report and "output_bytes" in report
+    assert "wall_seconds" in report and f"output_bytes: {c.total_length}" in report
 
 
 def test_cmd_build_report_tsv(tmp_path, capsys):
@@ -108,8 +109,8 @@ def test_cmd_build_disk_error_is_reported_and_cleaned_up(tmp_path, capsys, monke
 
 def test_cmd_build_full_disk_fails_before_round_0(tmp_path, capsys, monkeypatch):
     # the external store allocates its one file before round 0, so a disk
-    # too small for the buckets fails there: no round runs, and no output
-    # or bucket file is left
+    # too small for the buckets fails there, naming the bytes asked for: one
+    # error line, no round run, and no output or bucket file left
     def fallocate(fd, offset, length):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
@@ -123,9 +124,35 @@ def test_cmd_build_full_disk_fails_before_round_0(tmp_path, capsys, monkeypatch)
                "--backend", "external", "--tmp-dir", str(scratch)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "No space left on device" in err
+    assert re.fullmatch(r"error: \S+: cannot allocate [\d,]+ bytes of bucket slots: .*No space left on device\n",
+                        err)
     assert rounds == []
     assert list(scratch.iterdir()) == []
+    assert not outp.exists()
+
+
+def test_cmd_build_slots_too_large_for_memory_fail_before_round_0(tmp_path, capsys, monkeypatch):
+    # the memory store allocates its slots before round 0, so sizes too
+    # large for RAM fail there, naming the bytes asked for: one error line,
+    # no round run and no output left
+    counts = WordCollection.context_counts
+
+    def huge(self, n_sym, drop):
+        out = counts(self, n_sym, drop)
+        out[0] = 1 << 62
+        return out
+
+    rounds = []
+    monkeypatch.setattr(WordCollection, "context_counts", huge)
+    monkeypatch.setattr(cli.BwtBuilder, "activate_new_words", lambda *a: rounds.append(a))
+    inp, outp = tmp_path / "in.fasta", tmp_path / "out.bwt"
+    _write_fasta(inp, ["GATTACA", "CCT", "AAAA"])
+    rc = main(["build", "--input", str(inp), "--output", str(outp), "--backend", "memory"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: cannot allocate 4,611,686,018,427,38\d,\d{3} bytes of bucket slots in RAM\n",
+                        err)
+    assert rounds == []
     assert not outp.exists()
 
 

@@ -502,6 +502,21 @@ def test_second_run_is_refused_before_any_state_changes(backend, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("backend", engine.BACKENDS)
+def test_run_writes_the_transform_to_a_stream_a_bucket_at_a_time(backend, tmp_path):
+    c = random_collection(random.Random(59), max_m=20)
+    pieces = []
+
+    class Stream:
+        def write(self, data):
+            pieces.append(bytes(data))
+
+    with BwtBuilder(c, Config(kappa=4, backend=backend, tmp_dir=str(tmp_path))) as builder:
+        assert builder.run(out=Stream()) == c.total_length
+        assert len(pieces) == np.count_nonzero(builder.store.sizes) > 1
+    assert b"".join(pieces) == naive_bwt(c)
+
+
 def test_every_small_collection_over_two_letters(tmp_path):
     # bounded-exhaustive: every collection of 1 to 3 words of length 1 to 3
     # over {A, C}, duplicates and every order included. Words shorter than
@@ -540,9 +555,9 @@ def long_tail_words(draw):
 )
 def test_round_paths_match_oracle(words, kappa, backend, rank_chunk, splice_few_max):
     # dense rounds rank their merges a chunk of spliced content at a time:
-    # at a bound of one symbol, of a few and the default. Batches of at most
-    # splice_few_max entries splice in place: none, those of one or two
-    # entries, or every batch of these builds, dense rounds' included
+    # at a bound of one symbol, of a few and the default. Their unranked
+    # batches of at most splice_few_max entries splice in place: none, those
+    # of one or two entries, or every batch of these builds
     c = WordCollection.from_words(words)
     expected = naive_bwt(c)
     for cut in ROUND_PATHS.values():
@@ -551,6 +566,54 @@ def test_round_paths_match_oracle(words, kappa, backend, rank_chunk, splice_few_
             mp.setattr(buckets, "RANK_CHUNK", rank_chunk)
             mp.setattr(buckets, "SPLICE_FEW_MAX", splice_few_max)
             assert build(c, Config(kappa=kappa, backend=backend, threads=2)) == expected, cut
+
+
+def _record_merges(mp, merges):
+    """Wrap ``merge_insert`` on both backends so that every call appends
+    (want_ranks, positions, symbols) to ``merges``."""
+    real = buckets.BucketStore.merge_insert
+
+    def merge_insert(self, ordinal, positions, syms, base, want_ranks=True):
+        merges.append((want_ranks, positions, syms))
+        return real(self, ordinal, positions, syms, base, want_ranks)
+
+    mp.setattr(buckets.BucketStore, "merge_insert", merge_insert)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    words=long_tail_words(),
+    more=st.lists(st.text(alphabet="ACGT", min_size=1, max_size=8), max_size=48),
+    kappa=st.integers(3, 8),
+    backend=st.sampled_from(["memory", "external"]),
+)
+def test_merges_take_one_form_per_round_kind(words, more, kappa, backend):
+    # sparse rounds merge ranked, as Python int lists of at most SPARSE_MAX
+    # entries; dense rounds, the terminator round included, merge unranked,
+    # as arrays. With more than SPARSE_MAX words the last rounds are dense
+    c = WordCollection.from_words(words + more)
+    merges = []
+    with pytest.MonkeyPatch.context() as mp:
+        _record_merges(mp, merges)
+        assert build(c, Config(kappa=kappa, backend=backend)) == naive_bwt(c)
+    for ranked, positions, syms in merges:
+        if ranked:
+            assert type(positions) is type(syms) is list and len(syms) <= engine.SPARSE_MAX
+        else:
+            assert type(positions) is type(syms) is np.ndarray
+
+
+@pytest.mark.parametrize("backend", engine.BACKENDS)
+def test_copies_of_one_word_merge_sparse_max_ranked_entries_into_one_bucket(backend, monkeypatch):
+    # 32 copies of one word share every context, so each sparse round
+    # merges all 32 into one bucket, ranked: the largest merge a sparse
+    # round makes
+    word = "".join(random.Random(58).choice("ACGT") for _ in range(300))
+    c = WordCollection.from_words([word] * engine.SPARSE_MAX)
+    merges = []
+    _record_merges(monkeypatch, merges)
+    assert build(c, Config(kappa=3, backend=backend)) == naive_bwt(c)
+    assert [len(syms) for ranked, _, syms in merges if ranked] == [engine.SPARSE_MAX] * len(word)
 
 
 _DNA = st.text(alphabet="ACGT", min_size=1, max_size=12)
