@@ -2,19 +2,21 @@
 
 Each of the 2**kappa buckets holds one contiguous segment of the partial
 transform, at the start of a slot sized for its final content. A merge
-splices the new symbols into the bucket's content, in RAM inside the slot
-itself and on disk inside a bytearray of the unpacked bucket, which is
-then packed and written back. A ranked merge, as a sparse round makes it,
-gives its entries as Python int lists, at most ``SPARSE_MAX`` of them, and
-is spliced in place (:func:`_splice_in_place`), which counts each entry's
+splices the new symbols into the bucket's content: in RAM inside the slot
+itself, on disk inside a bytearray of unpacked codes, which is then packed
+and written back. A ranked merge, as a sparse round makes it, gives its
+entries as Python int lists, at most ``SPARSE_MAX`` of them, and is
+spliced in place (:func:`_splice_in_place`), which counts each entry's
 rank as it goes. An unranked merge, as a dense round makes it, gives
 arrays: at most ``SPLICE_FEW_MAX`` entries are spliced in place, more by
-one scatter and one masked copy (:func:`_splice`), and the dense round's
-ranks are counted on the spliced contents, a chunk of consecutive merges
-at a time. Every check of a merge runs before any of its bytes is read or
-moved. Terminators are only ever inserted in the final round; on both
-backends their positions go into a per-bucket side list and are spliced
-in when the bucket is read.
+one scatter and one masked copy into the bucket's region (:func:`_splice`).
+A dense round's merges go a chunk of consecutive buckets at a time, and
+their ranks are counted on the chunk's spliced contents in one pass
+(:func:`_chunk_ranks`); on disk the chunk is also the unit of I/O, loaded
+into one bytearray before its merges and stored after them. Every check of
+a merge runs before any of its bytes is read or moved. Terminators are
+only ever inserted in the final round; on both backends their positions
+go into a per-bucket side list and are spliced in when the bucket is read.
 """
 from __future__ import annotations
 
@@ -35,8 +37,8 @@ SPLICE_FEW_MAX = 16
 # measured, see README
 COUNT_NUMPY_MIN = 1 << 12
 
-# merge_many ranks the spliced contents of consecutive merges once they hold
-# this many symbols; measured, see README
+# merge_many merges and ranks a dense round's buckets a chunk at a time: those
+# whose regions start in one window of this many symbols; measured, see README
 RANK_CHUNK = 1 << 18
 
 
@@ -53,65 +55,71 @@ def context_symbols(kappa: int) -> int:
     return (kappa + 1) // 2
 
 
-def _splice(old: np.ndarray, local: np.ndarray, syms: np.ndarray) -> np.ndarray:
+def _splice(old: np.ndarray, local: np.ndarray, syms: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
     """Splice ``syms`` into ``old`` at post-insertion positions ``local``, into
-    a new array: one scatter of the batch and one masked copy of ``old``."""
-    n0, k = len(old), len(local)
-    new = np.empty(n0 + k, dtype=old.dtype)
-    new[local] = syms
-    mask = np.ones(n0 + k, dtype=bool)
+    ``out``, which holds ``len(old) + len(local)`` symbols and does not
+    overlap ``old``, or into a new array: one scatter of the batch and one
+    masked copy of ``old``. Returns the spliced array."""
+    n = len(old) + len(local)
+    if out is None:
+        out = np.empty(n, dtype=old.dtype)
+    out[local] = syms
+    mask = np.ones(n, dtype=bool)
     mask[local] = False
-    new[mask] = old
-    return new
+    out[mask] = old
+    return out
 
 
-# rank capture reads 64 symbols per little-endian uint64 word of packed bits
+# rank capture reads 64 symbols per little-endian uint64 word of bit planes
 _WORD = np.dtype("<u8")
-_ONE = np.uint64(1)
+_ALL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+
+# per count of codes in a partly filled packed byte, the mask of their bits
+_KEEP = np.array([0xFF, 0xC0, 0xF0, 0xFC], dtype=np.uint8)
 
 
-def _counts_before(content: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Per point p, the counts of A, C, G and T in ``content[:p]``, as rows
-    0 to 3 of an int64 array.
+def _chunk_ranks(content: np.ndarray, starts: np.ndarray, local: np.ndarray, syms: np.ndarray,
+                 owner: np.ndarray) -> np.ndarray:
+    """Ranks of the entries of consecutive merges from one pass over their
+    spliced contents: bucket b's content starts at ``content[starts[b]]``,
+    and entry i, symbol ``syms[i]``, sits ``local[i]`` symbols into bucket
+    ``owner[i]``. An entry's rank is the count of its symbol before it minus
+    the count before its bucket's start, so whatever lies between the
+    buckets' contents cancels out.
 
-    ``points`` is not empty and lies in ``0..len(content)``. A, C and G are
-    counted on packed bits: a comparison gives one bit per symbol, read as
-    uint64 words of 64 symbols, and one cumsum of the words' popcounts
-    gives the count before each word. A point adds the popcount of its own
-    word below its bit. T is what remains of the position, so the content
-    read, up to the largest point, must hold only A, C, G and T.
+    Counts come from four bit planes, one per symbol, in uint64 words of 64
+    symbols: the codes' low and high bits are packed (``np.packbits``) and
+    combined word by word, and one cumsum of the words' popcounts, the four
+    planes interleaved, gives each plane's count through every word. An
+    entry looks up only its own symbol's plane and each bucket start all
+    four: the count through the word, less the popcount of the word's bits
+    from the point on. The content read, up to the last entry, must hold
+    only A, C, G and T.
     """
+    points = starts[owner] + local
     seen = content[: int(points.max()) + 1]
-    if seen.size and seen.max() > 3:
+    if seen.max() > 3:
         raise ConsistencyError("rank capture over a symbol code above T")
     n_words = len(seen) // 64 + 1
-    bits = np.zeros(8 * n_words, dtype=np.uint8)
-    words = bits.view(_WORD)
-    word_of = points >> 6
-    below = (_ONE << (points & 63).astype(np.uint64)) - _ONE
-    before = np.zeros(n_words + 1, dtype=np.int64)
-    counts = np.empty((4, len(points)), dtype=np.int64)
-    for c in range(3):
-        bits[: (len(seen) + 7) // 8] = np.packbits(seen == c, bitorder="little")
-        np.cumsum(np.bitwise_count(words), out=before[1:])
-        counts[c] = before[word_of] + np.bitwise_count(words[word_of] & below)
-    counts[3] = points - counts[:3].sum(axis=0)
-    return counts
-
-
-def _chunk_ranks(held: list[np.ndarray], local: np.ndarray, syms: np.ndarray,
-                 bounds: np.ndarray) -> np.ndarray:
-    """Ranks of the entries of consecutive merges from one pass over their
-    spliced contents ``held``: entries ``bounds[b] : bounds[b + 1]``, at
-    ``local`` positions, went into ``held[b]``. An entry's rank is the count
-    of its symbol before it in the concatenation minus the count before its
-    bucket's start."""
-    sizes = [len(h) for h in held]
-    starts = np.cumsum(sizes) - sizes
-    owner = np.repeat(np.arange(len(held)), np.diff(bounds))
-    k = len(local)
-    counts = _counts_before(np.concatenate(held), np.concatenate([local + starts[owner], starts]))
-    return counts[syms, np.arange(k)] - counts[syms, k + owner]
+    bits = np.zeros((2, 8 * n_words), dtype=np.uint8)
+    n_bytes = (len(seen) + 7) // 8
+    bits[0, :n_bytes] = np.packbits((seen & 1).view(bool), bitorder="little")
+    bits[1, :n_bytes] = np.packbits((seen >> 1).view(bool), bitorder="little")
+    low, high = bits.view(_WORD)
+    planes = np.empty((n_words, 4), dtype=_WORD)
+    np.bitwise_and(low, high, out=planes[:, 3])
+    np.bitwise_xor(low, planes[:, 3], out=planes[:, 1])
+    np.bitwise_xor(high, planes[:, 3], out=planes[:, 2])
+    np.bitwise_or(low, high, out=planes[:, 0])
+    np.invert(planes[:, 0], out=planes[:, 0])
+    through = np.cumsum(np.bitwise_count(planes), axis=0, dtype=np.int64).ravel()
+    # the entries, each in its own plane, then every plane at each bucket start
+    at = np.concatenate([points, np.repeat(starts, 4)])
+    flat = (at >> 6 << 2) + np.concatenate([syms, np.tile(np.arange(4), len(starts))])
+    counts = through[flat] - np.bitwise_count(planes.ravel()[flat] & (_ALL << (at & 63).astype(np.uint64)))
+    k = len(points)
+    return counts[:k] - counts[k + 4 * owner + syms]
 
 
 def _splice_in_place(buf: bytearray, at: int, n0: int, ps: list[int], ss: list[int],
@@ -190,6 +198,9 @@ class BucketStore:
         self.sizes = np.zeros(len(self.final), dtype=np.int64)
         self.tmp_dir = tmp_dir
         self._dollars: dict[int, np.ndarray] = {}
+        # (bytearray, its uint8 view, {ordinal: region offset}) of the chunk
+        # that merge_many has staged on disk, else None
+        self._staged = None
         self.bytes_read = 0
         self.bytes_written = 0
         self._fd = None
@@ -225,30 +236,104 @@ class BucketStore:
         With ``want_ranks``, a round holding a terminator, or whose ordinals
         do not strictly increase, is refused before any bucket changes: in
         RAM a spliced content is a view of its slot, which a second merge
-        into that bucket would overwrite before it is ranked. The spliced
-        contents are held until they reach ``RANK_CHUNK`` symbols, then
-        ranked in one pass over their concatenation (:func:`_chunk_ranks`).
+        into that bucket would overwrite before it is ranked. The buckets
+        then go a chunk at a time: each bucket's region holds its content
+        after the merge, rounded up to whole packed bytes on disk, and a
+        chunk is the buckets whose regions start in one window of
+        ``RANK_CHUNK`` symbols. In RAM a chunk's spliced contents are joined
+        and ranked in one pass (:func:`_chunk_ranks`); on disk the chunk is
+        loaded into one bytearray, merged there, ranked, and stored
+        (:meth:`_merge_staged`). Unranked, as the terminator round merges,
+        each bucket is merged alone.
         """
-        if want_ranks:
-            if not (ordinals[1:] > ordinals[:-1]).all():
-                raise ConsistencyError("ranked merges must name each bucket once, in increasing order")
-            if syms.size and syms.max() > 3:
-                raise ConsistencyError("rank capture over a symbol code above T")
-            local = positions - np.repeat(bases, np.diff(bounds))
-            ranks = np.empty(len(syms), dtype=np.int64)
-        b, last = bounds.tolist(), len(ordinals) - 1
-        held, first, n_held = [], 0, 0
-        for i, (o, base) in enumerate(zip(ordinals.tolist(), bases.tolist())):
-            new = self.merge_insert(o, positions[b[i] : b[i + 1]], syms[b[i] : b[i + 1]], base, False)
-            if not want_ranks:
+        b = bounds.tolist()
+        merges = [(o, positions[lo:hi], syms[lo:hi], base)
+                  for o, base, lo, hi in zip(ordinals.tolist(), bases.tolist(), b, b[1:])]
+        if not want_ranks:
+            for merge in merges:
+                self.merge_insert(*merge, False)
+            return None
+        if not (ordinals[1:] > ordinals[:-1]).all():
+            raise ConsistencyError("ranked merges must name each bucket once, in increasing order")
+        if syms.size and syms.max() > 3:
+            raise ConsistencyError("rank capture over a symbol code above T")
+        counts = np.diff(bounds)
+        owner = np.repeat(np.arange(len(ordinals)), counts)
+        local = positions - bases[owner]
+        n0 = self.sizes[ordinals]
+        ends = n0 + counts
+        rooms = ends if self.tmp_dir is None else (ends + 3) & -4
+        at = np.cumsum(rooms) - rooms
+        cuts = [*np.flatnonzero(np.diff(at // RANK_CHUNK, prepend=-1)).tolist(), len(ordinals)]
+        ranks = np.empty(len(syms), dtype=np.int64)
+        for first, stop in zip(cuts, cuts[1:]):
+            starts = at[first:stop] - at[first]
+            if self.tmp_dir is None:
+                content = np.concatenate([self.merge_insert(*m, False) for m in merges[first:stop]])
+            else:
+                content = self._merge_staged(merges[first:stop], starts, n0[first:stop], ends[first:stop])
+            lo, hi = b[first], b[stop]
+            ranks[lo:hi] = _chunk_ranks(content[: starts[-1] + ends[stop - 1]], starts,
+                                        local[lo:hi], syms[lo:hi], owner[lo:hi] - first)
+        return ranks
+
+    def _merge_staged(self, merges: list, at: np.ndarray, n0: np.ndarray, n1: np.ndarray) -> np.ndarray:
+        """Merge a chunk of buckets on disk and return its unpacked codes.
+
+        Bucket ``merges[i][0]`` grows from ``n0[i]`` to ``n1[i]`` symbols in
+        the region at ``at[i]`` (a multiple of 4) of one bytearray: its
+        packed bytes are read there with one ``os.preadv`` each, and the
+        whole is unpacked once. Each bucket's :meth:`merge_insert` splices
+        inside its region; then the chunk is packed once and each bucket
+        written back with one ``os.pwrite``. If a merge is refused, the
+        buckets merged before it are stored first, so that every bucket's
+        file content matches ``sizes``.
+        """
+        ordinals = [m[0] for m in merges]
+        at4, old4 = at >> 2, (n0 + 3) >> 2
+        packed = np.zeros(int(at4[-1] + ((n1[-1] + 3) >> 2)), dtype=np.uint8)
+        view, fd, start, preadv = memoryview(packed), self._fd, self._start, os.preadv
+        for o, a, w in zip(ordinals, at4.tolist(), old4.tolist()):
+            if not w:
                 continue
-            held.append(new)
-            n_held += len(new)
-            if n_held >= RANK_CHUNK or i == last:
-                lo, hi = b[first], b[i + 1]
-                ranks[lo:hi] = _chunk_ranks(held, local[lo:hi], syms[lo:hi], bounds[first : i + 2] - lo)
-                held, first, n_held = [], i + 1, 0
-        return ranks if want_ranks else None
+            try:
+                got = preadv(fd, [view[a : a + w]], start[o])
+            except OSError as exc:
+                raise BucketIOError(f"bucket {o}: {exc}") from exc
+            if got != w:
+                raise BucketIOError(f"bucket {o}: read {got} of {w} bytes")
+            self.bytes_read += w
+        # the bits past a content in its last byte, which a splice may leave
+        # in place, are packed with the chunk: they must be zero
+        part = (n0 & 3) > 0
+        packed[(at4 + old4 - 1)[part]] &= _KEEP[n0[part] & 3]
+        buf = bytearray(4 * len(packed))
+        codes = np.frombuffer(buf, dtype=np.uint8)
+        _unpack(packed, len(buf), out=codes)
+        self._staged = buf, codes, dict(zip(ordinals, at.tolist()))
+        done = 0
+        try:
+            for merge in merges:
+                self.merge_insert(*merge, False)
+                done += 1
+        finally:
+            self._staged = None
+            if done:
+                self._store(_pack(codes), ordinals[:done], ((n1 + 3) >> 2).tolist(), at4.tolist())
+        return codes
+
+    def _store(self, packed: np.ndarray, ordinals: list[int], nbytes: list[int], at: list[int]) -> None:
+        """Write bucket ``ordinals[i]``'s ``nbytes[i]`` packed bytes, from byte
+        ``at[i]`` of ``packed``, to its slot."""
+        view, fd, start, pwrite = memoryview(packed), self._fd, self._start, os.pwrite
+        for o, w, a in zip(ordinals, nbytes, at):
+            try:
+                short = pwrite(fd, view[a : a + w], start[o]) != w
+            except OSError as exc:
+                raise BucketIOError(f"bucket {o}: {exc}") from exc
+            if short:
+                raise BucketIOError(f"bucket {o}: short write")
+            self.bytes_written += w
 
     def merge_insert(self, ordinal, tree_positions, syms, base, want_ranks=True):
         """Insert ``syms`` at ``tree_positions - base``.
@@ -257,11 +342,16 @@ class BucketStore:
         pass them; the batch is spliced in place and each entry's rank (see
         :func:`_splice_in_place`) comes back in a list. Unranked, they are
         arrays, as :meth:`merge_many` passes them, and the bucket's spliced
-        content comes back, in RAM a view of its slot. A pure unranked
+        content comes back, a view of where it was spliced. A pure unranked
         terminator batch goes to the side list and returns None; it must be
         the bucket's last merge, since the side list holds final positions
         that a later merge would shift. Every check runs before any byte of
         the bucket is read.
+
+        The content is spliced in RAM inside the bucket's slot, or, on disk,
+        inside the region of the chunk that :meth:`merge_many` staged, which
+        then stores it, or else inside a bytearray of the bucket alone, read
+        before the splice and written back after it.
         """
         if ordinal in self._dollars:
             raise ConsistencyError(
@@ -280,7 +370,10 @@ class BucketStore:
             self.sizes[ordinal] = n0 + k
             return None
         # the content goes to buf[at : at + n0], with room for k more after it
-        if self.tmp_dir is None:
+        if self._staged is not None:
+            buf, codes, regions = self._staged
+            at = regions[ordinal]
+        elif self.tmp_dir is None:
             buf, codes, at = self._buf, self._codes, self._start[ordinal]
             self.bytes_read += n0
         else:
@@ -290,19 +383,13 @@ class BucketStore:
         if in_place:
             ranks = _splice_in_place(buf, at, n0, local, syms, want_ranks)
         else:
-            p0 = int(local[0])  # the content before the first entry is unchanged
-            codes[at + p0 : at + n0 + k] = _splice(codes[at : at + n0], local, syms)[p0:]
-        if self.tmp_dir is None:
-            self.bytes_written += n0 + k
-        else:
-            packed = _pack(codes)
-            try:
-                short = os.pwrite(self._fd, packed, self._start[ordinal]) != len(packed)
-            except OSError as exc:
-                raise BucketIOError(f"bucket {ordinal}: {exc}") from exc
-            if short:
-                raise BucketIOError(f"bucket {ordinal}: short write")
-            self.bytes_written += len(packed)
+            p0 = int(local[0])  # the content before the first entry stays in place
+            _splice(codes[at + p0 : at + n0].copy(), local - p0, syms, codes[at + p0 : at + n0 + k])
+        if self._staged is None:
+            if self.tmp_dir is None:
+                self.bytes_written += n0 + k
+            else:
+                self._store(_pack(codes), [ordinal], [(n0 + k + 3) // 4], [0])
         self.sizes[ordinal] = n0 + k
         return ranks if want_ranks else codes[at : at + n0 + k]
 

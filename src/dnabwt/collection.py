@@ -96,10 +96,14 @@ def _pack(codes: np.ndarray) -> np.ndarray:
     return packed
 
 
-def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` codes of ``packed``, in place in one uint32 copy."""
-    quads = packed.astype(_QUAD)
-    quads *= _SPREAD
+def _unpack(packed: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The first ``n`` codes of ``packed``, in place in one uint32 copy: a new
+    one, or ``out``, a uint8 array of four codes per packed byte."""
+    if out is None:
+        quads = packed.astype(_QUAD)
+        quads *= _SPREAD
+    else:
+        quads = np.multiply(packed, _SPREAD, out=out.view(_QUAD))
     quads >>= 6
     quads &= 0x03030303
     return quads.view(np.uint8)[:n]

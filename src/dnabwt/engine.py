@@ -274,7 +274,10 @@ class BwtBuilder:
         if t == M:
             return None
 
-        acc = np.repeat(racc, np.diff(bounds), axis=0)[np.arange(len(syms)), syms]
+        # each word's accumulator for its own symbol, one flat gather from the
+        # touched buckets' rows of five
+        owner = np.repeat(np.arange(len(uniq)), np.diff(bounds))
+        acc = racc.ravel()[owner * 5 + syms]
         nxt = next_positions(self.tree.counters, ctx >> top_shift, syms, acc, captured, alpha_next)
         ctx = (syms.astype(np.int64) << top_shift) | (ctx >> 2)
         return stable_radix_step(syms, j_arr, nxt, ctx)

@@ -1,3 +1,4 @@
+import errno
 import itertools
 import os
 import random
@@ -161,18 +162,35 @@ def _naive_counts(content, points):
     return [[content[:p].count(c) for p in points] for c in range(4)]
 
 
+def _counts(content, points):
+    """Rows 0 to 3: the counts of A, C, G and T in ``content[:p]`` per point
+    p, by the rank kernel, each point asked once per symbol, in one bucket
+    that starts at 0."""
+    points = np.asarray(points, dtype=np.int64)
+    k = len(points)
+    ranks = buckets._chunk_ranks(np.asarray(content, dtype=np.uint8), np.zeros(1, dtype=np.int64),
+                                 np.tile(points, 4), np.repeat(np.arange(4), k), np.zeros(4 * k, dtype=np.int64))
+    assert ranks.dtype == np.int64
+    return ranks.reshape(4, k)
+
+
 def _check_splice(old, positions, syms, count_ranks):
-    # the copying splice, and with count_ranks the rank kernel over its
-    # result: every count before each entry, and so each entry's rank
+    # the copying splice, into a new array and into a region between guard
+    # bytes, and with count_ranks the rank kernel over its result: every
+    # count before each entry, and so each entry's rank
     expected, expected_ranks = naive_splice(old, positions, syms)
-    new = buckets._splice(np.array(old, dtype=np.uint8), np.array(positions, dtype=np.int64),
-                          np.array(syms, dtype=np.uint8))
+    args = np.array(old, dtype=np.uint8), np.array(positions, dtype=np.int64), np.array(syms, dtype=np.uint8)
+    new = buckets._splice(*args)
     assert new.tolist() == expected
+    region = np.full(len(expected) + 2, GUARD, dtype=np.uint8)
+    assert buckets._splice(*args, out=region[1:-1]).base is region
+    assert region.tolist() == [GUARD, *expected, GUARD]
     if count_ranks:
-        counts = buckets._counts_before(new, np.array(positions, dtype=np.int64))
-        assert counts.dtype == np.int64
+        counts = _counts(new, positions)
         assert counts.tolist() == _naive_counts(expected, positions)
         assert counts[syms, np.arange(len(syms))].tolist() == expected_ranks
+        owner = np.zeros(len(syms), dtype=np.int64)
+        assert buckets._chunk_ranks(new, owner[:1], args[1], args[2], owner).tolist() == expected_ranks
 
 
 @pytest.mark.parametrize("count_ranks", [True, False])
@@ -216,7 +234,7 @@ def test_splice_numpy_ranks_past_three_count_fields():
     expected[:n0] = old.tobytes()
     expected_ranks = buckets._splice_in_place(expected, 0, n0, positions.tolist(), syms.tolist(), True)
     assert new.tobytes() == bytes(expected)
-    counts = buckets._counts_before(new, positions)
+    counts = _counts(new, positions)
     assert counts.tolist() == [[expected.count(c, 0, p) for p in positions.tolist()] for c in range(4)]
     assert counts[syms, np.arange(k)].tolist() == expected_ranks
 
@@ -281,8 +299,7 @@ def test_in_place_splice_matches_naive_splice_between_guard_bytes(count_numpy_mi
                     assert after[:start] == before[:start] and after[end:] == before[end:]
                     assert store.read(ordinal).tolist() == expected
                     if want_ranks:
-                        counted = buckets._counts_before(np.array(expected, dtype=np.uint8),
-                                                         np.array(positions, dtype=np.int64))
+                        counted = _counts(expected, positions)
                         assert out == expected_ranks == counted[syms, np.arange(k)].tolist()
                     else:
                         assert out.tolist() == expected
@@ -367,9 +384,9 @@ def test_rank_capture_rejects_codes_above_t(tmp_path):
     # merge or round refuses one among its entries
     old = np.zeros(40, dtype=np.uint8)
     old[5] = DOLLAR
-    assert buckets._counts_before(old, np.array([4])).tolist() == [[4], [0], [0], [0]]
+    assert _counts(old, [4]).tolist() == [[4], [0], [0], [0]]
     with pytest.raises(ConsistencyError, match="above T"):
-        buckets._counts_before(old, np.array([2, 6]))
+        _counts(old, [2, 6])
     k = 20
     positions = np.arange(20, 20 + k, dtype=np.int64)
     syms = np.full(k, 3, dtype=np.uint8)
@@ -409,8 +426,8 @@ def test_merge_many_ranks_equal_per_batch_ranks_at_any_chunk_bound(chunk, tmp_pa
     # splices of each batch alone
     monkeypatch.setattr(buckets, "RANK_CHUNK", chunk)
     passes = []
-    count = buckets._counts_before
-    monkeypatch.setattr(buckets, "_counts_before", lambda c, p: passes.append(len(c)) or count(c, p))
+    rank = buckets._chunk_ranks
+    monkeypatch.setattr(buckets, "_chunk_ranks", lambda c, *a: passes.append(len(c)) or rank(c, *a))
     for trial, (fill, batches) in enumerate(_merge_many_cases(random.Random(39), SLOT)):
         expected_ranks, expected = [], {o: list(c) for o, c in fill.items()}
         for o, positions, syms, base in batches:
@@ -426,8 +443,123 @@ def test_merge_many_ranks_equal_per_batch_ranks_at_any_chunk_bound(chunk, tmp_pa
             assert captured.tolist() == expected_ranks
             assert [store.read(o).tolist() for o in range(16)] == [expected[o] for o in range(16)]
             store.close()
-    # a pass reads less than one chunk bound plus the bucket that reached it
+    # a pass reads less than one chunk bound plus its last bucket
     assert passes and max(passes) < chunk + SLOT
+
+
+def _io_state(store):
+    """Every slot byte, the sizes and both I/O counts."""
+    return _slot_bytes(store), store.sizes.tolist(), store.bytes_read, store.bytes_written
+
+
+def _fill(store, fill):
+    for o, codes in fill.items():
+        if len(codes):
+            store.merge_insert(o, np.arange(len(codes), dtype=np.int64), np.array(codes, dtype=np.uint8),
+                               base=0, want_ranks=False)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, buckets.RANK_CHUNK])
+def test_external_merge_many_equals_per_bucket_merges(chunk, tmp_path, monkeypatch):
+    # on disk merge_many loads, merges and stores a chunk of buckets at a
+    # time. It leaves the store as unranked merge_insert calls, one per
+    # bucket, leave it: contents, sizes, both I/O counts and every byte of
+    # the bucket file, even where the file held set bits past a content.
+    # Rounds touch empty and prefilled buckets, buckets larger than a small
+    # chunk bound and one larger than the default bound
+    monkeypatch.setattr(buckets, "RANK_CHUNK", chunk)
+    final = np.full(16, SLOT)
+    final[9] = (1 << 18) + 300
+    rng = random.Random(41)
+    cases = list(_merge_many_cases(rng, SLOT))
+    big = {o: [rng.randrange(4) for _ in range(n)] for o, n in ((3, 5), (9, (1 << 18) + 200), (12, 0))}
+    cases.append((big, [(o, np.array(sorted(rng.sample(range(len(c) + 40), 40))) + 7,
+                         np.array([rng.randrange(4) for _ in range(40)], dtype=np.uint8), 7)
+                        for o, c in sorted(big.items())]))
+    for trial, (fill, batches) in enumerate(cases):
+        expected_ranks = []
+        for o, positions, syms, base in batches:
+            expected_ranks += naive_splice(fill.get(o, []), (positions - base).tolist(), syms.tolist())[1]
+        chunked = buckets.BucketStore(final, str(tmp_path / f"chunked{trial}"))
+        alone = buckets.BucketStore(final, str(tmp_path / f"alone{trial}"))
+        for store in (chunked, alone):
+            _fill(store, fill)
+            # set the bits past each content in its last byte, which a
+            # merge must write back as zeros
+            for o, codes in fill.items():
+                if len(codes) % 4:
+                    at = store._start[o] + len(codes) // 4
+                    byte = os.pread(store._fd, 1, at)[0]
+                    os.pwrite(store._fd, bytes([byte | 0xFF >> 2 * (len(codes) % 4)]), at)
+        assert _io_state(chunked) == _io_state(alone)
+        assert chunked.merge_many(*_round_arrays(batches)).tolist() == expected_ranks
+        for o, positions, syms, base in batches:
+            alone.merge_insert(o, positions, syms, base, False)
+        assert _io_state(chunked) == _io_state(alone)
+        assert all((chunked.read(o) == alone.read(o)).all() for o in range(16))
+        chunked.close()
+        alone.close()
+
+
+def test_terminator_round_makes_no_bucket_io(tmp_path, monkeypatch):
+    # the terminator round loads nothing: its batches go to the side list
+    store = ExternalBucketStore(3, str(tmp_path / "dollars"))
+    _fill(store, {1: [0, 1, 2], 4: [3] * 9})
+    calls = []
+    for name in ("pread", "preadv", "pwrite"):
+        monkeypatch.setattr(os, name, lambda *a, name=name: calls.append(name))
+    dollars = [(1, [0, 3], [DOLLAR] * 2, 0), (4, [9], [DOLLAR], 0)]
+    assert store.merge_many(*_round_arrays(dollars), False) is None
+    assert calls == []
+    monkeypatch.undo()
+    assert store.read(1).tolist() == [DOLLAR, 0, 1, DOLLAR, 2]
+    assert store.read(4).tolist() == [3] * 9 + [DOLLAR]
+    store.close()
+
+
+@pytest.mark.parametrize("n", [64, 65, 127, 1024, 1025, 1087])
+def test_chunk_ranks_match_naive_counts_at_word_edges(n):
+    # content lengths of 0, 1 and 63 mod 64 symbols, bucket starts on word
+    # edges or anywhere, entries at 0 and at the content's end: each rank
+    # is the count of the entry's symbol from its bucket's start to it
+    rng = np.random.default_rng(n)
+    content = rng.integers(0, 4, n, dtype=np.uint8)
+    edges = np.arange(0, n, 64)
+    anywhere = np.unique(np.concatenate([[0], rng.integers(1, n, 6)]))
+    for starts in (edges, anywhere, np.zeros(1, dtype=np.int64)):
+        for _ in range(10):
+            points = np.unique(np.concatenate([[0, n - 1], starts, rng.integers(0, n, 12)]))
+            owner = np.searchsorted(starts, points, side="right") - 1
+            syms = rng.integers(0, 4, len(points)).astype(np.uint8)
+            expected = [content[starts[o] : p].tolist().count(c) for p, o, c in zip(points, owner, syms)]
+            ranks = buckets._chunk_ranks(content, starts, points - starts[owner], syms, owner)
+            assert ranks.tolist() == expected
+
+
+def test_merge_many_refused_third_batch_stores_the_first_two(tmp_path):
+    # a round refused at its third bucket leaves the first two as merges of
+    # each alone leave them, on disk written back from the chunk, and the
+    # third untouched, on both backends. Only the read count differs on
+    # disk, as the chunk's load read the third bucket too
+    fill = {0: [1, 2, 3], 2: list(range(4)) * 5, 5: [2] * 7}
+    batches = [(0, np.array([0, 4]), np.array([3, 3], dtype=np.uint8), 0),
+               (2, np.arange(20) + 1, np.arange(20, dtype=np.uint8) % 4, 0),
+               (5, np.array([0, 9]), np.array([1, 1], dtype=np.uint8), 0)]
+    for trial, stores in enumerate(([MemoryBucketStore(3) for _ in range(2)],
+                                    [ExternalBucketStore(3, str(tmp_path / f"s{i}")) for i in range(2)])):
+        chunked, alone = stores
+        for store in stores:
+            _fill(store, fill)
+        with pytest.raises(ConsistencyError, match="bucket 5: insert positions"):
+            chunked.merge_many(*_round_arrays(batches))
+        for o, positions, syms, base in batches[:2]:
+            alone.merge_insert(o, positions, syms, base, False)
+        state, alone_state = _io_state(chunked), _io_state(alone)
+        assert (state[:2], state[3]) == (alone_state[:2], alone_state[3])
+        assert state[2] == alone_state[2] + (chunked.tmp_dir is not None) * 2
+        assert chunked.read(5).tolist() == [2] * 7
+        for store in stores:
+            store.close()
 
 
 def test_merge_insert_rank_capture_counts_copied_and_inserted(tmp_path):
@@ -533,6 +665,32 @@ def test_short_bucket_io_raises_instead_of_short_content(tmp_path, monkeypatch):
     with pytest.raises(BucketIOError, match="short write"):
         store.merge_insert(4, list(range(5)), [0] * 5, base=0)
     assert store.sizes[4] == 0 and store.bytes_written == written
+    store.close()
+
+
+def test_chunk_io_errors_name_the_bucket(tmp_path, monkeypatch):
+    # a dense round's chunk reads each bucket with os.preadv and writes it
+    # with os.pwrite: a short count or an OSError from either is a
+    # BucketIOError that names the bucket, and a failed load splices nothing
+    store = ExternalBucketStore(3, str(tmp_path / "chunk"))
+    _fill(store, {2: [0, 1, 2, 3] * 2 + [1], 5: [3] * 6})
+    round_ = _round_arrays([(2, [0], [2], 0), (5, [6], [1], 0)])
+    os.truncate(store._path, 5 * SLOT // 4 + 1)
+    with pytest.raises(BucketIOError, match="bucket 5: read 1 of 2 bytes"):
+        store.merge_many(*round_)
+    assert store.sizes.tolist()[2:6] == [9, 0, 0, 6]
+    os.truncate(store._path, 8 * SLOT // 4)
+    os.pwrite(store._fd, bytes([0xFF, 0xF0]), 5 * SLOT // 4)
+    real_pwrite = os.pwrite
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: real_pwrite(fd, bytes(data)[:-1], offset))
+    with pytest.raises(BucketIOError, match="bucket 2: short write"):
+        store.merge_many(*round_)
+    def preadv(fd, buffers, offset):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(os, "preadv", preadv)
+    with pytest.raises(BucketIOError, match=f"bucket 2: .*{os.strerror(errno.EIO)}"):
+        store.merge_many(*_round_arrays([(2, [0], [2], 0)]))
     store.close()
 
 

@@ -107,6 +107,45 @@ def test_cmd_build_disk_error_is_reported_and_cleaned_up(tmp_path, capsys, monke
     assert not outp.exists()
 
 
+def test_cmd_build_chunk_read_error_is_reported_and_cleaned_up(tmp_path, capsys, monkeypatch):
+    # with more active words than a sparse round takes, the first round is
+    # dense and loads its buckets a chunk at a time: a failed read there is
+    # one error line naming the bucket, and no bucket file is left
+    def preadv(fd, buffers, offset):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(os, "preadv", preadv)
+    rng = random.Random(71)
+    inp, outp, scratch = tmp_path / "in.fasta", tmp_path / "out.bwt", tmp_path / "scratch"
+    _write_fasta(inp, ["".join(rng.choice("ACGT") for _ in range(30)) for _ in range(40)])
+    scratch.mkdir()
+    rc = main(["build", "--input", str(inp), "--output", str(outp),
+               "--backend", "external", "--tmp-dir", str(scratch)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bucket ") and os.strerror(errno.EIO) in err[0]
+    assert list(scratch.iterdir()) == []
+    assert not outp.exists()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in Linux /proc")
+def test_import_starts_no_blas_worker_thread():
+    # no build makes a BLAS call, so importing dnabwt, and numpy with it,
+    # leaves the process its one thread; an explicit setting is kept
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import os, dnabwt; print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["1", "1"]
+    out = subprocess.run([sys.executable, "-c", code], env={**env, "OPENBLAS_NUM_THREADS": "2"},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split()[1] == "2"
+
+
 def test_cmd_build_full_disk_fails_before_round_0(tmp_path, capsys, monkeypatch):
     # the external store allocates its one file before round 0, so a disk
     # too small for the buckets fails there, naming the bytes asked for: one
