@@ -1,22 +1,27 @@
 """Storage of context buckets and the merge insertion.
 
 Each of the 2**kappa buckets holds one contiguous segment of the partial
-transform, at the start of a slot sized for its final content. A merge
-splices the new symbols into the bucket's content: in RAM inside the slot
-itself, on disk inside a bytearray of unpacked codes, which is then packed
-and written back. A ranked merge, as a sparse round makes it, gives its
-entries as Python int lists, at most ``SPARSE_MAX`` of them, and is
-spliced in place (:func:`_splice_in_place`), which counts each entry's
-rank as it goes. An unranked merge, as a dense round makes it, gives
-arrays: at most ``SPLICE_FEW_MAX`` entries are spliced in place, more by
-one scatter and one masked copy into the bucket's region (:func:`_splice`).
-A dense round's merges go a chunk of consecutive buckets at a time, and
-their ranks are counted on the chunk's spliced contents in one pass
-(:func:`_chunk_ranks`); on disk the chunk is also the unit of I/O, loaded
-into one bytearray before its merges and stored after them. Every check of
-a merge runs before any of its bytes is read or moved. Terminators are
-only ever inserted in the final round; on both backends their positions
-go into a per-bucket side list and are spliced in when the bucket is read.
+transform. In RAM, and on disk until the first ranked dense round, a
+bucket's content sits at the start of a slot sized for its final content.
+A merge into one bucket splices the new symbols into its content: in RAM
+inside the slot itself, on disk inside a bytearray of unpacked codes, which
+is then packed and written back. A ranked merge, as a sparse round makes
+it, gives its entries as Python int lists, at most ``SPARSE_MAX`` of them,
+and is spliced in place (:func:`_splice_in_place`), which counts each
+entry's rank as it goes. An unranked merge gives arrays: at most
+``SPLICE_FEW_MAX`` entries are spliced in place, more by one scatter and
+one masked copy into the bucket's region (:func:`_splice`).
+
+A dense round's ranked merges take one of two forms. In RAM they go a chunk
+of consecutive buckets at a time, and their ranks are counted on the
+chunk's spliced contents in one pass (:func:`_chunk_ranks`). On disk the
+round is one pass over the partial transform, held as one gapless packed
+run in bucket order (``BucketStore._pass``): a window of old symbols at a
+time, right to left and in place, each window read, spliced, counted and
+written once. Every check of a merge runs before any of its bytes is read
+or moved. Terminators are only ever inserted in the final round; on both
+backends their positions go into a per-bucket side list and are spliced in
+when the bucket is read.
 """
 from __future__ import annotations
 
@@ -37,8 +42,10 @@ SPLICE_FEW_MAX = 16
 # measured, see README
 COUNT_NUMPY_MIN = 1 << 12
 
-# merge_many merges and ranks a dense round's buckets a chunk at a time: those
-# whose regions start in one window of this many symbols; measured, see README
+# a dense round works a window of this many symbols at a time: in RAM it ranks
+# together the buckets whose contents start in one window, on disk its pass
+# reads, splices, counts and writes one window of old symbols at a time;
+# measured, see README
 RANK_CHUNK = 1 << 18
 
 
@@ -75,30 +82,23 @@ def _splice(old: np.ndarray, local: np.ndarray, syms: np.ndarray,
 _WORD = np.dtype("<u8")
 _ALL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
-# per count of codes in a partly filled packed byte, the mask of their bits
-_KEEP = np.array([0xFF, 0xC0, 0xF0, 0xFC], dtype=np.uint8)
+# the side list of a bucket without terminators, and an empty run of codes
+_NO_DOLLARS = np.empty(0, dtype=np.int64)
+_NO_CODES = np.empty(0, dtype=np.uint8)
 
 
-def _chunk_ranks(content: np.ndarray, starts: np.ndarray, local: np.ndarray, syms: np.ndarray,
-                 owner: np.ndarray) -> np.ndarray:
-    """Ranks of the entries of consecutive merges from one pass over their
-    spliced contents: bucket b's content starts at ``content[starts[b]]``,
-    and entry i, symbol ``syms[i]``, sits ``local[i]`` symbols into bucket
-    ``owner[i]``. An entry's rank is the count of its symbol before it minus
-    the count before its bucket's start, so whatever lies between the
-    buckets' contents cancels out.
+def _counts_before(content: np.ndarray, at: np.ndarray, syms: np.ndarray) -> np.ndarray:
+    """Per point, the count of symbol ``syms[i]`` in ``content[: at[i]]``.
 
     Counts come from four bit planes, one per symbol, in uint64 words of 64
     symbols: the codes' low and high bits are packed (``np.packbits``) and
     combined word by word, and one cumsum of the words' popcounts, the four
-    planes interleaved, gives each plane's count through every word. An
-    entry looks up only its own symbol's plane and each bucket start all
-    four: the count through the word, less the popcount of the word's bits
-    from the point on. The content read, up to the last entry, must hold
-    only A, C, G and T.
+    planes interleaved, gives each plane's count through every word. A
+    point's count is the count through its word, less the popcount of the
+    word's bits from the point on. The content read, up to the last point,
+    must hold only A, C, G and T.
     """
-    points = starts[owner] + local
-    seen = content[: int(points.max()) + 1]
+    seen = content[: int(at.max()) + 1]
     if seen.max() > 3:
         raise ConsistencyError("rank capture over a symbol code above T")
     n_words = len(seen) // 64 + 1
@@ -114,12 +114,35 @@ def _chunk_ranks(content: np.ndarray, starts: np.ndarray, local: np.ndarray, sym
     np.bitwise_or(low, high, out=planes[:, 0])
     np.invert(planes[:, 0], out=planes[:, 0])
     through = np.cumsum(np.bitwise_count(planes), axis=0, dtype=np.int64).ravel()
-    # the entries, each in its own plane, then every plane at each bucket start
-    at = np.concatenate([points, np.repeat(starts, 4)])
-    flat = (at >> 6 << 2) + np.concatenate([syms, np.tile(np.arange(4), len(starts))])
-    counts = through[flat] - np.bitwise_count(planes.ravel()[flat] & (_ALL << (at & 63).astype(np.uint64)))
-    k = len(points)
+    flat = (at >> 6 << 2) + syms
+    return through[flat] - np.bitwise_count(planes.ravel()[flat] & (_ALL << (at & 63).astype(np.uint64)))
+
+
+def _chunk_ranks(content: np.ndarray, starts: np.ndarray, local: np.ndarray, syms: np.ndarray,
+                 owner: np.ndarray) -> np.ndarray:
+    """Ranks of the entries of consecutive merges from one pass over their
+    spliced contents: bucket b's content starts at ``content[starts[b]]``,
+    and entry i, symbol ``syms[i]``, sits ``local[i]`` symbols into bucket
+    ``owner[i]``. An entry's rank is the count of its symbol before it minus
+    the count before its bucket's start, so whatever lies between the
+    buckets' contents cancels out. One :func:`_counts_before` gives both: an
+    entry looks up only its own symbol's plane and each bucket start all
+    four.
+    """
+    k = len(local)
+    counts = _counts_before(content, np.concatenate([starts[owner] + local, np.repeat(starts, 4)]),
+                           np.concatenate([syms, np.tile(np.arange(4), len(starts))]))
     return counts[:k] - counts[k + 4 * owner + syms]
+
+
+def _windows(lo: int, hi: int, step: int, before: np.ndarray) -> tuple[list[int], list[int]]:
+    """Cut old symbols ``lo`` to ``hi`` into windows of ``step``, at least
+    one, and give each the sorted entries that go with it: those inserted
+    before one of its old symbols, and in the last window those at ``hi``.
+    ``before[i]`` is the old symbol entry i goes before. Returns the cuts
+    and the entry bounds, one more of each than windows."""
+    cuts = [*range(lo, hi, step), hi] if hi > lo else [lo, lo]
+    return cuts, [0, *np.searchsorted(before, cuts[1:-1]).tolist(), len(before)]
 
 
 def _splice_in_place(buf: bytearray, at: int, n0: int, ps: list[int], ss: list[int],
@@ -181,16 +204,18 @@ def _check_merge(ordinal: int, local, syms, n0: int, want_ranks: bool, in_place:
 
 
 class BucketStore:
-    """The buckets in fixed slots, in RAM or, given ``tmp_dir``, in one file.
+    """The buckets in RAM or, given ``tmp_dir``, in one file.
 
-    Bucket o's slot holds ``final[o]`` symbols, its size at the end of the
-    build, and its content sits at the start of the slot while it grows.
-    In RAM the slots are one bytearray of plain (A, C, G, T) codes; on disk,
-    one file, ``tmp_dir/buckets.bin``, of ``ceil(final / 4)``-byte slots of
-    2-bit packed symbols (high bits first). Both are allocated in full
-    here, so that too little memory or disk fails before any merge, with
-    the bytes that were asked for. ``bytes_read`` and ``bytes_written``
-    count code bytes in RAM and packed bytes on disk.
+    In RAM, bucket o's content sits at the start of a fixed slot of
+    ``final[o]`` symbols, its size at the end of the build, in one
+    bytearray of plain (A, C, G, T) codes. On disk, one file,
+    ``tmp_dir/buckets.bin``, of 2-bit packed symbols (high bits first),
+    holds ``ceil(final / 4)``-byte slots the same way until the first
+    ranked dense round, which compacts the contents into one gapless run in
+    bucket order from the file's start (:meth:`_pass`). Both are allocated
+    in full here, so that too little memory or disk fails before any
+    merge, with the bytes that were asked for. ``bytes_read`` and
+    ``bytes_written`` count code bytes in RAM and packed bytes on disk.
     """
 
     def __init__(self, final: np.ndarray, tmp_dir: str | None = None):
@@ -198,9 +223,8 @@ class BucketStore:
         self.sizes = np.zeros(len(self.final), dtype=np.int64)
         self.tmp_dir = tmp_dir
         self._dollars: dict[int, np.ndarray] = {}
-        # (bytearray, its uint8 view, {ordinal: region offset}) of the chunk
-        # that merge_many has staged on disk, else None
-        self._staged = None
+        # on disk, once the file is gapless, each bucket's first symbol in it
+        self._begin = None
         self.bytes_read = 0
         self.bytes_written = 0
         self._fd = None
@@ -229,29 +253,26 @@ class BucketStore:
     def merge_many(self, ordinals, bounds, positions, syms, bases, want_ranks=True):
         """Merge a dense round's entries, given as arrays: bucket
         ``ordinals[i]`` takes entries ``bounds[i] : bounds[i + 1]`` of
-        ``positions`` and ``syms``, with base ``bases[i]``. Each bucket is
-        spliced unranked by :meth:`merge_insert`, one at a time, in order, on
-        the calling thread; ranks come back in entry order.
+        ``positions`` and ``syms``, with base ``bases[i]``. Ranks come back
+        in entry order.
 
-        With ``want_ranks``, a round holding a terminator, or whose ordinals
-        do not strictly increase, is refused before any bucket changes: in
-        RAM a spliced content is a view of its slot, which a second merge
-        into that bucket would overwrite before it is ranked. The buckets
-        then go a chunk at a time: each bucket's region holds its content
-        after the merge, rounded up to whole packed bytes on disk, and a
-        chunk is the buckets whose regions start in one window of
-        ``RANK_CHUNK`` symbols. In RAM a chunk's spliced contents are joined
-        and ranked in one pass (:func:`_chunk_ranks`); on disk the chunk is
-        loaded into one bytearray, merged there, ranked, and stored
-        (:meth:`_merge_staged`). Unranked, as the terminator round merges,
-        each bucket is merged alone.
+        Unranked, as the terminator round merges, each bucket goes to
+        :meth:`merge_insert` alone. Ranked, a round holding a terminator, or
+        whose ordinals do not strictly increase, is refused before any
+        bucket changes. On disk the round's entries then go to
+        :meth:`merge_insert` in one call, with one ordinal and base per
+        entry, which merges them in one pass over the file. In RAM each
+        bucket is spliced unranked by :meth:`merge_insert`, which hands back
+        a view of its slot, so a second merge into a bucket would overwrite
+        it before it is ranked. The buckets go a chunk at a time there: a
+        chunk is the buckets whose contents after the merge start in one
+        window of ``RANK_CHUNK`` symbols, and its spliced contents are
+        joined and ranked in one pass (:func:`_chunk_ranks`).
         """
         b = bounds.tolist()
-        merges = [(o, positions[lo:hi], syms[lo:hi], base)
-                  for o, base, lo, hi in zip(ordinals.tolist(), bases.tolist(), b, b[1:])]
         if not want_ranks:
-            for merge in merges:
-                self.merge_insert(*merge, False)
+            for o, base, lo, hi in zip(ordinals.tolist(), bases.tolist(), b, b[1:]):
+                self.merge_insert(o, positions[lo:hi], syms[lo:hi], base, False)
             return None
         if not (ordinals[1:] > ordinals[:-1]).all():
             raise ConsistencyError("ranked merges must name each bucket once, in increasing order")
@@ -259,81 +280,21 @@ class BucketStore:
             raise ConsistencyError("rank capture over a symbol code above T")
         counts = np.diff(bounds)
         owner = np.repeat(np.arange(len(ordinals)), counts)
+        if self.tmp_dir is not None:
+            return self.merge_insert(ordinals[owner], positions, syms, bases[owner])
+        merges = [(o, positions[lo:hi], syms[lo:hi], base)
+                  for o, base, lo, hi in zip(ordinals.tolist(), bases.tolist(), b, b[1:])]
         local = positions - bases[owner]
-        n0 = self.sizes[ordinals]
-        ends = n0 + counts
-        rooms = ends if self.tmp_dir is None else (ends + 3) & -4
-        at = np.cumsum(rooms) - rooms
+        ends = self.sizes[ordinals] + counts
+        at = np.cumsum(ends) - ends
         cuts = [*np.flatnonzero(np.diff(at // RANK_CHUNK, prepend=-1)).tolist(), len(ordinals)]
         ranks = np.empty(len(syms), dtype=np.int64)
         for first, stop in zip(cuts, cuts[1:]):
-            starts = at[first:stop] - at[first]
-            if self.tmp_dir is None:
-                content = np.concatenate([self.merge_insert(*m, False) for m in merges[first:stop]])
-            else:
-                content = self._merge_staged(merges[first:stop], starts, n0[first:stop], ends[first:stop])
+            content = np.concatenate([self.merge_insert(*m, False) for m in merges[first:stop]])
             lo, hi = b[first], b[stop]
-            ranks[lo:hi] = _chunk_ranks(content[: starts[-1] + ends[stop - 1]], starts,
-                                        local[lo:hi], syms[lo:hi], owner[lo:hi] - first)
+            ranks[lo:hi] = _chunk_ranks(content, at[first:stop] - at[first], local[lo:hi], syms[lo:hi],
+                                        owner[lo:hi] - first)
         return ranks
-
-    def _merge_staged(self, merges: list, at: np.ndarray, n0: np.ndarray, n1: np.ndarray) -> np.ndarray:
-        """Merge a chunk of buckets on disk and return its unpacked codes.
-
-        Bucket ``merges[i][0]`` grows from ``n0[i]`` to ``n1[i]`` symbols in
-        the region at ``at[i]`` (a multiple of 4) of one bytearray: its
-        packed bytes are read there with one ``os.preadv`` each, and the
-        whole is unpacked once. Each bucket's :meth:`merge_insert` splices
-        inside its region; then the chunk is packed once and each bucket
-        written back with one ``os.pwrite``. If a merge is refused, the
-        buckets merged before it are stored first, so that every bucket's
-        file content matches ``sizes``.
-        """
-        ordinals = [m[0] for m in merges]
-        at4, old4 = at >> 2, (n0 + 3) >> 2
-        packed = np.zeros(int(at4[-1] + ((n1[-1] + 3) >> 2)), dtype=np.uint8)
-        view, fd, start, preadv = memoryview(packed), self._fd, self._start, os.preadv
-        for o, a, w in zip(ordinals, at4.tolist(), old4.tolist()):
-            if not w:
-                continue
-            try:
-                got = preadv(fd, [view[a : a + w]], start[o])
-            except OSError as exc:
-                raise BucketIOError(f"bucket {o}: {exc}") from exc
-            if got != w:
-                raise BucketIOError(f"bucket {o}: read {got} of {w} bytes")
-            self.bytes_read += w
-        # the bits past a content in its last byte, which a splice may leave
-        # in place, are packed with the chunk: they must be zero
-        part = (n0 & 3) > 0
-        packed[(at4 + old4 - 1)[part]] &= _KEEP[n0[part] & 3]
-        buf = bytearray(4 * len(packed))
-        codes = np.frombuffer(buf, dtype=np.uint8)
-        _unpack(packed, len(buf), out=codes)
-        self._staged = buf, codes, dict(zip(ordinals, at.tolist()))
-        done = 0
-        try:
-            for merge in merges:
-                self.merge_insert(*merge, False)
-                done += 1
-        finally:
-            self._staged = None
-            if done:
-                self._store(_pack(codes), ordinals[:done], ((n1 + 3) >> 2).tolist(), at4.tolist())
-        return codes
-
-    def _store(self, packed: np.ndarray, ordinals: list[int], nbytes: list[int], at: list[int]) -> None:
-        """Write bucket ``ordinals[i]``'s ``nbytes[i]`` packed bytes, from byte
-        ``at[i]`` of ``packed``, to its slot."""
-        view, fd, start, pwrite = memoryview(packed), self._fd, self._start, os.pwrite
-        for o, w, a in zip(ordinals, nbytes, at):
-            try:
-                short = pwrite(fd, view[a : a + w], start[o]) != w
-            except OSError as exc:
-                raise BucketIOError(f"bucket {o}: {exc}") from exc
-            if short:
-                raise BucketIOError(f"bucket {o}: short write")
-            self.bytes_written += w
 
     def merge_insert(self, ordinal, tree_positions, syms, base, want_ranks=True):
         """Insert ``syms`` at ``tree_positions - base``.
@@ -348,11 +309,18 @@ class BucketStore:
         that a later merge would shift. Every check runs before any byte of
         the bucket is read.
 
-        The content is spliced in RAM inside the bucket's slot, or, on disk,
-        inside the region of the chunk that :meth:`merge_many` staged, which
-        then stores it, or else inside a bytearray of the bucket alone, read
-        before the splice and written back after it.
+        On disk ``ordinal`` and ``base`` may also be arrays, one per entry,
+        as :meth:`merge_many` passes a dense round: the entries are merged
+        ranked by one :meth:`_pass` over the file, and their ranks come back
+        in an array. Once the file is gapless, every merge but a terminator
+        batch goes that way. Otherwise the content is spliced in RAM inside
+        the bucket's slot, or, on disk, inside a bytearray of the bucket
+        alone, read before the splice and written back after it.
         """
+        if isinstance(ordinal, np.ndarray):
+            if self.tmp_dir is None:
+                raise ConsistencyError("a merge into many buckets at once runs on disk only")
+            return self._pass(ordinal, tree_positions - base, syms)
         if ordinal in self._dollars:
             raise ConsistencyError(
                 f"bucket {ordinal}: merge after its terminator batch, such as a second one")
@@ -369,50 +337,192 @@ class BucketStore:
             self._dollars[ordinal] = np.asarray(local, dtype=np.int64)
             self.sizes[ordinal] = n0 + k
             return None
+        if self._begin is not None:
+            ranks = self._pass(np.full(k, ordinal), np.asarray(local, dtype=np.int64),
+                               np.asarray(syms, dtype=np.uint8))
+            return ranks.tolist() if want_ranks else self.read(ordinal)
         # the content goes to buf[at : at + n0], with room for k more after it
-        if self._staged is not None:
-            buf, codes, regions = self._staged
-            at = regions[ordinal]
-        elif self.tmp_dir is None:
+        if self.tmp_dir is None:
             buf, codes, at = self._buf, self._codes, self._start[ordinal]
             self.bytes_read += n0
         else:
             buf, at = bytearray(n0 + k), 0
             codes = np.frombuffer(buf, dtype=np.uint8)
-            codes[:n0] = self._pread_codes(ordinal, n0)
+            slot = 4 * self._start[ordinal]
+            codes[:n0] = self._read(slot, slot + n0, f"bucket {ordinal}")
         if in_place:
             ranks = _splice_in_place(buf, at, n0, local, syms, want_ranks)
         else:
             p0 = int(local[0])  # the content before the first entry stays in place
             _splice(codes[at + p0 : at + n0].copy(), local - p0, syms, codes[at + p0 : at + n0 + k])
-        if self._staged is None:
-            if self.tmp_dir is None:
-                self.bytes_written += n0 + k
-            else:
-                self._store(_pack(codes), [ordinal], [(n0 + k + 3) // 4], [0])
+        if self.tmp_dir is None:
+            self.bytes_written += n0 + k
+        else:
+            self._write(_pack(codes), self._start[ordinal], f"bucket {ordinal}")
         self.sizes[ordinal] = n0 + k
         return ranks if want_ranks else codes[at : at + n0 + k]
 
-    def read(self, ordinal: int) -> np.ndarray:
-        """Bucket ``ordinal``'s symbols, terminators spliced back in."""
-        n_plain = int(self.sizes[ordinal]) - len(self._dollars.get(ordinal, ()))
+    def _pass(self, ordinal: np.ndarray, local: np.ndarray, syms: np.ndarray) -> np.ndarray:
+        """Merge entries into many buckets at once, ranked, in one pass over
+        the file; entry i goes ``local[i]`` symbols into bucket
+        ``ordinal[i]``, and ``ordinal`` does not decrease. Returns the ranks.
+
+        Every check runs first, vectorised, so that a refused merge changes
+        no byte, no size and no I/O count; a pass after any terminator batch
+        is refused, since terminators never enter the file. The first pass compacts the
+        slots (:meth:`_compact`). Each entry's place in the new content is
+        its bucket's new start, from the cumulative sizes, plus ``local``.
+        The pass goes right to left over the content from the first touched
+        bucket on, a window of ``RANK_CHUNK`` old symbols at a time: one
+        read, one splice of the window's entries, one count of the four
+        symbols at its entries and bucket starts (:func:`_counts_before`)
+        and one write. Content only grows, so a window is written at or
+        right of where it was read, never over a byte not yet read; the
+        codes of its first, part-filled byte go out with the window on its
+        left. Counts are kept as minus the count from the point to the
+        content's end, which the windows passed so far give, so that a
+        bucket start in another window needs no second pass: an entry's
+        rank is its count less its bucket start's.
+        """
+        k = len(syms)
+        if not k:
+            return np.empty(0, dtype=np.int64)
+        head = np.ones(k, dtype=bool)
+        np.not_equal(ordinal[1:], ordinal[:-1], out=head[1:])
+        heads = np.flatnonzero(head)
+        touched = ordinal[heads]
+        if not (touched[1:] > touched[:-1]).all():
+            raise ConsistencyError("ranked merges must name each bucket once, in increasing order")
+        if syms.max() > 3:
+            raise ConsistencyError("rank capture over a symbol code above T")
+        added = np.diff(np.append(heads, k))
+        n0 = self.sizes[touched]
+        over = n0 + added > self.final[touched]
+        if over.any():
+            i = int(over.argmax())
+            raise ConsistencyError(f"bucket {touched[i]}: {n0[i]} + {added[i]} symbols overflow its slot "
+                                   f"of {self.final[touched[i]]}")
+        owner = np.cumsum(head) - 1
+        rising = np.diff(local) > 0
+        rising |= head[1:]
+        first, last = local[heads], local[heads + added - 1] - (added - 1)
+        if not (rising.all() and first.min() >= 0 and (last <= n0).all()):
+            bad = (first < 0) | (last > n0)
+            bad[owner[1:][~rising]] = True
+            raise ConsistencyError(f"bucket {touched[bad.argmax()]}: insert positions inconsistent with content")
+        if self._dollars:  # the file holds no terminators, so none may precede a pass
+            raise ConsistencyError(f"a ranked merge after bucket {min(self._dollars)}'s terminator batch")
+        if self._begin is None:
+            self._compact()
+        begin = self._begin
+        n_old = int(begin[-1] + self.sizes[-1])
+        start = begin[touched] + heads  # each touched bucket's start after the merge
+        points = start[owner] + local
+        # windows of old symbols from the first touched bucket's byte on
+        cuts, edges = _windows(int(start[0]) & -4, n_old, RANK_CHUNK, points - np.arange(k))
+        news = [a + e for a, e in zip(cuts, edges)]  # each window's start after the merge
+        firsts = [*np.searchsorted(start, news[:-1]).tolist(), len(start)]
+        at_entry = np.empty(k, dtype=np.int64)
+        at_start = np.empty((len(start), 4), dtype=np.int64)
+        after = np.zeros(4, dtype=np.int64)  # the count from the window's start to the end
+        carry = _NO_CODES
+        for i in range(len(cuts) - 2, -1, -1):
+            a, b, lo, hi, s, f0, f1 = cuts[i], cuts[i + 1], edges[i], edges[i + 1], news[i], firsts[i], firsts[i + 1]
+            n, put = b - a + hi - lo, points[lo:hi] - s
+            new = np.empty(n + len(carry), dtype=np.uint8)
+            _splice(self._read(a, b), put, syms[lo:hi], new[:n])
+            new[n:] = carry
+            counts = _counts_before(new[:n], np.concatenate([put, np.repeat(start[f0:f1] - s, 4), [n] * 4]),
+                                    np.concatenate([syms[lo:hi], np.arange(4 * (f1 - f0 + 1)) & 3]))
+            after += counts[-4:]
+            at_entry[lo:hi] = counts[: hi - lo] - after[syms[lo:hi]]
+            at_start[f0:f1] = counts[hi - lo : -4].reshape(-1, 4) - after
+            skip = -s & 3
+            self._write(_pack(new[skip:]), (s + skip) >> 2)
+            carry = new[:skip].copy()  # not a view, which would hold the whole window
+        self.sizes[touched] = n0 + added
+        self._begin = np.cumsum(self.sizes) - self.sizes
+        return at_entry - at_start.ravel()[4 * owner + syms]
+
+    def _compact(self) -> None:
+        """Move the slots' contents into one gapless run from the file's
+        start, bucket by bucket, a piece of at most ``RANK_CHUNK`` symbols
+        at a time. A content's gapless start is at most its slot's, so a
+        piece is written at or left of where it was read, never over a
+        byte not yet read; the codes of its last, part-filled byte go out
+        with the next piece."""
+        carry, at = _NO_CODES, 0
+        for o in np.flatnonzero(self.sizes).tolist():
+            for piece in self._pieces(o):
+                codes = np.concatenate([carry, piece])
+                full = len(codes) & -4
+                self._write(_pack(codes[:full]), at)
+                at, carry = at + full // 4, codes[full:].copy()
+        self._write(_pack(carry), at)
+        self._begin = np.cumsum(self.sizes) - self.sizes
+
+    def _read(self, lo: int, hi: int, what: str | None = None) -> np.ndarray:
+        """Symbols ``lo`` to ``hi`` of the file, unpacked, with one
+        ``os.pread``; an error names ``what``, or else the file and the
+        bytes read."""
+        first = lo >> 2
+        want = ((hi + 3) >> 2) - first if hi > lo else 0
+        what = what or f"bucket file {self._path}, bytes {first}-{first + want}"
+        try:
+            raw = os.pread(self._fd, want, first)
+        except OSError as exc:
+            raise BucketIOError(f"{what}: {exc}") from exc
+        if len(raw) != want:
+            raise BucketIOError(f"{what}: read {len(raw)} of {want} bytes")
+        self.bytes_read += want
+        return _unpack(np.frombuffer(raw, dtype=np.uint8), 4 * want)[lo & 3 : (lo & 3) + hi - lo]
+
+    def _write(self, packed: np.ndarray, at: int, what: str | None = None) -> None:
+        """Write ``packed`` from byte ``at`` of the file with one
+        ``os.pwrite``; an error names ``what``, or else the file and the
+        bytes written."""
+        what = what or f"bucket file {self._path}, bytes {at}-{at + len(packed)}"
+        try:
+            short = os.pwrite(self._fd, packed, at) != len(packed)
+        except OSError as exc:
+            raise BucketIOError(f"{what}: {exc}") from exc
+        if short:
+            raise BucketIOError(f"{what}: short write")
+        self.bytes_written += len(packed)
+
+    def _pieces(self, ordinal: int):
+        """Bucket ``ordinal``'s symbols, terminators spliced back in: in RAM
+        in one piece, which may be a view of its slot, and on disk in
+        pieces of at most ``RANK_CHUNK`` symbols before the terminators."""
+        dollars = self._dollars.get(ordinal, _NO_DOLLARS)
+        n = int(self.sizes[ordinal]) - len(dollars)
         if self.tmp_dir is None:
-            codes = self._codes[self._start[ordinal] : self._start[ordinal] + n_plain]
+            at, step = self._start[ordinal], max(n, 1)
         else:
-            codes = self._pread_codes(ordinal, n_plain)
-        dollars = self._dollars.get(ordinal)
-        if dollars is None:
-            return codes.copy()  # never hand out a view of the RAM array
-        return _splice(codes, dollars, np.full(len(dollars), DOLLAR, dtype=np.uint8))
+            at, step = 4 * self._start[ordinal] if self._begin is None else int(self._begin[ordinal]), RANK_CHUNK
+        cuts, edges = _windows(0, n, step, dollars - np.arange(len(dollars)))
+        for u, v, lo, hi in zip(cuts, cuts[1:], edges, edges[1:]):
+            if self.tmp_dir is None:
+                codes = self._codes[at + u : at + v]
+            else:
+                codes = self._read(at + u, at + v, f"bucket {ordinal}")
+            yield codes if lo == hi else _splice(codes, dollars[lo:hi] - (u + lo),
+                                                 np.full(hi - lo, DOLLAR, dtype=np.uint8))
+
+    def read(self, ordinal: int) -> np.ndarray:
+        """Bucket ``ordinal``'s symbols, terminators spliced back in; a copy."""
+        return np.concatenate(list(self._pieces(ordinal)))
 
     def assemble(self, out: BinaryIO) -> int:
-        """Write the transform to ``out`` one bucket at a time; return its length."""
+        """Write the transform to ``out`` a bucket at a time, on disk a piece
+        of at most ``RANK_CHUNK`` symbols at a time; return its length."""
         lut = np.frombuffer(SYMBOL_BYTES, dtype=np.uint8)
         written = 0
-        for o in np.flatnonzero(self.sizes):
-            data = lut[self.read(int(o))].tobytes()
-            out.write(data)
-            written += len(data)
+        for o in np.flatnonzero(self.sizes).tolist():
+            for piece in self._pieces(o):
+                data = lut[piece].tobytes()
+                out.write(data)
+                written += len(data)
         return written
 
     @property
@@ -431,17 +541,6 @@ class BucketStore:
                 os.rmdir(self.tmp_dir)
             except OSError:
                 pass
-
-    def _pread_codes(self, ordinal: int, n_plain: int) -> np.ndarray:
-        want = (n_plain + 3) // 4
-        try:
-            raw = os.pread(self._fd, want, self._start[ordinal])
-        except OSError as exc:
-            raise BucketIOError(f"bucket {ordinal}: {exc}") from exc
-        if len(raw) != want:
-            raise BucketIOError(f"bucket {ordinal}: read {len(raw)} of {want} bytes")
-        self.bytes_read += want
-        return _unpack(np.frombuffer(raw, dtype=np.uint8), n_plain)
 
 
 # one class per backend, each defining only its constructor, so that

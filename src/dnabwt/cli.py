@@ -159,15 +159,17 @@ def cmd_invert(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     collection = _load_collection(args.input, args.ambiguous)
     lo, hi = args.kappa_range
-    print("kappa\tbuckets\twall_seconds\tio_read\tio_written\toutput_bytes")
+    print("kappa\tbuckets\twall_seconds\tio_read\tio_written\toutput_bytes\tcpu_seconds")
     for kappa in range(lo, hi + 1):
         t0 = time.perf_counter()
         with BwtBuilder(collection, _config_from(args, kappa)) as builder:
+            c0 = time.process_time()
             data = builder.run()
+            cpu = time.process_time() - c0
             stats = builder.store.io_stats
         wall = time.perf_counter() - t0
         print(
-            f"{kappa}\t{1 << kappa}\t{wall:.4f}\t{stats['read']}\t{stats['written']}\t{len(data)}"
+            f"{kappa}\t{1 << kappa}\t{wall:.4f}\t{stats['read']}\t{stats['written']}\t{len(data)}\t{cpu:.4f}"
         )
     return 0
 

@@ -2,6 +2,7 @@ import errno
 import itertools
 import os
 import random
+import re
 from io import BytesIO
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import dnabwt.buckets as buckets
 from dnabwt.buckets import BucketIOError, ConsistencyError
-from dnabwt.collection import DOLLAR
+from dnabwt.collection import DOLLAR, _pack
 from reference import (SLOT, ExternalBucketStore, MemoryBucketStore, bucket_id, leaf_ordinal,
                        n_buckets, naive_splice, ordinal_context)
 
@@ -418,12 +419,12 @@ def _merge_many_cases(rng, slot):
         yield fill, batches
 
 
-@pytest.mark.parametrize("chunk", [1, 7, buckets.RANK_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 7, 64, buckets.RANK_CHUNK])
 def test_merge_many_ranks_equal_per_batch_ranks_at_any_chunk_bound(chunk, tmp_path, monkeypatch):
-    # merge_many ranks consecutive merges from one pass per chunk of spliced
-    # content: at a bound of one symbol (one bucket a pass), of a few, and
-    # the default, on both backends, its ranks and contents equal naive
-    # splices of each batch alone
+    # merge_many ranks a round's merges a chunk of spliced content at a time
+    # in RAM, and a window of old content at a time on disk: at a bound of
+    # one symbol, of a few and the default, on both backends, its ranks and
+    # contents equal naive splices of each batch alone
     monkeypatch.setattr(buckets, "RANK_CHUNK", chunk)
     passes = []
     rank = buckets._chunk_ranks
@@ -442,8 +443,9 @@ def test_merge_many_ranks_equal_per_batch_ranks_at_any_chunk_bound(chunk, tmp_pa
             assert captured.dtype == np.int64
             assert captured.tolist() == expected_ranks
             assert [store.read(o).tolist() for o in range(16)] == [expected[o] for o in range(16)]
+            assert store.sizes.tolist() == [len(expected[o]) for o in range(16)]
             store.close()
-    # a pass reads less than one chunk bound plus its last bucket
+    # a chunk in RAM reads less than one chunk bound plus its last bucket
     assert passes and max(passes) < chunk + SLOT
 
 
@@ -459,46 +461,161 @@ def _fill(store, fill):
                                base=0, want_ranks=False)
 
 
+def _gapless_run(store):
+    """The file's bytes that the gapless layout uses, and the packed run of
+    every bucket's content in bucket order, which they must equal."""
+    codes = np.concatenate([store.read(o) for o in range(len(store.sizes))])
+    return _slot_bytes(store)[: (len(codes) + 3) // 4], _pack(codes).tobytes()
+
+
+def _traced_io(monkeypatch, calls):
+    """Record every os.pread and os.pwrite as (name, first byte, bytes)."""
+    for name in ("pread", "pwrite"):
+        def traced(fd, arg, offset, name=name, real=getattr(os, name)):
+            out = real(fd, arg, offset)
+            calls.append((name, offset, len(out) if name == "pread" else out))
+            return out
+        monkeypatch.setattr(os, name, traced)
+
+
 @pytest.mark.parametrize("chunk", [1, 7, buckets.RANK_CHUNK])
 def test_external_merge_many_equals_per_bucket_merges(chunk, tmp_path, monkeypatch):
-    # on disk merge_many loads, merges and stores a chunk of buckets at a
-    # time. It leaves the store as unranked merge_insert calls, one per
-    # bucket, leave it: contents, sizes, both I/O counts and every byte of
-    # the bucket file, even where the file held set bits past a content.
-    # Rounds touch empty and prefilled buckets, buckets larger than a small
-    # chunk bound and one larger than the default bound
+    # on disk the first ranked round compacts the slots into one gapless
+    # run, and each round is one pass over it. Two rounds leave the contents
+    # and sizes that unranked merge_insert calls, one per bucket, leave in
+    # slots, and the file holds the contents' packed run from its start,
+    # even where a slot held set bits past its content. The second round
+    # reads and writes nothing before the byte of its first bucket's start,
+    # and writes every byte from there to the new content's end once.
+    # Rounds touch empty and prefilled buckets and buckets larger than a
+    # window, one of them larger than the default window
+    big = (1 << 18) + 200 if chunk == buckets.RANK_CHUNK else 9 * chunk + 2
     monkeypatch.setattr(buckets, "RANK_CHUNK", chunk)
     final = np.full(16, SLOT)
-    final[9] = (1 << 18) + 300
+    final[9] = max(SLOT, big + 100)
     rng = random.Random(41)
     cases = list(_merge_many_cases(rng, SLOT))
-    big = {o: [rng.randrange(4) for _ in range(n)] for o, n in ((3, 5), (9, (1 << 18) + 200), (12, 0))}
-    cases.append((big, [(o, np.array(sorted(rng.sample(range(len(c) + 40), 40))) + 7,
-                         np.array([rng.randrange(4) for _ in range(40)], dtype=np.uint8), 7)
-                        for o, c in sorted(big.items())]))
+    fill_big = {o: [rng.randrange(4) for _ in range(n)] for o, n in ((3, 5), (9, big), (12, 0))}
+    cases.append((fill_big, [(o, np.array(sorted(rng.sample(range(len(c) + 40), 40))) + 7,
+                              np.array([rng.randrange(4) for _ in range(40)], dtype=np.uint8), 7)
+                             for o, c in sorted(fill_big.items())]))
     for trial, (fill, batches) in enumerate(cases):
-        expected_ranks = []
-        for o, positions, syms, base in batches:
-            expected_ranks += naive_splice(fill.get(o, []), (positions - base).tolist(), syms.tolist())[1]
-        chunked = buckets.BucketStore(final, str(tmp_path / f"chunked{trial}"))
+        passed = buckets.BucketStore(final, str(tmp_path / f"passed{trial}"))
         alone = buckets.BucketStore(final, str(tmp_path / f"alone{trial}"))
-        for store in (chunked, alone):
+        for store in (passed, alone):
             _fill(store, fill)
-            # set the bits past each content in its last byte, which a
-            # merge must write back as zeros
-            for o, codes in fill.items():
-                if len(codes) % 4:
-                    at = store._start[o] + len(codes) // 4
-                    byte = os.pread(store._fd, 1, at)[0]
-                    os.pwrite(store._fd, bytes([byte | 0xFF >> 2 * (len(codes) % 4)]), at)
-        assert _io_state(chunked) == _io_state(alone)
-        assert chunked.merge_many(*_round_arrays(batches)).tolist() == expected_ranks
-        for o, positions, syms, base in batches:
-            alone.merge_insert(o, positions, syms, base, False)
-        assert _io_state(chunked) == _io_state(alone)
-        assert all((chunked.read(o) == alone.read(o)).all() for o in range(16))
-        chunked.close()
+        # set the bits past each content in its slot's last byte
+        for o, codes in fill.items():
+            if len(codes) % 4:
+                at = passed._start[o] + len(codes) // 4
+                byte = os.pread(passed._fd, 1, at)[0]
+                os.pwrite(passed._fd, bytes([byte | 0xFF >> 2 * (len(codes) % 4)]), at)
+        # the second round: an entry first and one last in each bucket the
+        # first round touched but its first
+        touched = [o for o, *_ in batches]
+        sizes = {o: len(fill.get(o, [])) + len(syms) for o, _, syms, _ in batches}
+        second = [(o, np.array([0, sizes[o] + 1]) + 3, np.array([o % 4, 3], dtype=np.uint8), 3)
+                  for o in touched[1:]]
+        for round_ in (batches, second):
+            expected_ranks = []
+            for o, positions, syms, base in round_:
+                expected_ranks += naive_splice(alone.read(o).tolist(), (positions - base).tolist(), syms.tolist())[1]
+            begin = np.cumsum(passed.sizes) - passed.sizes
+            before, calls = _slot_bytes(passed), []
+            with monkeypatch.context() as mp:
+                _traced_io(mp, calls)
+                assert passed.merge_many(*_round_arrays(round_)).tolist() == expected_ranks
+            for o, positions, syms, base in round_:
+                alone.merge_insert(o, positions, syms, base, False)
+            assert passed.sizes.tolist() == alone.sizes.tolist()
+            assert all((passed.read(o) == alone.read(o)).all() for o in range(16))
+            file_bytes, run = _gapless_run(passed)
+            assert file_bytes == run
+            if round_ is second and second:
+                first = int(begin[touched[1]]) // 4
+                assert min(offset for _, offset, _ in calls) == first
+                assert _slot_bytes(passed)[:first] == before[:first]
+                writes = sorted((offset, offset + n) for name, offset, n in calls if name == "pwrite")
+                assert [w for w in writes if w[0] < w[1]][0][0] == first
+                assert all(a[1] == b[0] for a, b in zip(writes, writes[1:]))
+                assert writes[-1][1] == len(run)
+        passed.close()
         alone.close()
+
+
+def _window_round(rng, store, chunk, k, length_mod_4):
+    """A ranked round for ``store``: about k entries at random, and, in the
+    buckets from the first one touched on, entries before the old symbol at
+    each of up to 40 window starts of the pass and at the content's end,
+    and more until the content's length is ``length_mod_4`` mod 4.
+    Returns its (ordinal, positions, symbols, base) batches."""
+    sizes, room = store.sizes.tolist(), (store.final - store.sizes).tolist()
+    begin = np.cumsum(store.sizes) - store.sizes
+    places: dict[int, list[int]] = {}
+    for _ in range(k):
+        o = rng.choice([o for o in range(len(sizes)) if room[o] > len(places.get(o, []))])
+        places.setdefault(o, []).append(rng.randint(0, sizes[o]))
+    first, n = min(places), sum(sizes)
+    edges = list(range(int(begin[first]) & -4, n, chunk))
+    for x in [*rng.sample(edges, min(40, len(edges))), n]:
+        fits = [o for o in range(first, len(sizes))
+                if begin[o] <= x <= begin[o] + sizes[o] and room[o] > len(places.get(o, []))]
+        if fits:
+            o = rng.choice(fits)
+            places.setdefault(o, []).append(x - int(begin[o]))
+    while (n + sum(map(len, places.values()))) % 4 != length_mod_4:
+        o = rng.choice([o for o in range(first, len(sizes)) if room[o] > len(places.get(o, []))])
+        places.setdefault(o, []).append(rng.randint(0, sizes[o]))
+    batches = []
+    for o in sorted(places):
+        old = sorted(places[o])
+        base = rng.randrange(100)
+        batches.append((o, np.array([p + i + base for i, p in enumerate(old)]),
+                        np.array([rng.randrange(4) for _ in old], dtype=np.uint8), base))
+    return batches
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, buckets.RANK_CHUNK])
+def test_pass_equals_naive_splices_at_any_window_edge(chunk, tmp_path, monkeypatch):
+    # the pass over the gapless file at a window of one symbol, of a few
+    # and the default. After 0, 1 and 20 sparse rounds (ranked one-bucket
+    # merges into slots), the first round compacts the slots; four rounds
+    # put entries before every window's first old symbol and at the
+    # content's end, with bucket starts in earlier windows than their
+    # entries and contents of each length mod 4. Ranks, sizes and every
+    # read(o) equal naive splices of each batch, and the file holds the
+    # contents' packed run. A one-bucket merge then goes through the pass
+    monkeypatch.setattr(buckets, "RANK_CHUNK", chunk)
+    rng = random.Random(44)
+    for n_sparse in (0, 1, 20):
+        final = np.array([rng.choice([3, 40, 150, 300]) for _ in range(16)])
+        store = buckets.BucketStore(final, str(tmp_path / f"s{n_sparse}"))
+        model = [[] for _ in range(16)]
+        for _ in range(n_sparse):
+            o = rng.choice([o for o in range(16) if len(model[o]) < final[o]])
+            k = rng.randint(1, min(4, final[o] - len(model[o])))
+            positions = sorted(rng.sample(range(len(model[o]) + k), k))
+            syms = [rng.randrange(4) for _ in range(k)]
+            model[o], ranks = naive_splice(model[o], positions, syms)
+            assert store.merge_insert(o, positions, syms, 0) == ranks
+        assert store._begin is None
+        for length_mod_4 in range(4):
+            batches = _window_round(rng, store, chunk, 80, length_mod_4)
+            expected_ranks = []
+            for o, positions, syms, base in batches:
+                model[o], ranks = naive_splice(model[o], (positions - base).tolist(), syms.tolist())
+                expected_ranks += ranks
+            assert store.merge_many(*_round_arrays(batches)).tolist() == expected_ranks
+            assert store.sizes.tolist() == [len(m) for m in model]
+            assert [store.read(o).tolist() for o in range(16)] == model
+            file_bytes, run = _gapless_run(store)
+            assert file_bytes == run
+        o = max(o for o in range(16) if len(model[o]) < final[o])
+        positions = [0, len(model[o]) + 1] if len(model[o]) + 2 <= final[o] else [len(model[o])]
+        model[o], ranks = naive_splice(model[o], positions, [2] * len(positions))
+        assert store.merge_insert(o, positions, [2] * len(positions), 0) == ranks
+        assert [store.read(o).tolist() for o in range(16)] == model
+        store.close()
 
 
 def test_terminator_round_makes_no_bucket_io(tmp_path, monkeypatch):
@@ -537,29 +654,55 @@ def test_chunk_ranks_match_naive_counts_at_word_edges(n):
 
 
 def test_merge_many_refused_third_batch_stores_the_first_two(tmp_path):
-    # a round refused at its third bucket leaves the first two as merges of
-    # each alone leave them, on disk written back from the chunk, and the
-    # third untouched, on both backends. Only the read count differs on
-    # disk, as the chunk's load read the third bucket too
+    # in RAM a round refused at its third bucket leaves the first two as
+    # merges of each alone leave them, and the third untouched. On disk
+    # every check of a round runs before its first byte is read, so a
+    # refused round, in slots or in the gapless file, changes no byte, no
+    # size and no I/O count, and does not compact the slots
     fill = {0: [1, 2, 3], 2: list(range(4)) * 5, 5: [2] * 7}
     batches = [(0, np.array([0, 4]), np.array([3, 3], dtype=np.uint8), 0),
                (2, np.arange(20) + 1, np.arange(20, dtype=np.uint8) % 4, 0),
                (5, np.array([0, 9]), np.array([1, 1], dtype=np.uint8), 0)]
-    for trial, stores in enumerate(([MemoryBucketStore(3) for _ in range(2)],
-                                    [ExternalBucketStore(3, str(tmp_path / f"s{i}")) for i in range(2)])):
-        chunked, alone = stores
-        for store in stores:
-            _fill(store, fill)
-        with pytest.raises(ConsistencyError, match="bucket 5: insert positions"):
-            chunked.merge_many(*_round_arrays(batches))
-        for o, positions, syms, base in batches[:2]:
-            alone.merge_insert(o, positions, syms, base, False)
-        state, alone_state = _io_state(chunked), _io_state(alone)
-        assert (state[:2], state[3]) == (alone_state[:2], alone_state[3])
-        assert state[2] == alone_state[2] + (chunked.tmp_dir is not None) * 2
-        assert chunked.read(5).tolist() == [2] * 7
-        for store in stores:
-            store.close()
+    chunked, alone = MemoryBucketStore(3), MemoryBucketStore(3)
+    for store in (chunked, alone):
+        _fill(store, fill)
+    with pytest.raises(ConsistencyError, match="bucket 5: insert positions"):
+        chunked.merge_many(*_round_arrays(batches))
+    for o, positions, syms, base in batches[:2]:
+        alone.merge_insert(o, positions, syms, base, False)
+    assert _io_state(chunked) == _io_state(alone)
+    assert chunked.read(5).tolist() == [2] * 7
+    with pytest.raises(ConsistencyError, match="on disk only"):
+        chunked.merge_insert(np.array([0]), np.array([0]), np.array([1], dtype=np.uint8), np.array([0]))
+    refused = {
+        "bucket 5: insert positions": batches,
+        "bucket 6: insert positions": [(5, np.array([0, 8]), np.array([1, 1], dtype=np.uint8), 0),
+                                       (6, np.array([1]), np.array([0], dtype=np.uint8), 0)],
+        "bucket 2: \\d+ \\+ 250 symbols overflow": [(2, np.arange(250), np.zeros(250, dtype=np.uint8), 0)],
+        "each bucket once, in increasing order": [batches[1], batches[0]],
+        "above T": [(0, np.array([0]), np.array([DOLLAR], dtype=np.uint8), 0)],
+    }
+    store = ExternalBucketStore(3, str(tmp_path / "disk"))
+    _fill(store, fill)
+    for layout in ("slots", "gapless"):
+        state = _io_state(store)
+        for message, round_ in refused.items():
+            with pytest.raises(ConsistencyError, match=message):
+                store.merge_many(*_round_arrays(round_))
+            assert _io_state(store) == state, (layout, message)
+            assert (store._begin is None) == (layout == "slots")
+        store.merge_many(*_round_arrays(batches[:2]))
+        fill = {o: store.read(o).tolist() for o in range(8)}
+    store.merge_many(*_round_arrays([(1, np.array([0]), np.array([DOLLAR], dtype=np.uint8), 0)]), False)
+    state = _io_state(store)
+    # terminators stay out of the file, so no pass may follow them, into
+    # their bucket or any other
+    for round_ in ([(0, [0], [1], 0), (1, [0], [1], 0)], [(0, [0], [1], 0)]):
+        with pytest.raises(ConsistencyError, match="after bucket 1's terminator batch"):
+            store.merge_many(*_round_arrays(round_))
+        assert _io_state(store) == state
+    assert [store.read(o).tolist() for o in range(8)] == [fill[o] if o != 1 else [DOLLAR] for o in range(8)]
+    store.close()
 
 
 def test_merge_insert_rank_capture_counts_copied_and_inserted(tmp_path):
@@ -669,28 +812,46 @@ def test_short_bucket_io_raises_instead_of_short_content(tmp_path, monkeypatch):
 
 
 def test_chunk_io_errors_name_the_bucket(tmp_path, monkeypatch):
-    # a dense round's chunk reads each bucket with os.preadv and writes it
-    # with os.pwrite: a short count or an OSError from either is a
-    # BucketIOError that names the bucket, and a failed load splices nothing
+    # compaction reads each bucket's slot with os.pread: a short read names
+    # the bucket. A dense round's pass reads each window of the gapless
+    # file with os.pread and writes it with os.pwrite: a short count or an
+    # OSError from either is a BucketIOError that names the file and the
+    # window's bytes. Sizes change only when a pass completes
     store = ExternalBucketStore(3, str(tmp_path / "chunk"))
     _fill(store, {2: [0, 1, 2, 3] * 2 + [1], 5: [3] * 6})
     round_ = _round_arrays([(2, [0], [2], 0), (5, [6], [1], 0)])
     os.truncate(store._path, 5 * SLOT // 4 + 1)
     with pytest.raises(BucketIOError, match="bucket 5: read 1 of 2 bytes"):
         store.merge_many(*round_)
-    assert store.sizes.tolist()[2:6] == [9, 0, 0, 6]
+    assert store.sizes.tolist()[2:6] == [9, 0, 0, 6] and store._begin is None
     os.truncate(store._path, 8 * SLOT // 4)
-    os.pwrite(store._fd, bytes([0xFF, 0xF0]), 5 * SLOT // 4)
+    _fill(store, {5: [3] * 6})
+    store.sizes[5] = 6
+    assert store.merge_many(*round_).tolist() == [0, 0]
+    # the gapless file now holds 17 symbols in 5 bytes, bucket 5 from
+    # symbol 10 on: a round into it passes one window, read from byte 2 to
+    # 5 and written over the same bytes
+    window = re.escape(f"bucket file {store._path}, bytes 2-5")
+    round_ = _round_arrays([(5, [0], [2], 0)])
+    os.truncate(store._path, 4)
+    with pytest.raises(BucketIOError, match=f"{window}: read 2 of 3 bytes"):
+        store.merge_many(*round_)
+    os.truncate(store._path, 8 * SLOT // 4)
     real_pwrite = os.pwrite
     monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: real_pwrite(fd, bytes(data)[:-1], offset))
-    with pytest.raises(BucketIOError, match="bucket 2: short write"):
+    with pytest.raises(BucketIOError, match=f"{window}: short write"):
         store.merge_many(*round_)
-    def preadv(fd, buffers, offset):
+    monkeypatch.undo()
+
+    def fail(*args):
         raise OSError(errno.EIO, os.strerror(errno.EIO))
 
-    monkeypatch.setattr(os, "preadv", preadv)
-    with pytest.raises(BucketIOError, match=f"bucket 2: .*{os.strerror(errno.EIO)}"):
-        store.merge_many(*_round_arrays([(2, [0], [2], 0)]))
+    for name in ("pread", "pwrite"):
+        with monkeypatch.context() as mp:
+            mp.setattr(os, name, fail)
+            with pytest.raises(BucketIOError, match=f"{window}: .*{os.strerror(errno.EIO)}"):
+                store.merge_many(*round_)
+    assert store.sizes.tolist()[2:6] == [10, 0, 0, 7]
     store.close()
 
 

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import dnabwt.buckets as buckets
 import dnabwt.cli as cli
 from dnabwt import WordCollection, Config, build, naive_bwt
 from dnabwt.cli import first_mismatch, main, verify_collection
@@ -95,26 +96,44 @@ def test_cmd_build_unwritable_output_fails_before_building(tmp_path, capsys, mon
 
 
 def test_cmd_build_disk_error_is_reported_and_cleaned_up(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: 0)
-    inp, outp, scratch = tmp_path / "in.fasta", tmp_path / "out.bwt", tmp_path / "scratch"
-    _write_fasta(inp, ["GATTACA", "CCT", "AAAA"])
-    scratch.mkdir()
-    rc = main(["build", "--input", str(inp), "--output", str(outp),
-               "--backend", "external", "--tmp-dir", str(scratch)])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error: bucket ")
-    assert list(scratch.iterdir()) == []
-    assert not outp.exists()
+    # a write that fails in a sparse round, and one that fails in a dense
+    # round's pass, after the slots were compacted: exit 2, one error line,
+    # no bucket file and no output left
+    rng = random.Random(72)
+    long_word = "".join(rng.choice("ACGT") for _ in range(60))
+    shorts = ["".join(rng.choice("ACGT") for _ in range(8)) for _ in range(40)]
+    real_compact = buckets.BucketStore._compact
+    compacted = []
+    monkeypatch.setattr(buckets.BucketStore, "_compact",
+                        lambda self: real_compact(self) or compacted.append(self.sizes.sum()))
+    for words, fails, prefix in ((["GATTACA", "CCT", "AAAA"], lambda: True, "error: bucket 0"),
+                                 ([long_word, *shorts], lambda: bool(compacted), "error: bucket file ")):
+        real_pwrite = os.pwrite
+        monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: 0 if fails() else real_pwrite(fd, data, offset))
+        inp, outp, scratch = tmp_path / "in.fasta", tmp_path / "out.bwt", tmp_path / "scratch"
+        _write_fasta(inp, words)
+        scratch.mkdir(exist_ok=True)
+        rc = main(["build", "--input", str(inp), "--output", str(outp),
+                   "--backend", "external", "--tmp-dir", str(scratch)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(prefix) and err[0].endswith("short write")
+        assert list(scratch.iterdir()) == []
+        assert not outp.exists()
+        monkeypatch.setattr(os, "pwrite", real_pwrite)
+    # the long word's 52 sparse rounds left content for the compaction to move
+    assert compacted == [52]
 
 
 def test_cmd_build_chunk_read_error_is_reported_and_cleaned_up(tmp_path, capsys, monkeypatch):
-    # with more active words than a sparse round takes, the first round is
-    # dense and loads its buckets a chunk at a time: a failed read there is
-    # one error line naming the bucket, and no bucket file is left
-    def preadv(fd, buffers, offset):
+    # with more active words than a sparse round takes, every round is
+    # dense and passes over the bucket file a window at a time: a failed
+    # read there is one error line naming the file and the window's bytes,
+    # and no bucket file is left
+    def pread(fd, n, offset):
         raise OSError(errno.EIO, os.strerror(errno.EIO))
 
-    monkeypatch.setattr(os, "preadv", preadv)
+    monkeypatch.setattr(os, "pread", pread)
     rng = random.Random(71)
     inp, outp, scratch = tmp_path / "in.fasta", tmp_path / "out.bwt", tmp_path / "scratch"
     _write_fasta(inp, ["".join(rng.choice("ACGT") for _ in range(30)) for _ in range(40)])
@@ -123,7 +142,8 @@ def test_cmd_build_chunk_read_error_is_reported_and_cleaned_up(tmp_path, capsys,
                "--backend", "external", "--tmp-dir", str(scratch)])
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: bucket ") and os.strerror(errno.EIO) in err[0]
+    assert len(err) == 1 and os.strerror(errno.EIO) in err[0]
+    assert re.match(r"error: bucket file .*buckets\.bin, bytes \d+-\d+: ", err[0])
     assert list(scratch.iterdir()) == []
     assert not outp.exists()
 
@@ -319,8 +339,12 @@ def test_cmd_bench_row_contract(tmp_path, capsys):
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 7  # header + one row per kappa
-    buckets = [int(row.split("\t")[1]) for row in lines[1:]]
-    assert buckets == [2 ** k for k in range(3, 9)]
+    assert lines[0].split("\t") == ["kappa", "buckets", "wall_seconds", "io_read", "io_written",
+                                    "output_bytes", "cpu_seconds"]
+    rows = [row.split("\t") for row in lines[1:]]
+    assert [int(row[1]) for row in rows] == [2 ** k for k in range(3, 9)]
+    # the CPU seconds of run() alone, within the row's wall time
+    assert all(0 < float(row[6]) <= float(row[2]) for row in rows)
 
 
 @pytest.mark.parametrize("kappa_range", ["8:3", "18:20", "2:5", "0", "20"])

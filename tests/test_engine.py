@@ -3,6 +3,7 @@ import itertools
 import os
 import random
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dnabwt.buckets as buckets
+import dnabwt.collection as collection
 import dnabwt.engine as engine
 from dnabwt import Config, ConfigError, WordCollection, build, naive_bwt
 from dnabwt.buckets import BucketIOError
@@ -76,6 +78,69 @@ def test_external_build_starts_no_threads(tmp_path):
     assert len(counts) == c.max_length + 1
     assert max(counts) <= before
     assert threading.active_count() <= before
+
+
+def _rand_words(rng, lengths):
+    return ["".join(rng.choice("ACGT") for _ in range(n)) for n in lengths]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, buckets.RANK_CHUNK])
+def test_external_build_compacts_once_at_its_first_ranked_dense_round(chunk, tmp_path, monkeypatch):
+    # the external store keeps slots through the sparse prefix and
+    # compacts them at the first ranked dense round: after no sparse round,
+    # one, and many; a build whose only dense round is the terminator
+    # round never compacts, and assembles from the slots. Every window
+    # size gives the oracle's transform
+    monkeypatch.setattr(buckets, "RANK_CHUNK", chunk)
+    rng = random.Random(74)
+    builds = {
+        "terminator round only": _rand_words(rng, [9, 3, 14, 1, 14]),
+        "no sparse round": _rand_words(rng, [12] * 40),
+        "one sparse round": _rand_words(rng, [12] * 20 + [11] * 20),
+        "many sparse rounds": _rand_words(rng, [50] + [rng.randint(3, 10) for _ in range(40)]),
+    }
+    real_compact = buckets.BucketStore._compact
+    for name, words in builds.items():
+        c = WordCollection.from_words(words)
+        starts = sorted(c.max_length - len(w) for w in words)
+        dense = [t for t in range(c.max_length) if sum(s <= t for s in starts) > engine.SPARSE_MAX]
+        compacted, gapless = [], []
+        with BwtBuilder(c, Config(kappa=4, backend="external", tmp_dir=str(tmp_path))) as builder:
+            monkeypatch.setattr(buckets.BucketStore, "_compact",
+                                lambda self: compacted.append(builder.t) or real_compact(self))
+            out = builder.run(inspect=lambda b: gapless.append(b.store._begin is not None))
+        assert out == naive_bwt(c), name
+        assert compacted == dense[:1], name
+        assert gapless == [t >= min(dense, default=c.max_length + 1) for t in range(c.max_length + 1)], name
+    assert not list(tmp_path.iterdir())
+
+
+def test_external_build_bounds_memory(tmp_path, monkeypatch):
+    # the external backend holds windows of the transform, never the whole:
+    # as 450 words grow from 150 to 600 symbols, the traced peak of an
+    # external run() grows by less than two windows' bytes, while the
+    # memory backend's grows by at least the content it adds. The window
+    # is cut to 2^16 symbols and the counting pass's chunk to 2^13, so that
+    # the windows are full in both builds and set the peak
+    window = 1 << 16
+    monkeypatch.setattr(buckets, "RANK_CHUNK", window)
+    monkeypatch.setattr(collection, "_COUNT_CHUNK", 1 << 13)
+    rng = np.random.default_rng(75)
+    peaks = {}
+    for n in (150, 600):
+        words = np.frombuffer(b"ACGT", dtype=np.uint8)[rng.integers(0, 4, (450, n))]
+        c = WordCollection.from_words([w.tobytes() for w in words])
+        for backend in ("external", "memory"):
+            with BwtBuilder(c, Config(kappa=5, backend=backend, tmp_dir=str(tmp_path))) as builder, \
+                    open(tmp_path / "out.bwt", "wb") as out:
+                tracemalloc.start()
+                try:
+                    assert builder.run(out=out) == c.total_length
+                    peaks[backend, n] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+    assert peaks["external", 600] - peaks["external", 150] < 2 * window
+    assert peaks["memory", 600] - peaks["memory", 150] >= 450 * (600 - 150)
 
 
 def test_config_validation():
@@ -570,11 +635,11 @@ def test_round_paths_match_oracle(words, kappa, backend, rank_chunk, splice_few_
 
 def _record_merges(mp, merges):
     """Wrap ``merge_insert`` on both backends so that every call appends
-    (want_ranks, positions, symbols) to ``merges``."""
+    (want_ranks, positions, symbols, ordinal) to ``merges``."""
     real = buckets.BucketStore.merge_insert
 
     def merge_insert(self, ordinal, positions, syms, base, want_ranks=True):
-        merges.append((want_ranks, positions, syms))
+        merges.append((want_ranks, positions, syms, ordinal))
         return real(self, ordinal, positions, syms, base, want_ranks)
 
     mp.setattr(buckets.BucketStore, "merge_insert", merge_insert)
@@ -588,19 +653,27 @@ def _record_merges(mp, merges):
     backend=st.sampled_from(["memory", "external"]),
 )
 def test_merges_take_one_form_per_round_kind(words, more, kappa, backend):
-    # sparse rounds merge ranked, as Python int lists of at most SPARSE_MAX
-    # entries; dense rounds, the terminator round included, merge unranked,
-    # as arrays. With more than SPARSE_MAX words the last rounds are dense
+    # sparse rounds merge one bucket ranked, as Python int lists of at most
+    # SPARSE_MAX entries. Dense rounds before the last merge ranked on disk,
+    # all their entries in one call with an ordinal per entry, and unranked
+    # in RAM, a bucket a call, as arrays; the terminator round merges
+    # unranked arrays a bucket a call. With more than SPARSE_MAX words the
+    # last rounds are dense
     c = WordCollection.from_words(words + more)
     merges = []
     with pytest.MonkeyPatch.context() as mp:
         _record_merges(mp, merges)
         assert build(c, Config(kappa=kappa, backend=backend)) == naive_bwt(c)
-    for ranked, positions, syms in merges:
-        if ranked:
+    for ranked, positions, syms, ordinal in merges:
+        if isinstance(ordinal, np.ndarray):
+            assert backend == "external" and ranked
+            assert type(positions) is type(syms) is np.ndarray and len(ordinal) == len(syms)
+        elif ranked:
             assert type(positions) is type(syms) is list and len(syms) <= engine.SPARSE_MAX
         else:
             assert type(positions) is type(syms) is np.ndarray
+    # every symbol is inserted through merge_insert once
+    assert sum(len(syms) for *_, syms, _ in merges) == c.total_length
 
 
 @pytest.mark.parametrize("backend", engine.BACKENDS)
@@ -613,7 +686,7 @@ def test_copies_of_one_word_merge_sparse_max_ranked_entries_into_one_bucket(back
     merges = []
     _record_merges(monkeypatch, merges)
     assert build(c, Config(kappa=3, backend=backend)) == naive_bwt(c)
-    assert [len(syms) for ranked, _, syms in merges if ranked] == [engine.SPARSE_MAX] * len(word)
+    assert [len(syms) for ranked, _, syms, _ in merges if ranked] == [engine.SPARSE_MAX] * len(word)
 
 
 _DNA = st.text(alphabet="ACGT", min_size=1, max_size=12)
