@@ -1,27 +1,31 @@
 """Storage of context buckets and the merge insertion.
 
 Each of the 2**kappa buckets holds one contiguous segment of the partial
-transform. In RAM, and on disk until the first ranked dense round, a
-bucket's content sits at the start of a slot sized for its final content.
-A merge into one bucket splices the new symbols into its content: in RAM
-inside the slot itself, on disk inside a bytearray of unpacked codes, which
-is then packed and written back. A ranked merge, as a sparse round makes
-it, gives its entries as Python int lists, at most ``SPARSE_MAX`` of them,
-and is spliced in place (:func:`_splice_in_place`), which counts each
-entry's rank as it goes. An unranked merge gives arrays: at most
-``SPLICE_FEW_MAX`` entries are spliced in place, more by one scatter and
-one masked copy into the bucket's region (:func:`_splice`).
+transform, in one bytearray of codes in RAM or in one file of 2-bit packed
+codes on disk. Until the first ranked dense round a bucket's content sits
+at the start of a slot sized for its final content. A sparse round's merge
+into one bucket splices its entries into the content in place
+(:func:`_splice_in_place`), in RAM inside the slot itself, on disk inside a
+bytearray of the bucket's unpacked codes, which is then packed and written
+back. It gives its entries as Python int lists, at most ``SPARSE_MAX`` of
+them, and the splice counts each entry's rank as it goes.
 
-A dense round's ranked merges take one of two forms. In RAM they go a chunk
-of consecutive buckets at a time, and their ranks are counted on the
-chunk's spliced contents in one pass (:func:`_chunk_ranks`). On disk the
-round is one pass over the partial transform, held as one gapless packed
-run in bucket order (``BucketStore._pass``): a window of old symbols at a
-time, right to left and in place, each window read, spliced, counted and
-written once. Every check of a merge runs before any of its bytes is read
-or moved. Terminators are only ever inserted in the final round; on both
-backends their positions go into a per-bucket side list and are spliced in
-when the bucket is read.
+The first ranked dense round moves the contents left into one gapless run
+in bucket order (``BucketStore._compact``), and every ranked dense round is
+then one pass over that run (``BucketStore._pass``): a window of old
+symbols at a time, right to left and in place, each window read, spliced,
+counted and written once. The two backends differ only in how a window is
+read and written: in RAM a slice of the bytearray, on disk one ``pread``
+and unpack, and one pack and ``pwrite``. Every check of a merge runs before
+any of its bytes is read or moved.
+
+Slots stay for the sparse rounds. A sparse merge into a gapless run would
+first move the whole run right of its bucket, about L**2 / 4 bytes over
+the sparse rounds of one word of L symbols alone, against about
+L**2 / 2**(kappa + 2) bytes inside slots of 2**kappa buckets: fine buckets
+make the paper's long-word prefix cheap. Terminators are only ever inserted
+in the final round; on both backends their positions go into a per-bucket
+side list and are spliced in when the bucket is read.
 """
 from __future__ import annotations
 
@@ -33,19 +37,13 @@ import numpy as np
 
 from .collection import DOLLAR, SYMBOL_BYTES, _unpack, _pack
 
-# unranked batches of at most this many entries are spliced in place;
-# measured crossover against the copying splice, see README
-SPLICE_FEW_MAX = 16
-
 # an in-place rank counts a range of fewer symbols than this with
 # bytearray.count, a longer one with numpy, whose fixed cost then pays;
 # measured, see README
 COUNT_NUMPY_MIN = 1 << 12
 
-# a dense round works a window of this many symbols at a time: in RAM it ranks
-# together the buckets whose contents start in one window, on disk its pass
-# reads, splices, counts and writes one window of old symbols at a time;
-# measured, see README
+# a dense round's pass reads, splices, counts and writes one window of this
+# many old symbols at a time; measured, see README
 RANK_CHUNK = 1 << 18
 
 
@@ -118,23 +116,6 @@ def _counts_before(content: np.ndarray, at: np.ndarray, syms: np.ndarray) -> np.
     return through[flat] - np.bitwise_count(planes.ravel()[flat] & (_ALL << (at & 63).astype(np.uint64)))
 
 
-def _chunk_ranks(content: np.ndarray, starts: np.ndarray, local: np.ndarray, syms: np.ndarray,
-                 owner: np.ndarray) -> np.ndarray:
-    """Ranks of the entries of consecutive merges from one pass over their
-    spliced contents: bucket b's content starts at ``content[starts[b]]``,
-    and entry i, symbol ``syms[i]``, sits ``local[i]`` symbols into bucket
-    ``owner[i]``. An entry's rank is the count of its symbol before it minus
-    the count before its bucket's start, so whatever lies between the
-    buckets' contents cancels out. One :func:`_counts_before` gives both: an
-    entry looks up only its own symbol's plane and each bucket start all
-    four.
-    """
-    k = len(local)
-    counts = _counts_before(content, np.concatenate([starts[owner] + local, np.repeat(starts, 4)]),
-                           np.concatenate([syms, np.tile(np.arange(4), len(starts))]))
-    return counts[:k] - counts[k + 4 * owner + syms]
-
-
 def _windows(lo: int, hi: int, step: int, before: np.ndarray) -> tuple[list[int], list[int]]:
     """Cut old symbols ``lo`` to ``hi`` into windows of ``step``, at least
     one, and give each the sorted entries that go with it: those inserted
@@ -181,23 +162,20 @@ def _splice_in_place(buf: bytearray, at: int, n0: int, ps: list[int], ss: list[i
     return ranks
 
 
-def _check_merge(ordinal: int, local, syms, n0: int, want_ranks: bool, in_place: bool) -> bool:
+def _check_merge(ordinal: int, local: list[int], syms: list[int], n0: int, want_ranks: bool) -> bool:
     """Refuse a merge of ``syms`` at post-insertion positions ``local`` into
-    ``n0`` symbols, in the form its splice takes (Python int lists in place,
-    arrays otherwise), before any byte of the bucket is read; True for a
-    pure terminator batch."""
+    ``n0`` symbols, both Python int lists, before any byte of the bucket is
+    read; True for a pure terminator batch."""
     k = len(local)
     if not k:
         return False
-    increasing = (all(map(operator.lt, local, local[1:])) if in_place
-                  else (local[1:] > local[:-1]).all())
-    if local[0] < 0 or local[-1] - (k - 1) > n0 or not increasing:
+    if local[0] < 0 or local[-1] - (k - 1) > n0 or not all(map(operator.lt, local, local[1:])):
         raise ConsistencyError(f"bucket {ordinal}: insert positions inconsistent with content")
     if want_ranks:
         if max(syms) > 3:
             raise ConsistencyError("rank capture over a symbol code above T")
         return False
-    dollars = syms.count(DOLLAR) if in_place else int(np.count_nonzero(syms == DOLLAR))
+    dollars = syms.count(DOLLAR)
     if 0 < dollars < k:
         raise ConsistencyError(f"bucket {ordinal}: mixed terminator batch")
     return dollars == k
@@ -206,16 +184,16 @@ def _check_merge(ordinal: int, local, syms, n0: int, want_ranks: bool, in_place:
 class BucketStore:
     """The buckets in RAM or, given ``tmp_dir``, in one file.
 
-    In RAM, bucket o's content sits at the start of a fixed slot of
-    ``final[o]`` symbols, its size at the end of the build, in one
-    bytearray of plain (A, C, G, T) codes. On disk, one file,
-    ``tmp_dir/buckets.bin``, of 2-bit packed symbols (high bits first),
-    holds ``ceil(final / 4)``-byte slots the same way until the first
-    ranked dense round, which compacts the contents into one gapless run in
-    bucket order from the file's start (:meth:`_pass`). Both are allocated
-    in full here, so that too little memory or disk fails before any
-    merge, with the bytes that were asked for. ``bytes_read`` and
-    ``bytes_written`` count code bytes in RAM and packed bytes on disk.
+    In RAM the content is one bytearray of plain (A, C, G, T) codes. On disk
+    it is one file, ``tmp_dir/buckets.bin``, of 2-bit packed symbols (high
+    bits first). Until the first ranked dense round, bucket o's content sits
+    at the start of a fixed slot of ``final[o]`` symbols, its size at the
+    end of the build (on disk ``ceil(final / 4)`` bytes); that round
+    compacts the contents into one gapless run in bucket order from the
+    start (:meth:`_compact`). Both are allocated in full here, so that too
+    little memory or disk fails before any merge, with the bytes that were
+    asked for. ``bytes_read`` and ``bytes_written`` count code bytes in RAM
+    and packed bytes on disk.
     """
 
     def __init__(self, final: np.ndarray, tmp_dir: str | None = None):
@@ -223,7 +201,7 @@ class BucketStore:
         self.sizes = np.zeros(len(self.final), dtype=np.int64)
         self.tmp_dir = tmp_dir
         self._dollars: dict[int, np.ndarray] = {}
-        # on disk, once the file is gapless, each bucket's first symbol in it
+        # once the content is gapless, each bucket's first symbol in it
         self._begin = None
         self.bytes_read = 0
         self.bytes_written = 0
@@ -233,7 +211,7 @@ class BucketStore:
         self._start = (np.cumsum(extents) - extents).tolist()
         total = int(extents.sum())
         if tmp_dir is None:
-            # one bytearray, which merges splice in place, and a numpy view of it
+            # one bytearray, which sparse merges splice in place, and a numpy view of it
             try:
                 self._buf = bytearray(total)
             except MemoryError:
@@ -257,83 +235,72 @@ class BucketStore:
         in entry order.
 
         Unranked, as the terminator round merges, each bucket goes to
-        :meth:`merge_insert` alone. Ranked, a round holding a terminator, or
-        whose ordinals do not strictly increase, is refused before any
-        bucket changes. On disk the round's entries then go to
-        :meth:`merge_insert` in one call, with one ordinal and base per
-        entry, which merges them in one pass over the file. In RAM each
-        bucket is spliced unranked by :meth:`merge_insert`, which hands back
-        a view of its slot, so a second merge into a bucket would overwrite
-        it before it is ranked. The buckets go a chunk at a time there: a
-        chunk is the buckets whose contents after the merge start in one
-        window of ``RANK_CHUNK`` symbols, and its spliced contents are
-        joined and ranked in one pass (:func:`_chunk_ranks`).
+        :meth:`merge_insert` alone. Ranked, a round whose ordinals do not
+        strictly increase is refused before any bucket changes, and its
+        entries then go to :meth:`merge_insert` in one call, with one
+        ordinal and base per entry, which merges them in one pass.
         """
-        b = bounds.tolist()
         if not want_ranks:
+            b = bounds.tolist()
             for o, base, lo, hi in zip(ordinals.tolist(), bases.tolist(), b, b[1:]):
                 self.merge_insert(o, positions[lo:hi], syms[lo:hi], base, False)
             return None
         if not (ordinals[1:] > ordinals[:-1]).all():
             raise ConsistencyError("ranked merges must name each bucket once, in increasing order")
-        if syms.size and syms.max() > 3:
-            raise ConsistencyError("rank capture over a symbol code above T")
-        counts = np.diff(bounds)
-        owner = np.repeat(np.arange(len(ordinals)), counts)
-        if self.tmp_dir is not None:
-            return self.merge_insert(ordinals[owner], positions, syms, bases[owner])
-        merges = [(o, positions[lo:hi], syms[lo:hi], base)
-                  for o, base, lo, hi in zip(ordinals.tolist(), bases.tolist(), b, b[1:])]
-        local = positions - bases[owner]
-        ends = self.sizes[ordinals] + counts
-        at = np.cumsum(ends) - ends
-        cuts = [*np.flatnonzero(np.diff(at // RANK_CHUNK, prepend=-1)).tolist(), len(ordinals)]
-        ranks = np.empty(len(syms), dtype=np.int64)
-        for first, stop in zip(cuts, cuts[1:]):
-            content = np.concatenate([self.merge_insert(*m, False) for m in merges[first:stop]])
-            lo, hi = b[first], b[stop]
-            ranks[lo:hi] = _chunk_ranks(content, at[first:stop] - at[first], local[lo:hi], syms[lo:hi],
-                                        owner[lo:hi] - first)
-        return ranks
+        owner = np.repeat(np.arange(len(ordinals)), np.diff(bounds))
+        return self.merge_insert(ordinals[owner], positions, syms, bases[owner])
 
     def merge_insert(self, ordinal, tree_positions, syms, base, want_ranks=True):
         """Insert ``syms`` at ``tree_positions - base``.
 
         Ranked, positions and symbols are Python int lists, as sparse rounds
-        pass them; the batch is spliced in place and each entry's rank (see
-        :func:`_splice_in_place`) comes back in a list. Unranked, they are
-        arrays, as :meth:`merge_many` passes them, and the bucket's spliced
-        content comes back, a view of where it was spliced. A pure unranked
-        terminator batch goes to the side list and returns None; it must be
-        the bucket's last merge, since the side list holds final positions
-        that a later merge would shift. Every check runs before any byte of
-        the bucket is read.
+        pass them, and each entry's rank (see :func:`_splice_in_place`)
+        comes back in a list. Unranked, they are arrays, as
+        :meth:`merge_many` passes them: a pure terminator batch goes to the
+        side list and returns None, and must be the bucket's last merge,
+        since the side list holds final positions that a later merge would
+        shift; any other comes back as the bucket's spliced content. Every
+        check runs before any byte of the bucket is read.
 
-        On disk ``ordinal`` and ``base`` may also be arrays, one per entry,
-        as :meth:`merge_many` passes a dense round: the entries are merged
-        ranked by one :meth:`_pass` over the file, and their ranks come back
-        in an array. Once the file is gapless, every merge but a terminator
-        batch goes that way. Otherwise the content is spliced in RAM inside
-        the bucket's slot, or, on disk, inside a bytearray of the bucket
-        alone, read before the splice and written back after it.
+        ``ordinal`` and ``base`` may also be arrays, one per entry, as
+        :meth:`merge_many` passes a ranked dense round: the entries are
+        merged by one :meth:`_pass`, and their ranks come back in an array.
+        Once the content is gapless, every merge but a terminator batch
+        goes that way. Before, the batch is spliced in place: in RAM inside
+        the bucket's slot, on disk inside a bytearray of the bucket alone,
+        read before the splice and written back after it.
         """
         if isinstance(ordinal, np.ndarray):
-            if self.tmp_dir is None:
-                raise ConsistencyError("a merge into many buckets at once runs on disk only")
             return self._pass(ordinal, tree_positions - base, syms)
         if ordinal in self._dollars:
             raise ConsistencyError(
                 f"bucket {ordinal}: merge after its terminator batch, such as a second one")
-        k, n0 = len(syms), int(self.sizes[ordinal])
-        if n0 + k > self.final[ordinal]:
+        k, n0 = len(syms), self.sizes.item(ordinal)
+        if n0 + k > self.final.item(ordinal):
             raise ConsistencyError(
                 f"bucket {ordinal}: {n0} + {k} symbols overflow its slot of {self.final[ordinal]}")
-        # ranked merges and small unranked ones are spliced in place, as lists
-        in_place = want_ranks or k <= SPLICE_FEW_MAX
-        if in_place and not want_ranks:
+        if want_ranks and k == 1 and self.tmp_dir is None and self._begin is None:
+            # a sparse round's one-entry merge in RAM: the same checks and
+            # splice as below, without their lists
+            p, s = tree_positions[0] - base, syms[0]
+            if not 0 <= p <= n0:
+                raise ConsistencyError(f"bucket {ordinal}: insert positions inconsistent with content")
+            if s > 3:
+                raise ConsistencyError("rank capture over a symbol code above T")
+            buf, at = self._buf, self._start[ordinal]
+            p += at
+            buf[p + 1 : at + n0 + 1] = buf[p : at + n0]
+            buf[p] = s
+            self.bytes_read += n0
+            self.bytes_written += n0 + 1
+            self.sizes[ordinal] = n0 + 1
+            if p - at < COUNT_NUMPY_MIN:
+                return [buf.count(s, at, p)]
+            return [int(np.count_nonzero(self._codes[at:p] == s))]
+        if not want_ranks:
             tree_positions, syms = tree_positions.tolist(), syms.tolist()
-        local = [p - base for p in tree_positions] if in_place else tree_positions - base
-        if _check_merge(ordinal, local, syms, n0, want_ranks, in_place):
+        local = [p - base for p in tree_positions]
+        if _check_merge(ordinal, local, syms, n0, want_ranks):
             self._dollars[ordinal] = np.asarray(local, dtype=np.int64)
             self.sizes[ordinal] = n0 + k
             return None
@@ -350,36 +317,33 @@ class BucketStore:
             codes = np.frombuffer(buf, dtype=np.uint8)
             slot = 4 * self._start[ordinal]
             codes[:n0] = self._read(slot, slot + n0, f"bucket {ordinal}")
-        if in_place:
-            ranks = _splice_in_place(buf, at, n0, local, syms, want_ranks)
-        else:
-            p0 = int(local[0])  # the content before the first entry stays in place
-            _splice(codes[at + p0 : at + n0].copy(), local - p0, syms, codes[at + p0 : at + n0 + k])
+        ranks = _splice_in_place(buf, at, n0, local, syms, want_ranks)
         if self.tmp_dir is None:
             self.bytes_written += n0 + k
         else:
-            self._write(_pack(codes), self._start[ordinal], f"bucket {ordinal}")
+            self._write(codes, slot, f"bucket {ordinal}")
         self.sizes[ordinal] = n0 + k
         return ranks if want_ranks else codes[at : at + n0 + k]
 
     def _pass(self, ordinal: np.ndarray, local: np.ndarray, syms: np.ndarray) -> np.ndarray:
         """Merge entries into many buckets at once, ranked, in one pass over
-        the file; entry i goes ``local[i]`` symbols into bucket
+        the content; entry i goes ``local[i]`` symbols into bucket
         ``ordinal[i]``, and ``ordinal`` does not decrease. Returns the ranks.
 
         Every check runs first, vectorised, so that a refused merge changes
         no byte, no size and no I/O count; a pass after any terminator batch
-        is refused, since terminators never enter the file. The first pass compacts the
-        slots (:meth:`_compact`). Each entry's place in the new content is
-        its bucket's new start, from the cumulative sizes, plus ``local``.
-        The pass goes right to left over the content from the first touched
-        bucket on, a window of ``RANK_CHUNK`` old symbols at a time: one
-        read, one splice of the window's entries, one count of the four
-        symbols at its entries and bucket starts (:func:`_counts_before`)
-        and one write. Content only grows, so a window is written at or
-        right of where it was read, never over a byte not yet read; the
-        codes of its first, part-filled byte go out with the window on its
-        left. Counts are kept as minus the count from the point to the
+        is refused, since terminators never enter the content. The first
+        pass compacts the slots (:meth:`_compact`). Each entry's place in
+        the new content is its bucket's new start, from the cumulative
+        sizes, plus ``local``. The pass goes right to left over the content
+        from the first touched bucket on, a window of ``RANK_CHUNK`` old
+        symbols at a time: one read, one splice of the window's entries, one
+        count of the four symbols at its entries and bucket starts
+        (:func:`_counts_before`) and one write. Content only grows, so a
+        window is written at or right of where it was read, never over a
+        symbol not yet read; the codes before its first multiple of four go
+        out with the window on its left, so that on disk every write starts
+        on a byte. Counts are kept as minus the count from the point to the
         content's end, which the windows passed so far give, so that a
         bucket start in another window needs no second pass: an entry's
         rank is its count less its bucket start's.
@@ -410,7 +374,7 @@ class BucketStore:
             bad = (first < 0) | (last > n0)
             bad[owner[1:][~rising]] = True
             raise ConsistencyError(f"bucket {touched[bad.argmax()]}: insert positions inconsistent with content")
-        if self._dollars:  # the file holds no terminators, so none may precede a pass
+        if self._dollars:  # the content holds no terminators, so none may precede a pass
             raise ConsistencyError(f"a ranked merge after bucket {min(self._dollars)}'s terminator batch")
         if self._begin is None:
             self._compact()
@@ -418,7 +382,7 @@ class BucketStore:
         n_old = int(begin[-1] + self.sizes[-1])
         start = begin[touched] + heads  # each touched bucket's start after the merge
         points = start[owner] + local
-        # windows of old symbols from the first touched bucket's byte on
+        # windows of old symbols from the first touched bucket's start, on a byte on disk
         cuts, edges = _windows(int(start[0]) & -4, n_old, RANK_CHUNK, points - np.arange(k))
         news = [a + e for a, e in zip(cuts, edges)]  # each window's start after the merge
         firsts = [*np.searchsorted(start, news[:-1]).tolist(), len(start)]
@@ -438,33 +402,36 @@ class BucketStore:
             at_entry[lo:hi] = counts[: hi - lo] - after[syms[lo:hi]]
             at_start[f0:f1] = counts[hi - lo : -4].reshape(-1, 4) - after
             skip = -s & 3
-            self._write(_pack(new[skip:]), (s + skip) >> 2)
+            self._write(new[skip:], s + skip)
             carry = new[:skip].copy()  # not a view, which would hold the whole window
         self.sizes[touched] = n0 + added
         self._begin = np.cumsum(self.sizes) - self.sizes
         return at_entry - at_start.ravel()[4 * owner + syms]
 
     def _compact(self) -> None:
-        """Move the slots' contents into one gapless run from the file's
-        start, bucket by bucket, a piece of at most ``RANK_CHUNK`` symbols
-        at a time. A content's gapless start is at most its slot's, so a
-        piece is written at or left of where it was read, never over a
-        byte not yet read; the codes of its last, part-filled byte go out
-        with the next piece."""
+        """Move the slots' contents into one gapless run from the start,
+        bucket by bucket, in increasing bucket order, on disk a piece of at
+        most ``RANK_CHUNK`` symbols at a time. A content's gapless start is
+        at most its slot's, so a piece is written at or left of where it was
+        read, never over a symbol not yet read; the codes after its last
+        multiple of four go out with the next piece."""
         carry, at = _NO_CODES, 0
         for o in np.flatnonzero(self.sizes).tolist():
             for piece in self._pieces(o):
                 codes = np.concatenate([carry, piece])
                 full = len(codes) & -4
-                self._write(_pack(codes[:full]), at)
-                at, carry = at + full // 4, codes[full:].copy()
-        self._write(_pack(carry), at)
+                self._write(codes[:full], at)
+                at, carry = at + full, codes[full:].copy()
+        self._write(carry, at)
         self._begin = np.cumsum(self.sizes) - self.sizes
 
     def _read(self, lo: int, hi: int, what: str | None = None) -> np.ndarray:
-        """Symbols ``lo`` to ``hi`` of the file, unpacked, with one
-        ``os.pread``; an error names ``what``, or else the file and the
-        bytes read."""
+        """Symbols ``lo`` to ``hi`` of the content: in RAM a view of them, on
+        disk unpacked from one ``os.pread``, where an error names ``what``,
+        or else the file and the bytes read."""
+        if self.tmp_dir is None:
+            self.bytes_read += hi - lo
+            return self._codes[lo:hi]
         first = lo >> 2
         want = ((hi + 3) >> 2) - first if hi > lo else 0
         what = what or f"bucket file {self._path}, bytes {first}-{first + want}"
@@ -477,10 +444,16 @@ class BucketStore:
         self.bytes_read += want
         return _unpack(np.frombuffer(raw, dtype=np.uint8), 4 * want)[lo & 3 : (lo & 3) + hi - lo]
 
-    def _write(self, packed: np.ndarray, at: int, what: str | None = None) -> None:
-        """Write ``packed`` from byte ``at`` of the file with one
-        ``os.pwrite``; an error names ``what``, or else the file and the
-        bytes written."""
+    def _write(self, codes: np.ndarray, at: int, what: str | None = None) -> None:
+        """Write ``codes`` from symbol ``at`` of the content, a multiple of 4:
+        in RAM by one slice assignment, on disk packed, with one
+        ``os.pwrite``, where an error names ``what``, or else the file and
+        the bytes written."""
+        if self.tmp_dir is None:
+            self._codes[at : at + len(codes)] = codes
+            self.bytes_written += len(codes)
+            return
+        packed, at = _pack(codes), at >> 2
         what = what or f"bucket file {self._path}, bytes {at}-{at + len(packed)}"
         try:
             short = os.pwrite(self._fd, packed, at) != len(packed)
@@ -492,20 +465,18 @@ class BucketStore:
 
     def _pieces(self, ordinal: int):
         """Bucket ``ordinal``'s symbols, terminators spliced back in: in RAM
-        in one piece, which may be a view of its slot, and on disk in
+        in one piece, which may be a view of its content, and on disk in
         pieces of at most ``RANK_CHUNK`` symbols before the terminators."""
         dollars = self._dollars.get(ordinal, _NO_DOLLARS)
         n = int(self.sizes[ordinal]) - len(dollars)
-        if self.tmp_dir is None:
-            at, step = self._start[ordinal], max(n, 1)
+        if self._begin is not None:
+            at = int(self._begin[ordinal])
         else:
-            at, step = 4 * self._start[ordinal] if self._begin is None else int(self._begin[ordinal]), RANK_CHUNK
+            at = self._start[ordinal] * (1 if self.tmp_dir is None else 4)
+        step = max(n, 1) if self.tmp_dir is None else RANK_CHUNK
         cuts, edges = _windows(0, n, step, dollars - np.arange(len(dollars)))
         for u, v, lo, hi in zip(cuts, cuts[1:], edges, edges[1:]):
-            if self.tmp_dir is None:
-                codes = self._codes[at + u : at + v]
-            else:
-                codes = self._read(at + u, at + v, f"bucket {ordinal}")
+            codes = self._read(at + u, at + v, f"bucket {ordinal}")
             yield codes if lo == hi else _splice(codes, dollars[lo:hi] - (u + lo),
                                                  np.full(hi - lo, DOLLAR, dtype=np.uint8))
 

@@ -20,8 +20,10 @@ import numpy as np
 DOLLAR = 4
 SYMBOL_BYTES = b"ACGT$"
 
-# symbols per chunk of WordCollection.context_counts: temporaries of a few MB
-_COUNT_CHUNK = 1 << 18
+# symbols per chunk of WordCollection.context_counts: its temporaries, about
+# 17 bytes a symbol, stay below what one window of a dense round's pass
+# holds, so that the count does not set a build's peak; see README
+_COUNT_CHUNK = 1 << 15
 
 _AMBIG = 254
 _BAD = 255

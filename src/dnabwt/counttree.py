@@ -34,10 +34,11 @@ def _step(leaf, d):
 
 @functools.lru_cache(maxsize=1 << 12)
 def _path(leaf: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The nodes above a leaf id where its path steps left, and right; kept
-    for the leaves that sparse rounds insert into most recently."""
+    """The nodes above a leaf id where its path steps left, and right, as
+    their rows' offsets in the flattened counters; kept for the leaves that
+    sparse rounds insert into most recently."""
     steps = [_step(leaf, d) for d in range(leaf.bit_length() - 3, 0, -1)]
-    return tuple(n for n, r in steps if not r), tuple(n for n, r in steps if r)
+    return tuple(5 * n for n, r in steps if not r), tuple(5 * n for n, r in steps if r)
 
 
 class TreeArray:
@@ -49,8 +50,10 @@ class TreeArray:
         self.leaves_per_tree = self.n_leaves >> 2
         # extra all-zero row at index n_leaves pads the right-step gather
         self.counters = np.zeros((self.n_leaves + 1, 5), dtype=np.int64)
-        # the counters as Python ints, for the scalar forms
+        # the counters as Python ints, for the scalar forms: by row and
+        # column, and flattened, row i's counters from 5 * i
         self.view = memoryview(self.counters)
+        self._flat = memoryview(self.counters.reshape(-1))
         # row i's left subtree holds the leaf ordinals [_node_lo[i], _node_mid[i])
         rows = np.arange(4, self.n_leaves, dtype=np.int64)
         half = self.n_leaves >> np.frexp(rows)[1]  # frexp's exponent is bit_length
@@ -105,20 +108,23 @@ class TreeArray:
         Same arguments as :meth:`apply_left_increments`, as Python int lists;
         each insertion walks its own path instead of a per-round batch.
         """
-        cv, depth = self.view, self.kappa - 2
+        cv, depth = self._flat, self.kappa - 2
         for o, s in zip(ordinals, syms):
-            for x in range(o >> depth, 4):
-                cv[x, s] += 1
-            for node in _path(self.n_leaves + o)[0]:
-                cv[node, s] += 1
+            for x in range(5 * (o >> depth) + s, 20, 5):
+                cv[x] += 1
+            for row in _path(self.n_leaves + o)[0]:
+                cv[row + s] += 1
 
     def accumulator(self, ordinal: int) -> list[int]:
         """Scalar :meth:`accumulators_for` of one bucket, as five Python ints.
 
         Like the bulk form, it must follow the round's :meth:`add_insertions`.
         """
-        cv, acc = self.view, [0] * 5
-        for node in _path(self.n_leaves + ordinal)[1]:
-            for c in range(5):
-                acc[c] += cv[node, c]
+        cv, acc = self._flat, [0, 0, 0, 0, 0]
+        for row in _path(self.n_leaves + ordinal)[1]:
+            acc[0] += cv[row]
+            acc[1] += cv[row + 1]
+            acc[2] += cv[row + 2]
+            acc[3] += cv[row + 3]
+            acc[4] += cv[row + 4]
         return acc

@@ -14,13 +14,15 @@ an iteration it is re-sorted for the next one by a single stable partition
 on the symbol just inserted, and newly started words are prepended with
 positions taken from a rank over the activation bitvector.
 
-An iteration runs on per-round numpy arrays, which go to the store whole,
-or, while at most ``SPARSE_MAX`` words are active, as the same steps on
-plain Python ints, which avoids the arrays' fixed cost in the long runs of
-rounds where only the longest words are active. There each symbol is read
-as a Python int from the packed words, each bucket's batch goes to the
-store as lists, and the store splices it in place, so such a round costs
-about its words' Python steps.
+Rounds before the final one run on plain Python ints while at most
+``SPARSE_MAX`` words are active, which avoids per-round numpy arrays in the
+long runs of rounds where only the longest words are active. Words join
+but never leave before the final round, so these sparse rounds are a
+prefix, and one loop runs them all (``BwtBuilder._sparse_rounds``): each
+symbol is read as a Python int from the packed words, each bucket's batch
+goes to the store as lists, and the store splices it in place, so such a
+round costs about its words' Python steps. The rounds after it run on
+per-round numpy arrays, which go to the store whole.
 """
 from __future__ import annotations
 
@@ -49,7 +51,7 @@ BACKENDS = ("external", "memory")
 _NONE = np.empty(0, dtype=np.int64)
 
 # a round before the final one with at most this many active words runs on
-# Python ints (BwtBuilder._sparse_round); the measured crossover, see README
+# Python ints (BwtBuilder._sparse_rounds); the measured crossover, see README
 SPARSE_MAX = 32
 
 # largest accepted kappa. Every dense round works over all 2**kappa leaves:
@@ -129,8 +131,14 @@ def plan_iteration(ordinals):
     """
     n = len(ordinals)
     if isinstance(ordinals, list):
-        bounds = [i for i in range(n) if i == 0 or ordinals[i] != ordinals[i - 1]] + [n]
-        return [ordinals[b] for b in bounds[:-1]], bounds
+        uniq, bounds = ordinals[:1], [0]
+        for i in range(1, n):
+            if ordinals[i] != ordinals[i - 1]:
+                uniq.append(ordinals[i])
+                bounds.append(i)
+        if n:
+            bounds.append(n)
+        return uniq, bounds
     if n == 0:
         return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
     cuts = np.flatnonzero(np.diff(ordinals)) + 1
@@ -214,17 +222,12 @@ class BwtBuilder:
             self.store = ExternalBucketStore(final, tempfile.mkdtemp(prefix="dnabwt_", dir=self.config.tmp_dir))
         self._prepare_starts()
         sb = StartBitvector(c.m)
-        state: tuple = ([], [], [])  # word indices, positions, contexts
-        # words join but never leave before the final round, so the active
-        # count never falls: the sparse rounds all come first
-        sparse = True
-        for t in range(M + 1):
+        first, state = self._sparse_rounds(sb, inspect)
+        for t in range(first, M + 1):
             self.t = t
             new_js, new_pos = self.activate_new_words(sb, t)
             alpha_next = self.alpha + self._start_bounds.item(t + 2) - self._start_bounds.item(t + 1)
-            sparse = sparse and t < M and len(state[0]) + len(new_js) <= SPARSE_MAX
-            round_ = self._sparse_round if sparse else self._dense_round
-            state = round_(t, state, new_js, new_pos, alpha_next, inspect)
+            state = self._dense_round(t, state, new_js, new_pos, alpha_next, inspect)
 
         if not np.array_equal(self.store.sizes, final):
             raise ConsistencyError("final bucket sizes differ from the counted ones")
@@ -282,46 +285,59 @@ class BwtBuilder:
         ctx = (syms.astype(np.int64) << top_shift) | (ctx >> 2)
         return stable_radix_step(syms, j_arr, nxt, ctx)
 
-    def _sparse_round(self, t: int, state: tuple, new_js: np.ndarray, new_pos: np.ndarray,
-                      alpha_next: int, inspect: Callable | None) -> tuple:
-        """One round before the final one on Python ints, for few active words.
+    def _sparse_rounds(self, sb: StartBitvector, inspect: Callable | None) -> tuple[int, tuple]:
+        """Run the sparse prefix: every round from 0 on, before the final
+        one, that has at most ``SPARSE_MAX`` active words. Returns the first
+        round it did not run and that round's state.
 
-        Same steps, same store and tree state and same result as
+        Same steps, same store and tree state and same ``inspect`` calls as
         :meth:`_dense_round`, without its fixed per-round numpy cost: the
         state, the symbols and each bucket's batch stay Python int lists
-        from the fetch to the merge.
+        from the fetch to the merge, and words are activated only in the
+        rounds where some start.
         """
-        c = self.collection
+        c, tree, store = self.collection, self.tree, self.store
         drop, top_shift, _ = self._shifts
-        j, pos, ctx = state
-        if new_js.size:
-            j = new_js.tolist() + j
-            pos = new_pos.tolist() + pos
-            ctx = [0] * len(new_js) + ctx
-        self._active = (j, pos, ctx)
+        starts = self._start_bounds.tolist()
+        fetch, add, accumulator, merge = c.fetch_code, tree.add_insertions, tree.accumulator, store.merge_insert
+        cv = tree.view
+        j: list[int] = []
+        pos: list[int] = []
+        ctx: list[int] = []
+        for t in range(c.max_length):
+            fresh = starts[t + 1] - starts[t]
+            if fresh:
+                if len(j) + fresh > SPARSE_MAX:
+                    return t, (j, pos, ctx)
+                new_js, new_pos = self.activate_new_words(sb, t)
+                j = new_js.tolist() + j
+                pos = new_pos.tolist() + pos
+                ctx = [0] * fresh + ctx
+            alpha_next = self.alpha + starts[t + 2] - starts[t + 1]
 
-        syms = [c.fetch_code(w, t) for w in j]
-        ordinals = [x >> drop for x in ctx]
-        uniq, bounds = plan_iteration(ordinals)
-        self.tree.add_insertions(ordinals, syms)
-        entry_acc: list[list[int]] = []
-        captured: list[int] = []
-        for o, lo, hi in zip(uniq, bounds, bounds[1:]):
-            acc = self.tree.accumulator(o)
-            entry_acc += [acc] * (hi - lo)
-            captured += self.store.merge_insert(o, pos[lo:hi], syms[lo:hi], sum(acc))
+            syms, ordinals = [], []
+            for w, x in zip(j, ctx):
+                syms.append(fetch(w, t))
+                ordinals.append(x >> drop)
+            uniq, bounds = plan_iteration(ordinals)
+            add(ordinals, syms)
+            nxt = []
+            for o, lo, hi in zip(uniq, bounds, bounds[1:]):
+                acc = accumulator(o)
+                for i, r in enumerate(merge(o, pos[lo:hi], syms[lo:hi], sum(acc)), lo):
+                    s = syms[i]
+                    nxt.append(next_positions(cv, ctx[i] >> top_shift, s, acc[s], r, alpha_next))
+            if inspect is not None:  # the round and its state, which only inspect reads
+                self.t, self._active = t, (j, pos, ctx)
+                inspect(self)
 
-        if inspect is not None:
-            inspect(self)
-
-        cv = self.tree.view
-        nxt = [
-            next_positions(cv, x >> top_shift, s, acc[s], r, alpha_next)
-            for x, s, acc, r in zip(ctx, syms, entry_acc, captured)
-        ]
-        ctx = [(s << top_shift) | (x >> 2) for s, x in zip(syms, ctx)]
-        order = sorted(range(len(syms)), key=syms.__getitem__)  # stable
-        return [j[i] for i in order], [nxt[i] for i in order], [ctx[i] for i in order]
+            ctx = [(s << top_shift) | (x >> 2) for s, x in zip(syms, ctx)]
+            if len(j) == 1:
+                pos = nxt
+            else:
+                order = sorted(range(len(j)), key=syms.__getitem__)  # stable
+                j, pos, ctx = [j[i] for i in order], [nxt[i] for i in order], [ctx[i] for i in order]
+        return c.max_length, (j, pos, ctx)
 
     def bucket_sizes(self) -> np.ndarray:
         return self.store.sizes.copy()

@@ -24,7 +24,8 @@ def _stores(tmp_path, kappa):
 
 def _merge(store, ordinal, positions, syms, want_ranks=True, base=0):
     """``merge_insert`` in the form each kind takes: Python int lists ranked,
-    as sparse rounds merge, and arrays unranked, as dense rounds merge."""
+    as sparse rounds merge, and arrays unranked, as the terminator round
+    merges."""
     if want_ranks:
         return store.merge_insert(ordinal, [int(p) for p in positions], [int(c) for c in syms], base)
     return store.merge_insert(ordinal, np.asarray(positions, dtype=np.int64),
@@ -92,13 +93,13 @@ def test_captured_ranks_monotone_per_symbol():
 
 def _splice_cases(rng):
     """(old, positions, syms) batches for the splice oracle: random ones, and
-    batch sizes on both sides of the small-batch cut with inserts at the
-    front and the end and all-equal symbols."""
+    batches of 1, 16 and 17 entries with inserts at the front and the end
+    and all-equal symbols."""
     for _ in range(40):
         old = [rng.randrange(4) for _ in range(rng.randrange(30))]
         k = rng.randint(1, 8)
         yield old, sorted(rng.sample(range(len(old) + k), k)), [rng.randrange(4) for _ in range(k)]
-    for k in (1, buckets.SPLICE_FEW_MAX, buckets.SPLICE_FEW_MAX + 1):
+    for k in (1, 16, 17):
         for n0 in (0, 1, 25):
             old = [rng.randrange(4) for _ in range(n0)]
             n = n0 + k
@@ -165,14 +166,13 @@ def _naive_counts(content, points):
 
 def _counts(content, points):
     """Rows 0 to 3: the counts of A, C, G and T in ``content[:p]`` per point
-    p, by the rank kernel, each point asked once per symbol, in one bucket
-    that starts at 0."""
+    p, by the rank kernel, each point asked once per symbol."""
     points = np.asarray(points, dtype=np.int64)
     k = len(points)
-    ranks = buckets._chunk_ranks(np.asarray(content, dtype=np.uint8), np.zeros(1, dtype=np.int64),
-                                 np.tile(points, 4), np.repeat(np.arange(4), k), np.zeros(4 * k, dtype=np.int64))
-    assert ranks.dtype == np.int64
-    return ranks.reshape(4, k)
+    counts = buckets._counts_before(np.asarray(content, dtype=np.uint8), np.tile(points, 4),
+                                    np.repeat(np.arange(4), k))
+    assert counts.dtype == np.int64
+    return counts.reshape(4, k)
 
 
 def _check_splice(old, positions, syms, count_ranks):
@@ -190,8 +190,6 @@ def _check_splice(old, positions, syms, count_ranks):
         counts = _counts(new, positions)
         assert counts.tolist() == _naive_counts(expected, positions)
         assert counts[syms, np.arange(len(syms))].tolist() == expected_ranks
-        owner = np.zeros(len(syms), dtype=np.int64)
-        assert buckets._chunk_ranks(new, owner[:1], args[1], args[2], owner).tolist() == expected_ranks
 
 
 @pytest.mark.parametrize("count_ranks", [True, False])
@@ -267,11 +265,10 @@ def test_in_place_splice_matches_naive_splice_between_guard_bytes(count_numpy_mi
     # bytearray of the unpacked bucket. With guard bytes in every slot byte
     # around the bucket's content, the merge changes only the bytes of its
     # spliced content, which equals the naive splice; its ranks equal the
-    # naive splice's and a count on the spliced content. Ranked merges, and
-    # unranked ones of up to 8 entries here, splice in place, into empty,
-    # part-filled and exactly filled slots; ranks are counted all by numpy,
-    # by range length, or all by bytearray.count
-    monkeypatch.setattr(buckets, "SPLICE_FEW_MAX", 8)
+    # naive splice's and a count on the spliced content. Ranked and unranked
+    # merges splice in place, into empty, part-filled and exactly filled
+    # slots; ranks are counted all by numpy, by range length, or all by
+    # bytearray.count
     monkeypatch.setattr(buckets, "COUNT_NUMPY_MIN", count_numpy_min)
     rng = random.Random(61)
     slot, ordinal = 40, 2
@@ -356,11 +353,10 @@ def test_refused_small_merges_leave_the_store_untouched(tmp_path):
 
 
 def test_ranked_merge_many_refuses_a_bucket_named_twice(tmp_path):
-    # in RAM, an unranked merge hands merge_many a view of its slot, which a
-    # second merge into that bucket would overwrite before the view is
-    # ranked. So, on both backends, a ranked round whose ordinals do not
-    # strictly increase, as when it names one bucket twice, is refused before
-    # any bucket changes; unranked, it is merged
+    # a ranked round's pass takes each bucket's entries as one run of the
+    # round's entries. So, on both backends, a ranked round whose ordinals
+    # do not strictly increase, as when it names one bucket twice, is
+    # refused before any bucket changes; unranked, it is merged
     twice = _round_arrays([(1, [0], [2], 0), (2, [5, 6], [3, 0], 5), (1, [4], [3], 0)])
     adjacent = _round_arrays([(1, [0], [2], 0), (1, [4], [3], 0)])
     decreasing = _round_arrays([(2, [5, 6], [3, 0], 5), (1, [4], [3], 0)])
@@ -411,7 +407,7 @@ def _merge_many_cases(rng, slot):
         batches = []
         for o in sorted(rng.sample(range(16), rng.randint(1, 10))):
             n0 = len(fill[o])
-            k = rng.choice([1, 1, 3, buckets.SPLICE_FEW_MAX + 5, slot - n0 - 2])
+            k = rng.choice([1, 1, 3, 21, slot - n0 - 2])
             base = rng.randrange(1000)
             positions = np.array(sorted(rng.sample(range(n0 + k), k)), dtype=np.int64) + base
             syms = np.array([rng.choice([rng.randrange(4), 3]) for _ in range(k)], dtype=np.uint8)
@@ -421,32 +417,38 @@ def _merge_many_cases(rng, slot):
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, buckets.RANK_CHUNK])
 def test_merge_many_ranks_equal_per_batch_ranks_at_any_chunk_bound(chunk, tmp_path, monkeypatch):
-    # merge_many ranks a round's merges a chunk of spliced content at a time
-    # in RAM, and a window of old content at a time on disk: at a bound of
-    # one symbol, of a few and the default, on both backends, its ranks and
-    # contents equal naive splices of each batch alone
+    # on both backends a ranked round is one pass over the content, a window
+    # of old symbols at a time: at a window of one symbol, of a few and the
+    # default, two rounds, of which the first compacts the slots, leave the
+    # ranks, contents and sizes of naive splices of each batch alone, and
+    # the second reads the old content at most once (on disk, a window that
+    # ends inside a byte reads that byte again with the next one)
     monkeypatch.setattr(buckets, "RANK_CHUNK", chunk)
-    passes = []
-    rank = buckets._chunk_ranks
-    monkeypatch.setattr(buckets, "_chunk_ranks", lambda c, *a: passes.append(len(c)) or rank(c, *a))
     for trial, (fill, batches) in enumerate(_merge_many_cases(random.Random(39), SLOT)):
-        expected_ranks, expected = [], {o: list(c) for o, c in fill.items()}
-        for o, positions, syms, base in batches:
-            expected[o], ranks = naive_splice(fill[o], (positions - base).tolist(), syms.tolist())
-            expected_ranks += ranks
         for store in _stores(tmp_path / f"m{trial}", 4):
-            for o, codes in fill.items():
-                if codes:
-                    store.merge_insert(o, np.arange(len(codes), dtype=np.int64),
-                                       np.array(codes, dtype=np.uint8), base=0, want_ranks=False)
-            captured = store.merge_many(*_round_arrays(batches))
-            assert captured.dtype == np.int64
-            assert captured.tolist() == expected_ranks
-            assert [store.read(o).tolist() for o in range(16)] == [expected[o] for o in range(16)]
-            assert store.sizes.tolist() == [len(expected[o]) for o in range(16)]
+            _fill(store, fill)
+            expected = {o: list(c) for o, c in fill.items()}
+            first_round = True
+            for round_ in (batches, None):
+                if round_ is None:
+                    # an entry at the front of every bucket with room
+                    round_ = [(o, np.array([3]), np.array([o % 4], dtype=np.uint8), 3)
+                              for o in range(16) if len(expected[o]) < SLOT]
+                expected_ranks = []
+                for o, positions, syms, base in round_:
+                    expected[o], ranks = naive_splice(expected[o], (positions - base).tolist(), syms.tolist())
+                    expected_ranks += ranks
+                read, n_old = store.bytes_read, int(store.sizes.sum())
+                captured = store.merge_many(*_round_arrays(round_))
+                assert captured.dtype == np.int64
+                assert captured.tolist() == expected_ranks
+                if not first_round:
+                    once = n_old if store.tmp_dir is None else (n_old + 3) // 4 + (chunk % 4 > 0) * -(-n_old // chunk)
+                    assert store.bytes_read - read <= once
+                first_round = False
+                assert store.sizes.tolist() == [len(expected[o]) for o in range(16)]
+                assert [store.read(o).tolist() for o in range(16)] == [expected[o] for o in range(16)]
             store.close()
-    # a chunk in RAM reads less than one chunk bound plus its last bucket
-    assert passes and max(passes) < chunk + SLOT
 
 
 def _io_state(store):
@@ -462,9 +464,12 @@ def _fill(store, fill):
 
 
 def _gapless_run(store):
-    """The file's bytes that the gapless layout uses, and the packed run of
-    every bucket's content in bucket order, which they must equal."""
+    """The bytes that the gapless layout uses, in RAM or in the file, and the
+    run of every bucket's content in bucket order, packed on disk, which
+    they must equal."""
     codes = np.concatenate([store.read(o) for o in range(len(store.sizes))])
+    if store.tmp_dir is None:
+        return _slot_bytes(store)[: len(codes)], codes.tobytes()
     return _slot_bytes(store)[: (len(codes) + 3) // 4], _pack(codes).tobytes()
 
 
@@ -577,19 +582,20 @@ def _window_round(rng, store, chunk, k, length_mod_4):
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, buckets.RANK_CHUNK])
 def test_pass_equals_naive_splices_at_any_window_edge(chunk, tmp_path, monkeypatch):
-    # the pass over the gapless file at a window of one symbol, of a few
-    # and the default. After 0, 1 and 20 sparse rounds (ranked one-bucket
-    # merges into slots), the first round compacts the slots; four rounds
-    # put entries before every window's first old symbol and at the
-    # content's end, with bucket starts in earlier windows than their
-    # entries and contents of each length mod 4. Ranks, sizes and every
-    # read(o) equal naive splices of each batch, and the file holds the
-    # contents' packed run. A one-bucket merge then goes through the pass
+    # the pass over the gapless content, in RAM and on disk, at a window of
+    # one symbol, of a few and the default. After 0, 1 and 20 sparse rounds
+    # (ranked one-bucket merges into slots), the first round compacts the
+    # slots; four rounds put entries before every window's first old
+    # symbol and at the content's end, with bucket starts in earlier
+    # windows than their entries and contents of each length mod 4. Ranks,
+    # sizes and every read(o) equal naive splices of each batch, and the
+    # RAM array or the file holds the contents' run. A one-bucket merge
+    # then goes through the pass
     monkeypatch.setattr(buckets, "RANK_CHUNK", chunk)
     rng = random.Random(44)
-    for n_sparse in (0, 1, 20):
+    for n_sparse, tmp_dir in itertools.product((0, 1, 20), (None, "disk")):
         final = np.array([rng.choice([3, 40, 150, 300]) for _ in range(16)])
-        store = buckets.BucketStore(final, str(tmp_path / f"s{n_sparse}"))
+        store = buckets.BucketStore(final, tmp_dir and str(tmp_path / f"s{n_sparse}"))
         model = [[] for _ in range(16)]
         for _ in range(n_sparse):
             o = rng.choice([o for o in range(16) if len(model[o]) < final[o]])
@@ -636,9 +642,11 @@ def test_terminator_round_makes_no_bucket_io(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("n", [64, 65, 127, 1024, 1025, 1087])
 def test_chunk_ranks_match_naive_counts_at_word_edges(n):
-    # content lengths of 0, 1 and 63 mod 64 symbols, bucket starts on word
-    # edges or anywhere, entries at 0 and at the content's end: each rank
-    # is the count of the entry's symbol from its bucket's start to it
+    # the pass's rank rule over content lengths of 0, 1 and 63 mod 64
+    # symbols, bucket starts on word edges or anywhere, entries at 0 and at
+    # the content's end: one count of each entry's symbol and of all four
+    # at each bucket start, and each rank, an entry's count less its bucket
+    # start's, is the count of the entry's symbol from its bucket's start to it
     rng = np.random.default_rng(n)
     content = rng.integers(0, 4, n, dtype=np.uint8)
     edges = np.arange(0, n, 64)
@@ -649,31 +657,23 @@ def test_chunk_ranks_match_naive_counts_at_word_edges(n):
             owner = np.searchsorted(starts, points, side="right") - 1
             syms = rng.integers(0, 4, len(points)).astype(np.uint8)
             expected = [content[starts[o] : p].tolist().count(c) for p, o, c in zip(points, owner, syms)]
-            ranks = buckets._chunk_ranks(content, starts, points - starts[owner], syms, owner)
-            assert ranks.tolist() == expected
+            k = len(points)
+            counts = buckets._counts_before(content, np.concatenate([points, np.repeat(starts, 4)]),
+                                            np.concatenate([syms, np.tile(np.arange(4), len(starts))]))
+            assert (counts[:k] - counts[k + 4 * owner + syms]).tolist() == expected
 
 
 def test_merge_many_refused_third_batch_stores_the_first_two(tmp_path):
-    # in RAM a round refused at its third bucket leaves the first two as
-    # merges of each alone leave them, and the third untouched. On disk
-    # every check of a round runs before its first byte is read, so a
-    # refused round, in slots or in the gapless file, changes no byte, no
-    # size and no I/O count, and does not compact the slots
+    # every check of a ranked round runs before its first symbol is read, so
+    # on both backends a round refused at its third bucket, or for any
+    # other reason, in slots or in the gapless content, changes no byte, no
+    # size and no I/O count, and does not compact the slots. No pass may
+    # follow a terminator batch, into its bucket or any other, since
+    # terminators stay out of the content
     fill = {0: [1, 2, 3], 2: list(range(4)) * 5, 5: [2] * 7}
     batches = [(0, np.array([0, 4]), np.array([3, 3], dtype=np.uint8), 0),
                (2, np.arange(20) + 1, np.arange(20, dtype=np.uint8) % 4, 0),
                (5, np.array([0, 9]), np.array([1, 1], dtype=np.uint8), 0)]
-    chunked, alone = MemoryBucketStore(3), MemoryBucketStore(3)
-    for store in (chunked, alone):
-        _fill(store, fill)
-    with pytest.raises(ConsistencyError, match="bucket 5: insert positions"):
-        chunked.merge_many(*_round_arrays(batches))
-    for o, positions, syms, base in batches[:2]:
-        alone.merge_insert(o, positions, syms, base, False)
-    assert _io_state(chunked) == _io_state(alone)
-    assert chunked.read(5).tolist() == [2] * 7
-    with pytest.raises(ConsistencyError, match="on disk only"):
-        chunked.merge_insert(np.array([0]), np.array([0]), np.array([1], dtype=np.uint8), np.array([0]))
     refused = {
         "bucket 5: insert positions": batches,
         "bucket 6: insert positions": [(5, np.array([0, 8]), np.array([1, 1], dtype=np.uint8), 0),
@@ -682,27 +682,28 @@ def test_merge_many_refused_third_batch_stores_the_first_two(tmp_path):
         "each bucket once, in increasing order": [batches[1], batches[0]],
         "above T": [(0, np.array([0]), np.array([DOLLAR], dtype=np.uint8), 0)],
     }
-    store = ExternalBucketStore(3, str(tmp_path / "disk"))
-    _fill(store, fill)
-    for layout in ("slots", "gapless"):
+    for store in _stores(tmp_path, 3):
+        _fill(store, fill)
+        expected = {o: fill.get(o, []) for o in range(8)}
+        for layout in ("slots", "gapless"):
+            state = _io_state(store)
+            for message, round_ in refused.items():
+                with pytest.raises(ConsistencyError, match=message):
+                    store.merge_many(*_round_arrays(round_))
+                assert _io_state(store) == state, (layout, message)
+                assert (store._begin is None) == (layout == "slots")
+            for o, positions, syms, base in batches[:2]:
+                expected[o] = naive_splice(expected[o], (positions - base).tolist(), syms.tolist())[0]
+            store.merge_many(*_round_arrays(batches[:2]))
+            assert [store.read(o).tolist() for o in range(8)] == [expected[o] for o in range(8)]
+        store.merge_many(*_round_arrays([(1, np.array([0]), np.array([DOLLAR], dtype=np.uint8), 0)]), False)
         state = _io_state(store)
-        for message, round_ in refused.items():
-            with pytest.raises(ConsistencyError, match=message):
+        for round_ in ([(0, [0], [1], 0), (1, [0], [1], 0)], [(0, [0], [1], 0)]):
+            with pytest.raises(ConsistencyError, match="after bucket 1's terminator batch"):
                 store.merge_many(*_round_arrays(round_))
-            assert _io_state(store) == state, (layout, message)
-            assert (store._begin is None) == (layout == "slots")
-        store.merge_many(*_round_arrays(batches[:2]))
-        fill = {o: store.read(o).tolist() for o in range(8)}
-    store.merge_many(*_round_arrays([(1, np.array([0]), np.array([DOLLAR], dtype=np.uint8), 0)]), False)
-    state = _io_state(store)
-    # terminators stay out of the file, so no pass may follow them, into
-    # their bucket or any other
-    for round_ in ([(0, [0], [1], 0), (1, [0], [1], 0)], [(0, [0], [1], 0)]):
-        with pytest.raises(ConsistencyError, match="after bucket 1's terminator batch"):
-            store.merge_many(*_round_arrays(round_))
-        assert _io_state(store) == state
-    assert [store.read(o).tolist() for o in range(8)] == [fill[o] if o != 1 else [DOLLAR] for o in range(8)]
-    store.close()
+            assert _io_state(store) == state
+        assert [store.read(o).tolist() for o in range(8)] == [expected[o] if o != 1 else [DOLLAR] for o in range(8)]
+        store.close()
 
 
 def test_merge_insert_rank_capture_counts_copied_and_inserted(tmp_path):
@@ -724,10 +725,10 @@ def test_merge_insert_validates_positions(tmp_path):
     store = MemoryBucketStore(3)
     with pytest.raises(ConsistencyError):
         store.merge_insert(0, [1, 1], [0, 0], base=0)
-    # each violation, ranked and unranked, on both sides of the unranked
-    # in-place cut, into an empty bucket and into one of 30 symbols, on
-    # every store kind
-    for k in (2, buckets.SPLICE_FEW_MAX + 1, 3 * buckets.SPLICE_FEW_MAX):
+    # each violation, ranked and unranked, in batches of 2, 17 and 48
+    # entries, into an empty bucket and into one of 30 symbols, on every
+    # store kind
+    for k in (2, 17, 48):
         for n0 in (0, 30):
             ok = np.arange(k, dtype=np.int64) + n0 // 2
             bad = {
@@ -888,7 +889,7 @@ def test_merge_overflowing_its_slot_raises_and_spares_the_neighbour(tmp_path):
     for store in _stores(tmp_path, 3):
         _merge(store, 3, range(SLOT - 2), [0] * (SLOT - 2), want_ranks=False)
         _merge(store, 4, range(5), [1, 2, 3, 1, 2])
-        for k in (3, buckets.SPLICE_FEW_MAX + 1):
+        for k in (3, 17):
             for want_ranks in (True, False):
                 with pytest.raises(ConsistencyError, match="overflow its slot"):
                     _merge(store, 3, range(k), [2] * k, want_ranks)
@@ -1008,7 +1009,7 @@ def test_backends_identical_bucket_contents(tmp_path):
 def test_both_backends_refuse_misplaced_terminators(tmp_path):
     # a terminator has no rank to capture: on both backends a ranked batch
     # that holds one raises before its bucket changes
-    for k in (2, buckets.SPLICE_FEW_MAX + 1):
+    for k in (2, 17):
         for n0 in (0, 30):
             for at in (0, k - 1):
                 for store in _stores(tmp_path / f"r{k}_{n0}_{at}", 3):

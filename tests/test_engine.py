@@ -119,9 +119,10 @@ def test_external_build_bounds_memory(tmp_path, monkeypatch):
     # the external backend holds windows of the transform, never the whole:
     # as 450 words grow from 150 to 600 symbols, the traced peak of an
     # external run() grows by less than two windows' bytes, while the
-    # memory backend's grows by at least the content it adds. The window
-    # is cut to 2^16 symbols and the counting pass's chunk to 2^13, so that
-    # the windows are full in both builds and set the peak
+    # memory backend's holds the whole content and a window's spliced
+    # codes. The window is cut to 2^16 symbols and the counting pass's
+    # chunk to 2^13, so that the windows are full in both builds and set
+    # the peak
     window = 1 << 16
     monkeypatch.setattr(buckets, "RANK_CHUNK", window)
     monkeypatch.setattr(collection, "_COUNT_CHUNK", 1 << 13)
@@ -139,8 +140,37 @@ def test_external_build_bounds_memory(tmp_path, monkeypatch):
                     peaks[backend, n] = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
+        assert peaks["memory", n] >= c.total_length + window
     assert peaks["external", 600] - peaks["external", 150] < 2 * window
-    assert peaks["memory", 600] - peaks["memory", 150] >= 450 * (600 - 150)
+
+
+def test_context_counts_peak_stays_below_one_pass_window():
+    # the bucket-size count before round 0 works a chunk of symbols at a
+    # time, so that its temporaries peak below what one window of a dense
+    # round's pass holds, and a run()'s traced peak is set by its rounds.
+    # 2,000 words of 150 symbols hold several counting chunks and, in the
+    # last rounds, more than one full window of the default size
+    rng = np.random.default_rng(76)
+    words = np.frombuffer(b"ACGT", dtype=np.uint8)[rng.integers(0, 4, (2000, 150))]
+    c = WordCollection.from_words([w.tobytes() for w in words])
+    assert c.total_length > max(4 * collection._COUNT_CHUNK, buckets.RANK_CHUNK)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        c.context_counts(3, 1)
+        counting = tracemalloc.get_traced_memory()[1] - before
+        rounds = []
+
+        def peak(builder):
+            now, top = tracemalloc.get_traced_memory()
+            rounds.append(top - now)
+            tracemalloc.reset_peak()
+
+        with BwtBuilder(c, Config(kappa=5, backend="memory")) as builder:
+            builder.run(inspect=peak)
+    finally:
+        tracemalloc.stop()
+    assert counting < max(rounds)
 
 
 def test_config_validation():
@@ -616,20 +646,17 @@ def long_tail_words(draw):
     kappa=st.integers(3, 8),
     backend=st.sampled_from(["memory", "external"]),
     rank_chunk=st.sampled_from([1, 5, buckets.RANK_CHUNK]),
-    splice_few_max=st.sampled_from([0, 2, 64]),
 )
-def test_round_paths_match_oracle(words, kappa, backend, rank_chunk, splice_few_max):
-    # dense rounds rank their merges a chunk of spliced content at a time:
-    # at a bound of one symbol, of a few and the default. Their unranked
-    # batches of at most splice_few_max entries splice in place: none, those
-    # of one or two entries, or every batch of these builds
+def test_round_paths_match_oracle(words, kappa, backend, rank_chunk):
+    # every round dense, then every round before the last sparse; dense
+    # rounds pass over the content a window at a time: of one symbol, of a
+    # few and the default
     c = WordCollection.from_words(words)
     expected = naive_bwt(c)
     for cut in ROUND_PATHS.values():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "SPARSE_MAX", cut)
             mp.setattr(buckets, "RANK_CHUNK", rank_chunk)
-            mp.setattr(buckets, "SPLICE_FEW_MAX", splice_few_max)
             assert build(c, Config(kappa=kappa, backend=backend, threads=2)) == expected, cut
 
 
@@ -649,29 +676,39 @@ def _record_merges(mp, merges):
 @given(
     words=long_tail_words(),
     more=st.lists(st.text(alphabet="ACGT", min_size=1, max_size=8), max_size=48),
+    tail=st.integers(1, 8),
     kappa=st.integers(3, 8),
     backend=st.sampled_from(["memory", "external"]),
 )
-def test_merges_take_one_form_per_round_kind(words, more, kappa, backend):
+def test_merges_take_one_form_per_round_kind(words, more, tail, kappa, backend):
     # sparse rounds merge one bucket ranked, as Python int lists of at most
-    # SPARSE_MAX entries. Dense rounds before the last merge ranked on disk,
-    # all their entries in one call with an ordinal per entry, and unranked
-    # in RAM, a bucket a call, as arrays; the terminator round merges
-    # unranked arrays a bucket a call. With more than SPARSE_MAX words the
-    # last rounds are dense
-    c = WordCollection.from_words(words + more)
+    # SPARSE_MAX entries. Ranked dense rounds merge all their entries in one
+    # call, as arrays with an ordinal per entry, on both backends; the
+    # terminator round merges pure terminator batches, unranked arrays, a
+    # bucket a call. SPARSE_MAX + 1 words of ``tail`` symbols make the
+    # rounds from their start on dense, so every build has a ranked dense
+    # round
+    rng = random.Random(tail)
+    even = _rand_words(rng, [tail] * (engine.SPARSE_MAX + 1))
+    c = WordCollection.from_words(words + more + even)
     merges = []
     with pytest.MonkeyPatch.context() as mp:
         _record_merges(mp, merges)
         assert build(c, Config(kappa=kappa, backend=backend)) == naive_bwt(c)
+    forms = []
     for ranked, positions, syms, ordinal in merges:
         if isinstance(ordinal, np.ndarray):
-            assert backend == "external" and ranked
-            assert type(positions) is type(syms) is np.ndarray and len(ordinal) == len(syms)
+            assert ranked and type(positions) is type(syms) is np.ndarray and len(ordinal) == len(syms)
+            forms.append("array")
         elif ranked:
             assert type(positions) is type(syms) is list and len(syms) <= engine.SPARSE_MAX
+            forms.append("list")
         else:
-            assert type(positions) is type(syms) is np.ndarray
+            assert type(positions) is type(syms) is np.ndarray and (syms == collection.DOLLAR).all()
+            forms.append("terminators")
+    assert "array" in forms
+    # no form goes back to an earlier one: sparse rounds first, terminators last
+    assert forms == sorted(forms, key=["list", "array", "terminators"].index)
     # every symbol is inserted through merge_insert once
     assert sum(len(syms) for *_, syms, _ in merges) == c.total_length
 
@@ -687,6 +724,97 @@ def test_copies_of_one_word_merge_sparse_max_ranked_entries_into_one_bucket(back
     _record_merges(monkeypatch, merges)
     assert build(c, Config(kappa=3, backend=backend)) == naive_bwt(c)
     assert [len(syms) for ranked, _, syms, _ in merges if ranked] == [engine.SPARSE_MAX] * len(word)
+
+
+def _check_every_round(c, kappa, backend, tmp_path):
+    """Build ``c``, checking after every round that the active list is
+    sorted by (context, position), that the bucket contents equal an
+    independent splice reference and that the tree counters equal a
+    recount of them. Returns the rounds that ran dense."""
+    drop = 2 * ((kappa + 1) // 2) - kappa
+    oracle = _SpliceOracle(c)
+    failures, dense = [], []
+
+    def check(builder):
+        _, pos, ctx = builder.active_state
+        assert np.all(np.diff(ctx) >= 0)
+        tree_of = (ctx >> drop) >> (kappa - 2)
+        for x in range(4):
+            assert np.all(np.diff(pos[tree_of == x]) > 0)
+        oracle.step(builder.t)
+        content = np.concatenate([builder.store.read(o) for o in range(1 << kappa)])
+        if content.tolist() != oracle.bwt:
+            failures.append((builder.t, "content"))
+        if not np.array_equal(_recount_tree(builder.store, kappa)[: 1 << kappa], builder.tree.counters[: 1 << kappa]):
+            failures.append((builder.t, "counters"))
+
+    real = BwtBuilder._dense_round
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BwtBuilder, "_dense_round", lambda self, t, *a: dense.append(t) or real(self, t, *a))
+        config = Config(kappa=kappa, backend=backend, tmp_dir=str(tmp_path))
+        assert build(c, config, inspect=check) == naive_bwt(c)
+    assert not failures, failures[:3]
+    return dense
+
+
+@pytest.mark.parametrize("backend", engine.BACKENDS)
+def test_sparse_prefix_edges_match_oracle_every_round(backend, tmp_path):
+    # the sparse loop runs every round before the last while at most
+    # SPARSE_MAX words are active, and hands the dense rounds their first
+    # round and state. Checked every round against the splice reference:
+    # words starting in mid-prefix that lift the active count from
+    # SPARSE_MAX to SPARSE_MAX + 1, a collection whose every round before
+    # the last is sparse, and words that start at round 0, few or more
+    # than SPARSE_MAX of them
+    rng = random.Random(77)
+    n = engine.SPARSE_MAX
+    cases = {
+        "lifted past SPARSE_MAX at round 25": (_rand_words(rng, [40] + [30] * (n - 1) + [15, 15]), 25),
+        "every round sparse": (_rand_words(rng, [rng.randint(1, 45) for _ in range(n - 1)] + [45]), 45),
+        "three start at round 0": (_rand_words(rng, [20, 7, 20, 1, 20, 12]), 20),
+        "more than SPARSE_MAX start at round 0": (_rand_words(rng, [9] * (n + 1) + [3]), 0),
+    }
+    for name, (words, first_dense) in cases.items():
+        c = WordCollection.from_words(words)
+        for kappa in (3, 5):
+            dense = _check_every_round(c, kappa, backend, tmp_path)
+            assert dense == list(range(first_dense, c.max_length + 1)), (name, kappa)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("kappa", [3, 10])
+def test_memory_dense_rounds_read_the_old_content_at_most_once(kappa, monkeypatch):
+    # in RAM a ranked dense round is one pass over the gapless content: it
+    # reads at most the content it starts from, whatever the bucket count.
+    # The first such round compacts the slots, which reads the content once
+    # more, and only that round does. Windows of the default size and of 64
+    rng = random.Random(78)
+    c = WordCollection.from_words(_rand_words(rng, [600] + [rng.randint(20, 150) for _ in range(300)]))
+    expected = naive_bwt(c)
+    for window in (buckets.RANK_CHUNK, 64):
+        monkeypatch.setattr(buckets, "RANK_CHUNK", window)
+        rounds, compacted = [], []
+        real_many, real_compact = buckets.BucketStore.merge_many, buckets.BucketStore._compact
+
+        def merge_many(self, *args):
+            read, content = self.bytes_read, int(self.sizes.sum())
+            out = real_many(self, *args)
+            if len(args) == 5 or args[5]:  # ranked
+                rounds.append((self.bytes_read - read, content))
+            return out
+
+        def compact(self):
+            read = self.bytes_read
+            real_compact(self)
+            compacted.append(self.bytes_read - read)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(buckets.BucketStore, "merge_many", merge_many)
+            mp.setattr(buckets.BucketStore, "_compact", compact)
+            assert build(c, Config(kappa=kappa, backend="memory")) == expected
+        assert len(rounds) > 100 and len(compacted) == 1
+        assert rounds[0][0] - compacted[0] <= rounds[0][1] and compacted[0] == rounds[0][1]
+        assert all(read <= content for read, content in rounds[1:]), window
 
 
 _DNA = st.text(alphabet="ACGT", min_size=1, max_size=12)
