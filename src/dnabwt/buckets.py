@@ -2,30 +2,35 @@
 
 Each of the 2**kappa buckets holds one contiguous segment of the partial
 transform, in one bytearray of codes in RAM or in one file of 2-bit packed
-codes on disk. Until the first ranked dense round a bucket's content sits
-at the start of a slot sized for its final content. A sparse round's merge
-into one bucket splices its entries into the content in place
-(:func:`_splice_in_place`), in RAM inside the slot itself, on disk inside a
-bytearray of the bucket's unpacked codes, which is then packed and written
-back. It gives its entries as Python int lists, at most ``SPARSE_MAX`` of
-them, and the splice counts each entry's rank as it goes.
+codes on disk. A build merges in three forms, one per round kind, and the
+store takes no other:
 
-The first ranked dense round moves the contents left into one gapless run
-in bucket order (``BucketStore._compact``), and every ranked dense round is
-then one pass over that run (``BucketStore._pass``): a window of old
-symbols at a time, right to left and in place, each window read, spliced,
-counted and written once. The two backends differ only in how a window is
-read and written: in RAM a slice of the bytearray, on disk one ``pread``
-and unpack, and one pack and ``pwrite``. Every check of a merge runs before
-any of its bytes is read or moved.
+- a sparse round merges one bucket at a time, ranked, its entries as
+  Python int lists, at most ``SPARSE_MAX`` of them. Until the first ranked
+  dense round a bucket's content sits at the start of a slot sized for its
+  final content, and the merge splices its entries into the content in
+  place (:func:`_splice_in_place`), in RAM inside the slot itself, on disk
+  inside a bytearray of the bucket's unpacked codes, which is then packed
+  and written back; the splice counts each entry's rank as it goes.
+- a ranked dense round merges all its entries in one call. The first one
+  moves the contents left into one gapless run in bucket order
+  (``BucketStore._compact``), and each is one pass over that run
+  (``BucketStore._pass``): a window of old symbols at a time, right to
+  left and in place, each window read, spliced, counted and written once.
+  The two backends differ only in how a window is read and written: in RAM
+  a slice of the bytearray, on disk one ``pread`` and unpack, and one pack
+  and ``pwrite``.
+- the terminator round merges all its terminators in one unranked call,
+  the build's last merge. Their positions go into a per-bucket side list,
+  with no bucket byte read or written, and are spliced in when a bucket is
+  read: the 2-bit file cannot hold them, and ranks refuse them.
 
+Every check of a merge runs before any of its bytes is read or moved.
 Slots stay for the sparse rounds. A sparse merge into a gapless run would
 first move the whole run right of its bucket, about L**2 / 4 bytes over
 the sparse rounds of one word of L symbols alone, against about
 L**2 / 2**(kappa + 2) bytes inside slots of 2**kappa buckets: fine buckets
-make the paper's long-word prefix cheap. Terminators are only ever inserted
-in the final round; on both backends their positions go into a per-bucket
-side list and are spliced in when the bucket is read.
+make the paper's long-word prefix cheap.
 """
 from __future__ import annotations
 
@@ -126,13 +131,11 @@ def _windows(lo: int, hi: int, step: int, before: np.ndarray) -> tuple[list[int]
     return cuts, [0, *np.searchsorted(before, cuts[1:-1]).tolist(), len(before)]
 
 
-def _splice_in_place(buf: bytearray, at: int, n0: int, ps: list[int], ss: list[int],
-                     want_ranks: bool) -> list[int] | None:
+def _splice_in_place(buf: bytearray, at: int, n0: int, ps: list[int], ss: list[int]) -> list[int]:
     """:func:`_splice` in place: ``buf[at : at + n0]`` holds the content, and
     ``buf`` has room for ``len(ps)`` more symbols after it. Positions and
-    symbols are Python int lists; with ``want_ranks``, each entry's rank,
-    the count of its symbol before it in the spliced content, comes back
-    in one.
+    symbols are Python int lists; each entry's rank, the count of its symbol
+    before it in the spliced content, comes back in one.
 
     Right to left, each run of old content between two entries moves to its
     new place in one bytearray slice assignment, and the entry is written
@@ -146,8 +149,6 @@ def _splice_in_place(buf: bytearray, at: int, n0: int, ps: list[int], ss: list[i
         buf[p + 1 : end] = buf[p - i : src]
         buf[p] = ss[i]
         end, src = p, p - i
-    if not want_ranks:
-        return None
     seen, upto, ranks, view = [0] * 4, [at] * 4, [], None
     for p, s in zip(ps, ss):
         p += at
@@ -162,23 +163,17 @@ def _splice_in_place(buf: bytearray, at: int, n0: int, ps: list[int], ss: list[i
     return ranks
 
 
-def _check_merge(ordinal: int, local: list[int], syms: list[int], n0: int, want_ranks: bool) -> bool:
-    """Refuse a merge of ``syms`` at post-insertion positions ``local`` into
-    ``n0`` symbols, both Python int lists, before any byte of the bucket is
-    read; True for a pure terminator batch."""
+def _check_merge(ordinal: int, local: list[int], syms: list[int], n0: int) -> None:
+    """Refuse a ranked merge of ``syms`` at post-insertion positions
+    ``local`` into ``n0`` symbols, both Python int lists, before any byte of
+    the bucket is read."""
     k = len(local)
     if not k:
-        return False
+        return
     if local[0] < 0 or local[-1] - (k - 1) > n0 or not all(map(operator.lt, local, local[1:])):
         raise ConsistencyError(f"bucket {ordinal}: insert positions inconsistent with content")
-    if want_ranks:
-        if max(syms) > 3:
-            raise ConsistencyError("rank capture over a symbol code above T")
-        return False
-    dollars = syms.count(DOLLAR)
-    if 0 < dollars < k:
-        raise ConsistencyError(f"bucket {ordinal}: mixed terminator batch")
-    return dollars == k
+    if max(syms) > 3:
+        raise ConsistencyError("rank capture over a symbol code above T")
 
 
 class BucketStore:
@@ -230,58 +225,46 @@ class BucketStore:
 
     def merge_many(self, ordinals, bounds, positions, syms, bases, want_ranks=True):
         """Merge a dense round's entries, given as arrays: bucket
-        ``ordinals[i]`` takes entries ``bounds[i] : bounds[i + 1]`` of
-        ``positions`` and ``syms``, with base ``bases[i]``. Ranks come back
-        in entry order.
-
-        Unranked, as the terminator round merges, each bucket goes to
-        :meth:`merge_insert` alone. Ranked, a round whose ordinals do not
-        strictly increase is refused before any bucket changes, and its
-        entries then go to :meth:`merge_insert` in one call, with one
-        ordinal and base per entry, which merges them in one pass.
-        """
-        if not want_ranks:
-            b = bounds.tolist()
-            for o, base, lo, hi in zip(ordinals.tolist(), bases.tolist(), b, b[1:]):
-                self.merge_insert(o, positions[lo:hi], syms[lo:hi], base, False)
-            return None
-        if not (ordinals[1:] > ordinals[:-1]).all():
-            raise ConsistencyError("ranked merges must name each bucket once, in increasing order")
+        ``ordinals[i]``, in increasing order, takes entries
+        ``bounds[i] : bounds[i + 1]`` of ``positions`` and ``syms``, with base
+        ``bases[i]``. They go to :meth:`merge_insert` in one call, with one
+        ordinal and base per entry: ranked, ranks come back in entry order;
+        unranked, as the terminator round merges, None does."""
         owner = np.repeat(np.arange(len(ordinals)), np.diff(bounds))
-        return self.merge_insert(ordinals[owner], positions, syms, bases[owner])
+        return self.merge_insert(ordinals[owner], positions, syms, bases[owner], want_ranks)
 
     def merge_insert(self, ordinal, tree_positions, syms, base, want_ranks=True):
-        """Insert ``syms`` at ``tree_positions - base``.
+        """Insert ``syms`` at ``tree_positions - base``, in one of the three
+        forms a build makes (module docstring); every other is refused with
+        :class:`ConsistencyError`, and so is any merge after the terminator
+        round, whose side lists hold final positions. Every check runs
+        before any byte of the content is read.
 
-        Ranked, positions and symbols are Python int lists, as sparse rounds
-        pass them, and each entry's rank (see :func:`_splice_in_place`)
-        comes back in a list. Unranked, they are arrays, as
-        :meth:`merge_many` passes them: a pure terminator batch goes to the
-        side list and returns None, and must be the bucket's last merge,
-        since the side list holds final positions that a later merge would
-        shift; any other comes back as the bucket's spliced content. Every
-        check runs before any byte of the bucket is read.
+        With ``ordinal`` and ``base`` arrays, one per entry, as
+        :meth:`merge_many` passes a dense round, the entries are merged by
+        one :meth:`_pass`: ranked, their ranks come back in an array.
 
-        ``ordinal`` and ``base`` may also be arrays, one per entry, as
-        :meth:`merge_many` passes a ranked dense round: the entries are
-        merged by one :meth:`_pass`, and their ranks come back in an array.
-        Once the content is gapless, every merge but a terminator batch
-        goes that way. Before, the batch is spliced in place: in RAM inside
-        the bucket's slot, on disk inside a bytearray of the bucket alone,
-        read before the splice and written back after it.
+        With one ``ordinal``, a sparse round's merge, the merge is ranked,
+        positions and symbols are Python int lists, and the content is in
+        slots. The batch is spliced in place: in RAM inside the bucket's
+        slot, on disk inside a bytearray of the bucket alone, read before the
+        splice and written back after it. Each entry's rank (see
+        :func:`_splice_in_place`) comes back in a list.
         """
+        if self._dollars:
+            raise ConsistencyError("a merge after the terminator round")
         if isinstance(ordinal, np.ndarray):
-            return self._pass(ordinal, tree_positions - base, syms)
-        if ordinal in self._dollars:
-            raise ConsistencyError(
-                f"bucket {ordinal}: merge after its terminator batch, such as a second one")
+            return self._pass(ordinal, tree_positions - base, syms, want_ranks)
+        if not want_ranks or self._begin is not None:
+            raise ConsistencyError(f"bucket {ordinal}: a one-bucket merge is a sparse round's, "
+                                   "ranked and before the first ranked dense round")
         k, n0 = len(syms), self.sizes.item(ordinal)
         if n0 + k > self.final.item(ordinal):
             raise ConsistencyError(
                 f"bucket {ordinal}: {n0} + {k} symbols overflow its slot of {self.final[ordinal]}")
-        if want_ranks and k == 1 and self.tmp_dir is None and self._begin is None:
-            # a sparse round's one-entry merge in RAM: the same checks and
-            # splice as below, without their lists
+        if k == 1 and self.tmp_dir is None:
+            # a one-entry merge in RAM: the same checks and splice as below,
+            # without their lists
             p, s = tree_positions[0] - base, syms[0]
             if not 0 <= p <= n0:
                 raise ConsistencyError(f"bucket {ordinal}: insert positions inconsistent with content")
@@ -297,43 +280,37 @@ class BucketStore:
             if p - at < COUNT_NUMPY_MIN:
                 return [buf.count(s, at, p)]
             return [int(np.count_nonzero(self._codes[at:p] == s))]
-        if not want_ranks:
-            tree_positions, syms = tree_positions.tolist(), syms.tolist()
         local = [p - base for p in tree_positions]
-        if _check_merge(ordinal, local, syms, n0, want_ranks):
-            self._dollars[ordinal] = np.asarray(local, dtype=np.int64)
-            self.sizes[ordinal] = n0 + k
-            return None
-        if self._begin is not None:
-            ranks = self._pass(np.full(k, ordinal), np.asarray(local, dtype=np.int64),
-                               np.asarray(syms, dtype=np.uint8))
-            return ranks.tolist() if want_ranks else self.read(ordinal)
+        _check_merge(ordinal, local, syms, n0)
         # the content goes to buf[at : at + n0], with room for k more after it
         if self.tmp_dir is None:
-            buf, codes, at = self._buf, self._codes, self._start[ordinal]
+            buf, at = self._buf, self._start[ordinal]
             self.bytes_read += n0
         else:
             buf, at = bytearray(n0 + k), 0
             codes = np.frombuffer(buf, dtype=np.uint8)
             slot = 4 * self._start[ordinal]
             codes[:n0] = self._read(slot, slot + n0, f"bucket {ordinal}")
-        ranks = _splice_in_place(buf, at, n0, local, syms, want_ranks)
+        ranks = _splice_in_place(buf, at, n0, local, syms)
         if self.tmp_dir is None:
             self.bytes_written += n0 + k
         else:
             self._write(codes, slot, f"bucket {ordinal}")
         self.sizes[ordinal] = n0 + k
-        return ranks if want_ranks else codes[at : at + n0 + k]
+        return ranks
 
-    def _pass(self, ordinal: np.ndarray, local: np.ndarray, syms: np.ndarray) -> np.ndarray:
-        """Merge entries into many buckets at once, ranked, in one pass over
-        the content; entry i goes ``local[i]`` symbols into bucket
-        ``ordinal[i]``, and ``ordinal`` does not decrease. Returns the ranks.
+    def _pass(self, ordinal: np.ndarray, local: np.ndarray, syms: np.ndarray,
+              want_ranks: bool) -> np.ndarray | None:
+        """Merge entries into many buckets at once; entry i goes ``local[i]``
+        symbols into bucket ``ordinal[i]``, and ``ordinal`` does not
+        decrease. Ranked, the merge is one pass over the content, and the
+        ranks come back; unranked, the terminator round, every symbol must
+        be a terminator, and the positions go to the side lists, with no
+        byte read or written.
 
         Every check runs first, vectorised, so that a refused merge changes
-        no byte, no size and no I/O count; a pass after any terminator batch
-        is refused, since terminators never enter the content. The first
-        pass compacts the slots (:meth:`_compact`). Each entry's place in
+        no byte, no size and no I/O count. The first ranked pass compacts
+        the slots (:meth:`_compact`). Each entry's place in
         the new content is its bucket's new start, from the cumulative
         sizes, plus ``local``. The pass goes right to left over the content
         from the first touched bucket on, a window of ``RANK_CHUNK`` old
@@ -350,15 +327,17 @@ class BucketStore:
         """
         k = len(syms)
         if not k:
-            return np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=np.int64) if want_ranks else None
         head = np.ones(k, dtype=bool)
         np.not_equal(ordinal[1:], ordinal[:-1], out=head[1:])
         heads = np.flatnonzero(head)
         touched = ordinal[heads]
         if not (touched[1:] > touched[:-1]).all():
-            raise ConsistencyError("ranked merges must name each bucket once, in increasing order")
-        if syms.max() > 3:
+            raise ConsistencyError("a round's merges must name each bucket once, in increasing order")
+        if want_ranks and syms.max() > 3:
             raise ConsistencyError("rank capture over a symbol code above T")
+        if not want_ranks and (syms != DOLLAR).any():
+            raise ConsistencyError("an unranked merge is the terminator round's, and holds only terminators")
         added = np.diff(np.append(heads, k))
         n0 = self.sizes[touched]
         over = n0 + added > self.final[touched]
@@ -374,8 +353,10 @@ class BucketStore:
             bad = (first < 0) | (last > n0)
             bad[owner[1:][~rising]] = True
             raise ConsistencyError(f"bucket {touched[bad.argmax()]}: insert positions inconsistent with content")
-        if self._dollars:  # the content holds no terminators, so none may precede a pass
-            raise ConsistencyError(f"a ranked merge after bucket {min(self._dollars)}'s terminator batch")
+        if not want_ranks:
+            self._dollars = dict(zip(touched.tolist(), np.split(local, heads[1:])))
+            self.sizes[touched] = n0 + added
+            return None
         if self._begin is None:
             self._compact()
         begin = self._begin

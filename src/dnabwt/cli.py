@@ -183,7 +183,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
             for _ in range(rng.randint(1, 12))
         ]
         collection = WordCollection.from_words(words)
-        config = Config(kappa=rng.choice([3, 4, 5, 6]), backend="memory")
+        # the backend alternates by case, so a seed draws the same cases
+        config = Config(kappa=rng.choice([3, 4, 5, 6]), backend=BACKENDS[i % 2])
         ok, _ = verify_collection(collection, config)
         if not ok:
             failures += 1

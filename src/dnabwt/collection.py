@@ -98,14 +98,10 @@ def _pack(codes: np.ndarray) -> np.ndarray:
     return packed
 
 
-def _unpack(packed: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The first ``n`` codes of ``packed``, in place in one uint32 copy: a new
-    one, or ``out``, a uint8 array of four codes per packed byte."""
-    if out is None:
-        quads = packed.astype(_QUAD)
-        quads *= _SPREAD
-    else:
-        quads = np.multiply(packed, _SPREAD, out=out.view(_QUAD))
+def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` codes of ``packed``, in place in one uint32 copy."""
+    quads = packed.astype(_QUAD)
+    quads *= _SPREAD
     quads >>= 6
     quads &= 0x03030303
     return quads.view(np.uint8)[:n]
@@ -122,11 +118,22 @@ class WordCollection:
     __slots__ = ("_bytes", "_packed", "_offsets", "m", "max_length", "total_length")
 
     def __init__(self, codes: np.ndarray, offsets: np.ndarray):
+        """``codes``: the words' uint8 codes (0-3, A to T), one after another;
+        word j is ``codes[offsets[j] : offsets[j + 1]]``, and the offsets
+        run from 0 to ``len(codes)``."""
         if len(offsets) < 2:
             raise ParseError("collection is empty")
+        if offsets[0] != 0 or offsets[-1] != len(codes):
+            raise ParseError(f"offsets must run from 0 to the {len(codes)} codes, "
+                             f"got {offsets[0]} to {offsets[-1]}")
         lengths = np.diff(offsets)
         if np.any(lengths < 1):
             raise ParseError("collection contains an empty word")
+        if codes.dtype != np.uint8:
+            raise ParseError(f"codes must be uint8, got {codes.dtype}")
+        top = int(codes.argmax())
+        if codes[top] > 3:
+            raise ParseError(f"code {codes[top]} at index {top} is not a base code (0-3)")
         # the packed words as bytes, which fetch_code reads as Python ints,
         # and a numpy view of them
         self._bytes = _pack(codes).tobytes()

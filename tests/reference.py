@@ -6,16 +6,19 @@ the packed symbol fetch. The forms here state the same rules one symbol,
 one context or one word at a time, so that tests can check the bulk forms
 against them and pin worked examples to them. The bucket stores here give
 every bucket the same slot, so that a test can merge into any bucket
-without counting a collection first, and ``naive_splice`` states the
-splice one list insert at a time.
+without counting a collection first, and ``fill`` a slot without a merge,
+since the library's stores take only the merges a build makes.
+``naive_splice`` states the splice one list insert at a time.
 """
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
 from dnabwt import buckets, counttree
 from dnabwt.buckets import context_symbols
-from dnabwt.collection import DOLLAR, SYMBOL_BYTES, WordCollection
+from dnabwt.collection import DOLLAR, SYMBOL_BYTES, WordCollection, _pack
 from dnabwt.engine import StartBitvector
 
 # -- count-tree navigation ----------------------------------------------------
@@ -182,23 +185,32 @@ def naive_splice(old, positions, syms) -> tuple[list[int], list[int]]:
 SLOT = 256
 
 
-class MemoryBucketStore(buckets.MemoryBucketStore):
-    """The library's memory store, its merges and rank capture unchanged."""
-
-    def __init__(self, kappa: int, slot: int = SLOT):
-        super().__init__(np.full(n_buckets(kappa), slot))
-
+class _Fill:
     def fill(self, ordinal: int, codes) -> None:
-        """Make ``codes`` the bucket's content without a merge and its checks."""
+        """Make ``codes`` the content of bucket ``ordinal``'s slot without a
+        merge, its checks or its I/O counts."""
+        codes = np.asarray(codes, dtype=np.uint8)
         start = self._start[ordinal]
-        self._codes[start : start + len(codes)] = codes
+        if self.tmp_dir is None:
+            self._codes[start : start + len(codes)] = codes
+        else:
+            os.pwrite(self._fd, _pack(codes).tobytes(), start)
         self.sizes[ordinal] = len(codes)
 
 
-class ExternalBucketStore(buckets.ExternalBucketStore):
-    """The library's external store, its merges and rank capture unchanged."""
+class MemoryBucketStore(_Fill, buckets.MemoryBucketStore):
+    """The library's memory store, its merges and rank capture unchanged.
+    ``slot`` is every bucket's slot, or an array of one per bucket."""
 
-    def __init__(self, kappa: int, tmp_dir: str, slot: int = SLOT):
+    def __init__(self, kappa: int, slot=SLOT):
+        super().__init__(np.full(n_buckets(kappa), slot))
+
+
+class ExternalBucketStore(_Fill, buckets.ExternalBucketStore):
+    """The library's external store, its merges and rank capture unchanged.
+    ``slot`` is every bucket's slot, or an array of one per bucket."""
+
+    def __init__(self, kappa: int, tmp_dir: str, slot=SLOT):
         super().__init__(np.full(n_buckets(kappa), slot), tmp_dir)
 
 

@@ -22,14 +22,10 @@ def _stores(tmp_path, kappa):
     yield ExternalBucketStore(kappa, str(tmp_path / "packed"))
 
 
-def _merge(store, ordinal, positions, syms, want_ranks=True, base=0):
-    """``merge_insert`` in the form each kind takes: Python int lists ranked,
-    as sparse rounds merge, and arrays unranked, as the terminator round
-    merges."""
-    if want_ranks:
-        return store.merge_insert(ordinal, [int(p) for p in positions], [int(c) for c in syms], base)
-    return store.merge_insert(ordinal, np.asarray(positions, dtype=np.int64),
-                              np.asarray(syms, dtype=np.uint8), base, False)
+def _merge(store, ordinal, positions, syms, base=0):
+    """``merge_insert`` as a sparse round makes it: one bucket, ranked,
+    Python int lists."""
+    return store.merge_insert(ordinal, [int(p) for p in positions], [int(c) for c in syms], base)
 
 
 def _round_arrays(batches):
@@ -39,6 +35,12 @@ def _round_arrays(batches):
             np.concatenate([np.asarray(b[1], dtype=np.int64) for b in batches]),
             np.concatenate([np.asarray(b[2], dtype=np.uint8) for b in batches]),
             np.array([b[3] for b in batches], dtype=np.int64))
+
+
+def _terminator_round(store, batches):
+    """The terminator round: (ordinal, positions) batches of terminators in
+    one unranked ``merge_many`` call."""
+    return store.merge_many(*_round_arrays([(o, p, [DOLLAR] * len(p), 0) for o, p in batches]), False)
 
 
 def test_bucket_id_worked_examples():
@@ -111,25 +113,15 @@ def _splice_cases(rng):
 
 
 def test_merge_insert_matches_array_splice_oracle(tmp_path):
-    # ranked, as lists, and unranked, as arrays, on both backends
+    # ranked one-bucket merges, as lists, on both backends
     rng = random.Random(31)
     for trial, (old, positions, syms) in enumerate(_splice_cases(rng)):
         expected, expected_ranks = naive_splice(old, positions, syms)
-        for want_ranks in (True, False):
-            for store in _stores(tmp_path / f"t{trial}_{want_ranks}", 3):
-                if isinstance(store, MemoryBucketStore):
-                    store.fill(2, old)
-                elif old:
-                    store.merge_insert(2, np.arange(len(old), dtype=np.int64),
-                                       np.array(old, dtype=np.uint8), base=0, want_ranks=False)
-                if want_ranks:
-                    assert store.merge_insert(2, positions, syms, base=0) == expected_ranks
-                else:
-                    out = store.merge_insert(2, np.array(positions, dtype=np.int64),
-                                             np.array(syms, dtype=np.uint8), base=0, want_ranks=False)
-                    assert out.tolist() == expected
-                assert store.read(2).tolist() == expected
-                store.close()
+        for store in _stores(tmp_path / f"t{trial}", 3):
+            store.fill(2, old)
+            assert store.merge_insert(2, positions, syms, base=0) == expected_ranks
+            assert store.read(2).tolist() == expected
+            store.close()
 
 
 def _large_splice_cases(rng):
@@ -231,7 +223,7 @@ def test_splice_numpy_ranks_past_three_count_fields():
     new = buckets._splice(old, positions, syms)
     expected = bytearray(n0 + k)
     expected[:n0] = old.tobytes()
-    expected_ranks = buckets._splice_in_place(expected, 0, n0, positions.tolist(), syms.tolist(), True)
+    expected_ranks = buckets._splice_in_place(expected, 0, n0, positions.tolist(), syms.tolist())
     assert new.tobytes() == bytes(expected)
     counts = _counts(new, positions)
     assert counts.tolist() == [[expected.count(c, 0, p) for p in positions.tolist()] for c in range(4)]
@@ -265,10 +257,9 @@ def test_in_place_splice_matches_naive_splice_between_guard_bytes(count_numpy_mi
     # bytearray of the unpacked bucket. With guard bytes in every slot byte
     # around the bucket's content, the merge changes only the bytes of its
     # spliced content, which equals the naive splice; its ranks equal the
-    # naive splice's and a count on the spliced content. Ranked and unranked
-    # merges splice in place, into empty, part-filled and exactly filled
-    # slots; ranks are counted all by numpy, by range length, or all by
-    # bytearray.count
+    # naive splice's and a count on the spliced content. Merges splice in
+    # place into empty, part-filled and exactly filled slots; ranks are
+    # counted all by numpy, by range length, or all by bytearray.count
     monkeypatch.setattr(buckets, "COUNT_NUMPY_MIN", count_numpy_min)
     rng = random.Random(61)
     slot, ordinal = 40, 2
@@ -279,29 +270,22 @@ def test_in_place_splice_matches_naive_splice_between_guard_bytes(count_numpy_mi
         for positions in _layouts(rng, n0 + k, k):
             syms = [rng.randrange(4) for _ in range(k)]
             expected, expected_ranks = naive_splice(old, positions, syms)
-            for want_ranks in (True, False):
-                for store in (MemoryBucketStore(3, slot), ExternalBucketStore(3, str(tmp_path / "g"), slot)):
-                    if store.tmp_dir is None:
-                        store._codes[:] = GUARD
-                        store.fill(ordinal, old)
-                        start, end = store._start[ordinal], store._start[ordinal] + n0 + k
-                    else:
-                        os.pwrite(store._fd, bytes([GUARD]) * (8 * slot // 4), 0)
-                        if old:
-                            store.merge_insert(ordinal, np.arange(n0, dtype=np.int64),
-                                               np.array(old, dtype=np.uint8), base=0, want_ranks=False)
-                        start, end = store._start[ordinal], store._start[ordinal] + (n0 + k + 3) // 4
-                    before = _slot_bytes(store)
-                    out = _merge(store, ordinal, positions, syms, want_ranks)
-                    after = _slot_bytes(store)
-                    assert after[:start] == before[:start] and after[end:] == before[end:]
-                    assert store.read(ordinal).tolist() == expected
-                    if want_ranks:
-                        counted = _counts(expected, positions)
-                        assert out == expected_ranks == counted[syms, np.arange(k)].tolist()
-                    else:
-                        assert out.tolist() == expected
-                    store.close()
+            for store in (MemoryBucketStore(3, slot), ExternalBucketStore(3, str(tmp_path / "g"), slot)):
+                if store.tmp_dir is None:
+                    store._codes[:] = GUARD
+                    start, end = store._start[ordinal], store._start[ordinal] + n0 + k
+                else:
+                    os.pwrite(store._fd, bytes([GUARD]) * (8 * slot // 4), 0)
+                    start, end = store._start[ordinal], store._start[ordinal] + (n0 + k + 3) // 4
+                store.fill(ordinal, old)
+                before = _slot_bytes(store)
+                ranks = _merge(store, ordinal, positions, syms)
+                after = _slot_bytes(store)
+                assert after[:start] == before[:start] and after[end:] == before[end:]
+                assert store.read(ordinal).tolist() == expected
+                counted = _counts(expected, positions)
+                assert ranks == expected_ranks == counted[syms, np.arange(k)].tolist()
+                store.close()
 
 
 def test_ranked_merges_of_up_to_32_entries_splice_in_place_in_large_buckets(tmp_path):
@@ -318,16 +302,16 @@ def test_ranked_merges_of_up_to_32_entries_splice_in_place_in_large_buckets(tmp_
             expected, expected_ranks = naive_splice(old, positions, syms)
             for store in (MemoryBucketStore(3, n0 + k),
                           ExternalBucketStore(3, str(tmp_path / f"big{k}_{trial}"), n0 + k)):
-                _merge(store, 5, range(n0), old, want_ranks=False)
+                store.fill(5, old)
                 assert _merge(store, 5, [p + 100 for p in positions], syms, base=100) == expected_ranks
                 assert store.read(5).tolist() == expected
                 store.close()
 
 
 def test_refused_small_merges_leave_the_store_untouched(tmp_path):
-    # every check of a merge runs before any byte of its bucket is read or
-    # moved: a refused merge leaves every slot byte, the sizes and the I/O
-    # counts as they were, on both backends, ranked (lists) or not (arrays)
+    # every check of a sparse round's merge runs before any byte of its
+    # bucket is read or moved: a refused merge leaves every slot byte, the
+    # sizes and the I/O counts as they were, on both backends
     refused = {
         "negative position": (1, [-1], [0]),
         "position past the end": (1, [31], [0]),
@@ -335,42 +319,95 @@ def test_refused_small_merges_leave_the_store_untouched(tmp_path):
         "decreasing positions": (1, [4, 3], [0, 1]),
         "slot overflow": (3, [0, 1], [2, 2]),
         "terminator among bases": (1, [0, 5], [1, DOLLAR]),
-        "merge after a terminator batch": (0, [0], [2]),
-        "second terminator batch": (0, [1], [DOLLAR]),
+        "lone terminator": (1, [2], [DOLLAR]),
     }
     for store in _stores(tmp_path, 3):
-        _merge(store, 1, range(30), np.arange(30) % 4, want_ranks=False)
-        _merge(store, 3, range(SLOT - 1), [1] * (SLOT - 1), want_ranks=False)
-        _merge(store, 0, [0], [DOLLAR], want_ranks=False)
-        state = _slot_bytes(store), store.sizes.tolist(), store.bytes_read, store.bytes_written
+        store.fill(1, np.arange(30) % 4)
+        store.fill(3, [1] * (SLOT - 1))
+        state = _io_state(store)
         for name, (ordinal, positions, syms) in refused.items():
-            for want_ranks in (True, False):
+            with pytest.raises(ConsistencyError):
+                _merge(store, ordinal, positions, syms)
+            assert _io_state(store) == state, name
+        store.close()
+
+
+def test_store_takes_only_the_merges_a_build_makes(tmp_path):
+    # a build merges one bucket ranked (a sparse round, into slots), a
+    # round ranked (a dense round) and a round of terminators, last. On
+    # both backends, with content in slots and gapless, the store refuses
+    # every other merge before any byte is read or moved, leaving every
+    # byte, size and I/O count as it was: an unranked one-bucket merge, a
+    # one-bucket merge after the first ranked round, a terminator round
+    # that holds a base, and any merge after the terminator round
+    fill = {1: [0, 1, 2, 3] * 3, 2: [3, 3], 5: [1]}
+    dense = [(1, np.array([0, 13]), np.array([2, 0], dtype=np.uint8), 0),
+             (5, np.array([1]), np.array([3], dtype=np.uint8), 0)]
+    for store in _stores(tmp_path, 3):
+        _fill(store, fill)
+        for layout in ("slots", "gapless"):
+            if layout == "gapless":
+                store.merge_many(*_round_arrays(dense))
+            assert (store._begin is None) == (layout == "slots")
+            state = _io_state(store)
+            refused = {
+                "one bucket unranked, a base": lambda: store.merge_insert(
+                    1, np.array([0]), np.array([2], dtype=np.uint8), 0, False),
+                "one bucket unranked, a terminator": lambda: store.merge_insert(
+                    1, np.array([0]), np.array([DOLLAR], dtype=np.uint8), 0, False),
+                "terminator round with a base": lambda: store.merge_many(
+                    *_round_arrays([(1, [0, 2], [DOLLAR, 2], 0), (2, [0], [DOLLAR], 0)]), False),
+                "terminator round of bases": lambda: store.merge_many(
+                    *_round_arrays([(2, [0], [1], 0)]), False),
+            }
+            if layout == "gapless":
+                refused["one bucket after the first ranked round"] = lambda: _merge(store, 2, [0], [1])
+            for name, merge in refused.items():
                 with pytest.raises(ConsistencyError):
-                    _merge(store, ordinal, positions, syms, want_ranks)
-                assert (_slot_bytes(store), store.sizes.tolist(), store.bytes_read,
-                        store.bytes_written) == state, (name, want_ranks)
+                    merge()
+                assert _io_state(store) == state, (layout, name)
+        model = [store.read(o).tolist() for o in range(8)]
+        assert _terminator_round(store, [(1, [0, 15]), (2, [1])]) is None
+        model[1] = naive_splice(model[1], [0, 15], [DOLLAR] * 2)[0]
+        model[2] = naive_splice(model[2], [1], [DOLLAR])[0]
+        state = _io_state(store)
+        after = {
+            "a second terminator round": lambda: _terminator_round(store, [(5, [0])]),
+            "a ranked round": lambda: store.merge_many(*_round_arrays([(5, [0], [1], 0)])),
+            "a ranked one-bucket merge": lambda: _merge(store, 5, [0], [1]),
+            "an unranked one-bucket merge": lambda: store.merge_insert(
+                5, np.array([0]), np.array([DOLLAR], dtype=np.uint8), 0, False),
+        }
+        for name, merge in after.items():
+            with pytest.raises(ConsistencyError, match="after the terminator round"):
+                merge()
+            assert _io_state(store) == state, name
+        assert [store.read(o).tolist() for o in range(8)] == model
         store.close()
 
 
 def test_ranked_merge_many_refuses_a_bucket_named_twice(tmp_path):
-    # a ranked round's pass takes each bucket's entries as one run of the
-    # round's entries. So, on both backends, a ranked round whose ordinals
-    # do not strictly increase, as when it names one bucket twice, is
-    # refused before any bucket changes; unranked, it is merged
-    twice = _round_arrays([(1, [0], [2], 0), (2, [5, 6], [3, 0], 5), (1, [4], [3], 0)])
-    adjacent = _round_arrays([(1, [0], [2], 0), (1, [4], [3], 0)])
-    decreasing = _round_arrays([(2, [5, 6], [3, 0], 5), (1, [4], [3], 0)])
+    # a round's merge takes each bucket's entries as one run of the round's
+    # entries. So, on both backends, a ranked round or a terminator round
+    # whose buckets are not in increasing order, as when it names one
+    # bucket twice apart, is refused before any bucket changes. A bucket
+    # named twice in a row is one run of entries, which merges as its two
+    # batches in sequence would
+    twice = [(1, [0], [2], 0), (2, [5, 6], [3, 0], 5), (1, [4], [3], 0)]
+    decreasing = [(2, [5, 6], [3, 0], 5), (1, [4], [3], 0)]
     for store in _stores(tmp_path, 3):
-        _merge(store, 1, range(6), [0, 1, 2, 3, 0, 1], want_ranks=False)
-        state = _slot_bytes(store), store.sizes.tolist(), store.bytes_read, store.bytes_written
-        for round_ in (twice, adjacent, decreasing):
+        store.fill(1, [0, 1, 2, 3, 0, 1])
+        state = _io_state(store)
+        for round_ in (twice, decreasing):
             with pytest.raises(ConsistencyError, match="each bucket once, in increasing order"):
-                store.merge_many(*round_)
-            assert (_slot_bytes(store), store.sizes.tolist(), store.bytes_read,
-                    store.bytes_written) == state
-        assert store.merge_many(*twice, False) is None
-        assert store.read(1).tolist() == [2, 0, 1, 2, 3, 3, 0, 1]
-        assert store.read(2).tolist() == [3, 0]
+                store.merge_many(*_round_arrays(round_))
+            with pytest.raises(ConsistencyError, match="each bucket once, in increasing order"):
+                _terminator_round(store, [(o, positions) for o, positions, *_ in round_])
+            assert _io_state(store) == state
+        expected, first = naive_splice([0, 1, 2, 3, 0, 1], [0], [2])
+        expected, second = naive_splice(expected, [4], [3])
+        assert store.merge_many(*_round_arrays([(1, [0], [2], 0), (1, [4], [3], 0)])).tolist() == first + second
+        assert store.read(1).tolist() == expected
         store.close()
 
 
@@ -458,9 +495,7 @@ def _io_state(store):
 
 def _fill(store, fill):
     for o, codes in fill.items():
-        if len(codes):
-            store.merge_insert(o, np.arange(len(codes), dtype=np.int64), np.array(codes, dtype=np.uint8),
-                               base=0, want_ranks=False)
+        store.fill(o, codes)
 
 
 def _gapless_run(store):
@@ -486,9 +521,9 @@ def _traced_io(monkeypatch, calls):
 @pytest.mark.parametrize("chunk", [1, 7, buckets.RANK_CHUNK])
 def test_external_merge_many_equals_per_bucket_merges(chunk, tmp_path, monkeypatch):
     # on disk the first ranked round compacts the slots into one gapless
-    # run, and each round is one pass over it. Two rounds leave the contents
-    # and sizes that unranked merge_insert calls, one per bucket, leave in
-    # slots, and the file holds the contents' packed run from its start,
+    # run, and each round is one pass over it. Two rounds leave the ranks,
+    # contents and sizes of naive splices of each batch, one bucket at a
+    # time, and the file holds the contents' packed run from its start,
     # even where a slot held set bits past its content. The second round
     # reads and writes nothing before the byte of its first bucket's start,
     # and writes every byte from there to the new content's end once.
@@ -505,10 +540,9 @@ def test_external_merge_many_equals_per_bucket_merges(chunk, tmp_path, monkeypat
                               np.array([rng.randrange(4) for _ in range(40)], dtype=np.uint8), 7)
                              for o, c in sorted(fill_big.items())]))
     for trial, (fill, batches) in enumerate(cases):
-        passed = buckets.BucketStore(final, str(tmp_path / f"passed{trial}"))
-        alone = buckets.BucketStore(final, str(tmp_path / f"alone{trial}"))
-        for store in (passed, alone):
-            _fill(store, fill)
+        passed = ExternalBucketStore(4, str(tmp_path / f"passed{trial}"), final)
+        _fill(passed, fill)
+        model = {o: list(fill.get(o, [])) for o in range(16)}
         # set the bits past each content in its slot's last byte
         for o, codes in fill.items():
             if len(codes) % 4:
@@ -524,16 +558,15 @@ def test_external_merge_many_equals_per_bucket_merges(chunk, tmp_path, monkeypat
         for round_ in (batches, second):
             expected_ranks = []
             for o, positions, syms, base in round_:
-                expected_ranks += naive_splice(alone.read(o).tolist(), (positions - base).tolist(), syms.tolist())[1]
+                model[o], ranks = naive_splice(model[o], (positions - base).tolist(), syms.tolist())
+                expected_ranks += ranks
             begin = np.cumsum(passed.sizes) - passed.sizes
             before, calls = _slot_bytes(passed), []
             with monkeypatch.context() as mp:
                 _traced_io(mp, calls)
                 assert passed.merge_many(*_round_arrays(round_)).tolist() == expected_ranks
-            for o, positions, syms, base in round_:
-                alone.merge_insert(o, positions, syms, base, False)
-            assert passed.sizes.tolist() == alone.sizes.tolist()
-            assert all((passed.read(o) == alone.read(o)).all() for o in range(16))
+            assert passed.sizes.tolist() == [len(model[o]) for o in range(16)]
+            assert [passed.read(o).tolist() for o in range(16)] == [model[o] for o in range(16)]
             file_bytes, run = _gapless_run(passed)
             assert file_bytes == run
             if round_ is second and second:
@@ -545,7 +578,6 @@ def test_external_merge_many_equals_per_bucket_merges(chunk, tmp_path, monkeypat
                 assert all(a[1] == b[0] for a, b in zip(writes, writes[1:]))
                 assert writes[-1][1] == len(run)
         passed.close()
-        alone.close()
 
 
 def _window_round(rng, store, chunk, k, length_mod_4):
@@ -589,8 +621,7 @@ def test_pass_equals_naive_splices_at_any_window_edge(chunk, tmp_path, monkeypat
     # symbol and at the content's end, with bucket starts in earlier
     # windows than their entries and contents of each length mod 4. Ranks,
     # sizes and every read(o) equal naive splices of each batch, and the
-    # RAM array or the file holds the contents' run. A one-bucket merge
-    # then goes through the pass
+    # RAM array or the file holds the contents' run
     monkeypatch.setattr(buckets, "RANK_CHUNK", chunk)
     rng = random.Random(44)
     for n_sparse, tmp_dir in itertools.product((0, 1, 20), (None, "disk")):
@@ -616,24 +647,20 @@ def test_pass_equals_naive_splices_at_any_window_edge(chunk, tmp_path, monkeypat
             assert [store.read(o).tolist() for o in range(16)] == model
             file_bytes, run = _gapless_run(store)
             assert file_bytes == run
-        o = max(o for o in range(16) if len(model[o]) < final[o])
-        positions = [0, len(model[o]) + 1] if len(model[o]) + 2 <= final[o] else [len(model[o])]
-        model[o], ranks = naive_splice(model[o], positions, [2] * len(positions))
-        assert store.merge_insert(o, positions, [2] * len(positions), 0) == ranks
-        assert [store.read(o).tolist() for o in range(16)] == model
         store.close()
 
 
 def test_terminator_round_makes_no_bucket_io(tmp_path, monkeypatch):
-    # the terminator round loads nothing: its batches go to the side list
+    # the terminator round loads nothing and never compacts: its one call
+    # fills the side lists
     store = ExternalBucketStore(3, str(tmp_path / "dollars"))
     _fill(store, {1: [0, 1, 2], 4: [3] * 9})
     calls = []
     for name in ("pread", "preadv", "pwrite"):
         monkeypatch.setattr(os, name, lambda *a, name=name: calls.append(name))
-    dollars = [(1, [0, 3], [DOLLAR] * 2, 0), (4, [9], [DOLLAR], 0)]
-    assert store.merge_many(*_round_arrays(dollars), False) is None
+    assert _terminator_round(store, [(1, [0, 3]), (4, [9])]) is None
     assert calls == []
+    assert store._begin is None and store.bytes_read == store.bytes_written == 0
     monkeypatch.undo()
     assert store.read(1).tolist() == [DOLLAR, 0, 1, DOLLAR, 2]
     assert store.read(4).tolist() == [3] * 9 + [DOLLAR]
@@ -667,8 +694,8 @@ def test_merge_many_refused_third_batch_stores_the_first_two(tmp_path):
     # every check of a ranked round runs before its first symbol is read, so
     # on both backends a round refused at its third bucket, or for any
     # other reason, in slots or in the gapless content, changes no byte, no
-    # size and no I/O count, and does not compact the slots. No pass may
-    # follow a terminator batch, into its bucket or any other, since
+    # size and no I/O count, and does not compact the slots. No round may
+    # follow the terminator round, into its buckets or any other, since
     # terminators stay out of the content
     fill = {0: [1, 2, 3], 2: list(range(4)) * 5, 5: [2] * 7}
     batches = [(0, np.array([0, 4]), np.array([3, 3], dtype=np.uint8), 0),
@@ -696,10 +723,10 @@ def test_merge_many_refused_third_batch_stores_the_first_two(tmp_path):
                 expected[o] = naive_splice(expected[o], (positions - base).tolist(), syms.tolist())[0]
             store.merge_many(*_round_arrays(batches[:2]))
             assert [store.read(o).tolist() for o in range(8)] == [expected[o] for o in range(8)]
-        store.merge_many(*_round_arrays([(1, np.array([0]), np.array([DOLLAR], dtype=np.uint8), 0)]), False)
+        _terminator_round(store, [(1, [0])])
         state = _io_state(store)
         for round_ in ([(0, [0], [1], 0), (1, [0], [1], 0)], [(0, [0], [1], 0)]):
-            with pytest.raises(ConsistencyError, match="after bucket 1's terminator batch"):
+            with pytest.raises(ConsistencyError, match="after the terminator round"):
                 store.merge_many(*_round_arrays(round_))
             assert _io_state(store) == state
         assert [store.read(o).tolist() for o in range(8)] == [expected[o] if o != 1 else [DOLLAR] for o in range(8)]
@@ -725,9 +752,9 @@ def test_merge_insert_validates_positions(tmp_path):
     store = MemoryBucketStore(3)
     with pytest.raises(ConsistencyError):
         store.merge_insert(0, [1, 1], [0, 0], base=0)
-    # each violation, ranked and unranked, in batches of 2, 17 and 48
-    # entries, into an empty bucket and into one of 30 symbols, on every
-    # store kind
+    # each violation, in a ranked one-bucket merge and in a terminator
+    # round, in batches of 2, 17 and 48 entries, into an empty bucket and
+    # into one of 30 symbols, on every store kind
     for k in (2, 17, 48):
         for n0 in (0, 30):
             ok = np.arange(k, dtype=np.int64) + n0 // 2
@@ -737,12 +764,14 @@ def test_merge_insert_validates_positions(tmp_path):
                 "repeated": np.concatenate([ok[:-1], ok[-2:-1]]),
                 "decreasing": np.concatenate([ok[:-2], ok[-1:], ok[-2:-1]]),
             }
-            for (name, positions), want_ranks in itertools.product(bad.items(), (True, False)):
-                for store in _stores(tmp_path / f"v{k}_{n0}_{name.replace(' ', '_')}_{want_ranks}", 3):
-                    if n0:
-                        _merge(store, 1, range(n0), [0] * n0, want_ranks=False)
+            for (name, positions), ranked in itertools.product(bad.items(), (True, False)):
+                for store in _stores(tmp_path / f"v{k}_{n0}_{name.replace(' ', '_')}_{ranked}", 3):
+                    store.fill(1, [0] * n0)
                     with pytest.raises(ConsistencyError, match="insert positions"):
-                        _merge(store, 1, positions, [0] * k, want_ranks)
+                        if ranked:
+                            _merge(store, 1, positions, [0] * k)
+                        else:
+                            _terminator_round(store, [(1, positions)])
                     assert store.read(1).tolist() == [0] * n0, name
                     store.close()
 
@@ -827,7 +856,6 @@ def test_chunk_io_errors_name_the_bucket(tmp_path, monkeypatch):
     assert store.sizes.tolist()[2:6] == [9, 0, 0, 6] and store._begin is None
     os.truncate(store._path, 8 * SLOT // 4)
     _fill(store, {5: [3] * 6})
-    store.sizes[5] = 6
     assert store.merge_many(*round_).tolist() == [0, 0]
     # the gapless file now holds 17 symbols in 5 bytes, bucket 5 from
     # symbol 10 on: a round into it passes one window, read from byte 2 to
@@ -878,8 +906,7 @@ def test_close_removes_the_one_file(tmp_path, monkeypatch):
     assert unlinked == ["buckets.bin"]
     # a store with only terminators has written nothing to its file
     store = ExternalBucketStore(12, str(tmp_path / "dollar_only"))
-    store.merge_insert(9, np.array([0], dtype=np.int64), np.array([DOLLAR], dtype=np.uint8),
-                       base=0, want_ranks=False)
+    _terminator_round(store, [(9, [0])])
     assert store.bytes_written == 0
     store.close()
     assert not os.path.exists(store.tmp_dir)
@@ -887,14 +914,15 @@ def test_close_removes_the_one_file(tmp_path, monkeypatch):
 
 def test_merge_overflowing_its_slot_raises_and_spares_the_neighbour(tmp_path):
     for store in _stores(tmp_path, 3):
-        _merge(store, 3, range(SLOT - 2), [0] * (SLOT - 2), want_ranks=False)
+        store.fill(3, [0] * (SLOT - 2))
         _merge(store, 4, range(5), [1, 2, 3, 1, 2])
         for k in (3, 17):
-            for want_ranks in (True, False):
-                with pytest.raises(ConsistencyError, match="overflow its slot"):
-                    _merge(store, 3, range(k), [2] * k, want_ranks)
+            with pytest.raises(ConsistencyError, match="overflow its slot"):
+                _merge(store, 3, range(k), [2] * k)
+            with pytest.raises(ConsistencyError, match="overflow its slot"):
+                store.merge_many(*_round_arrays([(3, range(k), [2] * k, 0)]))
         with pytest.raises(ConsistencyError, match="overflow its slot"):
-            _merge(store, 3, range(3), [DOLLAR] * 3, want_ranks=False)
+            _terminator_round(store, [(3, range(3))])
         assert store.read(3).tolist() == [0] * (SLOT - 2)
         assert store.read(4).tolist() == [1, 2, 3, 1, 2]
         # a merge that fills the slot exactly is taken
@@ -906,21 +934,9 @@ def test_merge_overflowing_its_slot_raises_and_spares_the_neighbour(tmp_path):
 
 def test_terminator_side_list_in_packed_mode(tmp_path):
     store = ExternalBucketStore(3, str(tmp_path / "dollar"))
-    store.merge_insert(
-        0,
-        np.arange(3, dtype=np.int64),
-        np.array([0, 1, 2], dtype=np.uint8),
-        base=0,
-        want_ranks=False,
-    )
+    store.fill(0, [0, 1, 2])
     before = store.bytes_written
-    store.merge_insert(
-        0,
-        np.array([1, 4], dtype=np.int64),
-        np.array([DOLLAR, DOLLAR], dtype=np.uint8),
-        base=0,
-        want_ranks=False,
-    )
+    _terminator_round(store, [(0, [1, 4])])
     assert store.bytes_written == before  # no rewrite for the terminator round
     assert store.read(0).tolist() == [0, DOLLAR, 1, 2, DOLLAR]
     out = BytesIO()
@@ -931,19 +947,11 @@ def test_terminator_side_list_in_packed_mode(tmp_path):
 
 def test_packed_store_rejects_mixed_terminator_batches(tmp_path):
     store = ExternalBucketStore(3, str(tmp_path / "mixed"))
-    with pytest.raises(ConsistencyError, match="mixed terminator"):
-        store.merge_insert(
-            0,
-            np.array([0, 1], dtype=np.int64),
-            np.array([0, DOLLAR], dtype=np.uint8),
-            base=0,
-            want_ranks=False,
-        )
-    with pytest.raises(ConsistencyError):
-        store.merge_insert(
-            0, np.array([5], dtype=np.int64), np.array([DOLLAR], dtype=np.uint8),
-            base=0, want_ranks=False,
-        )
+    with pytest.raises(ConsistencyError, match="only terminators"):
+        store.merge_many(*_round_arrays([(0, [0, 1], [0, DOLLAR], 0)]), False)
+    with pytest.raises(ConsistencyError, match="insert positions"):
+        _terminator_round(store, [(0, [5])])
+    assert store.sizes.tolist() == [0] * 8
     store.close()
 
 
@@ -981,18 +989,18 @@ def test_backends_identical_bucket_contents(tmp_path):
         assert outs[0] == outs[1]
         for s in stores[1:]:
             assert s.read(ordinal).tolist() == stores[0].read(ordinal).tolist()
-    # the terminator round: one pure, unranked batch into several touched
-    # buckets, first, last and inner positions included
+    # the terminator round: one unranked call of terminators into several
+    # touched buckets, first, last and inner positions included
     touched = [int(o) for o in np.flatnonzero(stores[0].sizes)]
-    for ordinal in rng.sample(touched, 4):
+    batches = []
+    for ordinal in sorted(rng.sample(touched, 4)):
         size = int(stores[0].sizes[ordinal])
         k = rng.randint(1, 3)
         positions = sorted({0, size + k - 1, *rng.sample(range(size + k), k)})
-        for s in stores:
-            dollars = np.full(len(positions), DOLLAR, dtype=np.uint8)
-            assert s.merge_insert(ordinal, np.array(positions, dtype=np.int64), dollars, base=0,
-                                  want_ranks=False) is None
+        batches.append((ordinal, positions))
         model[ordinal] = naive_splice(model[ordinal], positions, [DOLLAR] * len(positions))[0]
+    for s in stores:
+        assert _terminator_round(s, batches) is None
     assembled = []
     for s in stores:
         for o in range(n_buckets(4)):
@@ -1013,9 +1021,7 @@ def test_both_backends_refuse_misplaced_terminators(tmp_path):
         for n0 in (0, 30):
             for at in (0, k - 1):
                 for store in _stores(tmp_path / f"r{k}_{n0}_{at}", 3):
-                    if n0:
-                        store.merge_insert(1, np.arange(n0, dtype=np.int64),
-                                           np.arange(n0, dtype=np.uint8) % 4, base=0, want_ranks=False)
+                    store.fill(1, np.arange(n0) % 4)
                     content, sizes = store.read(1).tolist(), store.sizes.tolist()
                     written = store.bytes_written
                     syms = np.full(k, 2, dtype=np.uint8)
@@ -1034,29 +1040,20 @@ def test_both_backends_refuse_misplaced_terminators(tmp_path):
                     assert store.sizes.tolist() == sizes
                     assert store.bytes_written == written
                     store.close()
-    # unranked, a batch mixing terminators with bases is refused, and so
-    # is any merge after a bucket's terminator batch: a second one, or
-    # bases, ranked or not, which would shift the side list's positions
+    # the terminator round refuses a base among its terminators, and no
+    # merge may follow it: a second one, or bases, ranked or not, which
+    # would shift the side list's positions
     for store in _stores(tmp_path / "unranked", 3):
-        with pytest.raises(ConsistencyError, match="mixed terminator"):
-            store.merge_insert(0, np.array([0, 1], dtype=np.int64),
-                               np.array([DOLLAR, 1], dtype=np.uint8), base=0, want_ranks=False)
-        store.merge_insert(0, np.array([0], dtype=np.int64), np.array([DOLLAR], dtype=np.uint8),
-                           base=0, want_ranks=False)
-        with pytest.raises(ConsistencyError, match="a second one"):
-            store.merge_insert(0, np.array([1], dtype=np.int64), np.array([DOLLAR], dtype=np.uint8),
-                               base=0, want_ranks=False)
-        assert store.read(0).tolist() == [DOLLAR]
-        assert store.sizes[0] == 1
-        store.merge_insert(1, np.arange(3, dtype=np.int64), np.array([0, 1, 2], dtype=np.uint8),
-                           base=0, want_ranks=False)
-        store.merge_insert(1, np.array([1], dtype=np.int64), np.array([DOLLAR], dtype=np.uint8),
-                           base=0, want_ranks=False)
+        store.fill(1, [0, 1, 2])
+        with pytest.raises(ConsistencyError, match="only terminators"):
+            store.merge_many(*_round_arrays([(0, [0, 1], [DOLLAR, 1], 0)]), False)
+        _terminator_round(store, [(0, [0]), (1, [1])])
         written = store.bytes_written
-        for bucket, want_ranks in ((0, True), (0, False), (1, True), (1, False)):
-            with pytest.raises(ConsistencyError, match="after its terminator batch"):
-                store.merge_insert(bucket, np.array([0], dtype=np.int64),
-                                   np.array([3], dtype=np.uint8), base=0, want_ranks=want_ranks)
+        for merge in (lambda: _terminator_round(store, [(0, [1])]),
+                      lambda: _merge(store, 0, [0], [3]),
+                      lambda: store.merge_many(*_round_arrays([(1, [0], [3], 0)]))):
+            with pytest.raises(ConsistencyError, match="after the terminator round"):
+                merge()
         assert store.read(0).tolist() == [DOLLAR]
         assert store.read(1).tolist() == [0, DOLLAR, 1, 2]
         assert store.sizes.tolist()[:2] == [1, 4]

@@ -370,10 +370,16 @@ def test_flags_a_command_would_ignore_are_refused(tmp_path, capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_cmd_selftest(capsys):
+def test_cmd_selftest(capsys, monkeypatch):
+    # the cases alternate between the backends, external first
+    backends = []
+    real = cli.verify_collection
+    monkeypatch.setattr(cli, "verify_collection",
+                        lambda c, config: backends.append(config.backend) or real(c, config))
     rc = main(["selftest", "--count", "5", "--seed", "1"])
     assert rc == 0
     assert "5/5 cases passed" in capsys.readouterr().out
+    assert backends == ["external", "memory"] * 2 + ["external"]
 
 
 def test_cli_reports_parse_errors_cleanly(tmp_path, capsys):

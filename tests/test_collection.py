@@ -207,6 +207,21 @@ def test_detect_format():
     assert detect_format(b"\x0c@r\nAC\n+\nII\n") == "fastq"
 
 
+@pytest.mark.parametrize("codes, offsets, message", [
+    # a code above T would bleed into its neighbours' bits when packed
+    (np.array([0, 5, 1, 2], dtype=np.uint8), np.array([0, 4]), "code 5 at index 1 is not a base code"),
+    # codes wider than a byte cannot be packed four to a byte
+    (np.array([0, 1, 2, 3], dtype=np.int64), np.array([0, 4]), "codes must be uint8, got int64"),
+    # offsets past the codes' end name codes that do not exist
+    (np.array([0, 1, 2, 3], dtype=np.uint8), np.array([0, 2, 6]), "from 0 to the 4 codes, got 0 to 6"),
+    # offsets that do not start at 0 leave codes outside every word
+    (np.array([0, 1, 2, 3], dtype=np.uint8), np.array([1, 4]), "from 0 to the 4 codes, got 1 to 4"),
+], ids=["code above T", "int64 codes", "offsets past the end", "offsets not from 0"])
+def test_collection_refuses_codes_and_offsets_it_cannot_pack(codes, offsets, message):
+    with pytest.raises(ParseError, match=message):
+        WordCollection(codes, offsets)
+
+
 def test_pack_round_trip():
     # every length up to 40 codes, so every partial tail quad, and one
     # length over several of _pack's pieces

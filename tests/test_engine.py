@@ -684,10 +684,10 @@ def test_merges_take_one_form_per_round_kind(words, more, tail, kappa, backend):
     # sparse rounds merge one bucket ranked, as Python int lists of at most
     # SPARSE_MAX entries. Ranked dense rounds merge all their entries in one
     # call, as arrays with an ordinal per entry, on both backends; the
-    # terminator round merges pure terminator batches, unranked arrays, a
-    # bucket a call. SPARSE_MAX + 1 words of ``tail`` symbols make the
-    # rounds from their start on dense, so every build has a ranked dense
-    # round
+    # terminator round is one unranked call of the same arrays, of
+    # terminators only, made last. SPARSE_MAX + 1 words of ``tail`` symbols
+    # make the rounds from their start on dense, so every build has a
+    # ranked dense round
     rng = random.Random(tail)
     even = _rand_words(rng, [tail] * (engine.SPARSE_MAX + 1))
     c = WordCollection.from_words(words + more + even)
@@ -698,17 +698,18 @@ def test_merges_take_one_form_per_round_kind(words, more, tail, kappa, backend):
     forms = []
     for ranked, positions, syms, ordinal in merges:
         if isinstance(ordinal, np.ndarray):
-            assert ranked and type(positions) is type(syms) is np.ndarray and len(ordinal) == len(syms)
-            forms.append("array")
-        elif ranked:
-            assert type(positions) is type(syms) is list and len(syms) <= engine.SPARSE_MAX
-            forms.append("list")
+            assert type(positions) is type(syms) is np.ndarray and len(ordinal) == len(syms)
+            assert ranked != (syms == collection.DOLLAR).all()
+            forms.append("array" if ranked else "terminators")
         else:
-            assert type(positions) is type(syms) is np.ndarray and (syms == collection.DOLLAR).all()
-            forms.append("terminators")
+            assert ranked and type(positions) is type(syms) is list and len(syms) <= engine.SPARSE_MAX
+            forms.append("list")
     assert "array" in forms
-    # no form goes back to an earlier one: sparse rounds first, terminators last
+    # no form goes back to an earlier one: sparse rounds first, then the
+    # dense ones, and the terminator round alone, last
     assert forms == sorted(forms, key=["list", "array", "terminators"].index)
+    assert forms.count("terminators") == 1 and forms[-1] == "terminators"
+    assert len(merges[-1][2]) == c.m
     # every symbol is inserted through merge_insert once
     assert sum(len(syms) for *_, syms, _ in merges) == c.total_length
 
