@@ -8,9 +8,9 @@ arithmetically instead of materialising padded strings.
 """
 from __future__ import annotations
 
-import re
+import io
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Union
+from typing import BinaryIO, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -24,6 +24,14 @@ SYMBOL_BYTES = b"ACGT$"
 # 17 bytes a symbol, stay below what one window of a dense round's pass
 # holds, so that the count does not set a build's peak; see README
 _COUNT_CHUNK = 1 << 15
+
+# bytes per read of parse_sequences: the parse's temporaries, about five
+# times this, stay far below the input, and the per-chunk calls cost little
+# past it; see README
+_PARSE_CHUNK = 1 << 18
+# vectorised strip passes, one blank byte per line end each, before the
+# lines still blank-edged are stripped one by one
+_STRIP_PASSES = 4
 
 _AMBIG = 254
 _BAD = 255
@@ -49,6 +57,9 @@ def _build_lut() -> np.ndarray:
 
 
 _LUT = _build_lut()
+_TRANSLATE = _LUT.tobytes()  # _LUT as a bytes.translate table
+_BLANK = np.zeros(256, dtype=bool)  # what bytes.strip strips
+_BLANK[list(b" \t\n\r\x0b\x0c")] = True
 
 
 @dataclass(frozen=True)
@@ -134,13 +145,27 @@ class WordCollection:
         top = int(codes.argmax())
         if codes[top] > 3:
             raise ParseError(f"code {codes[top]} at index {top} is not a base code (0-3)")
-        # the packed words as bytes, which fetch_code reads as Python ints,
-        # and a numpy view of them
-        self._bytes = _pack(codes).tobytes()
-        self._packed = np.frombuffer(self._bytes, dtype=np.uint8)
-        self._offsets = offsets.astype(np.int64)
+        self._set(_pack(codes).tobytes(), offsets.astype(np.int64))
+
+    @classmethod
+    def _from_packed(cls, packed: bytearray, offsets: np.ndarray) -> "WordCollection":
+        """A collection over ``packed``, 2-bit codes four a byte as
+        :func:`_pack` writes them, taken without a copy; ``offsets`` are
+        int64 and every word is non-empty, as :func:`parse_sequences` makes
+        them."""
+        self = cls.__new__(cls)
+        self._set(packed, offsets)
+        return self
+
+    def _set(self, packed: Union[bytes, bytearray], offsets: np.ndarray) -> None:
+        # the packed words, which fetch_code reads as Python ints, and a
+        # read-only numpy view of them
+        self._bytes = packed
+        self._packed = np.frombuffer(packed, dtype=np.uint8)
+        self._packed.flags.writeable = False
+        self._offsets = offsets
         self.m = len(offsets) - 1
-        self.max_length = int(lengths.max())
+        self.max_length = int(np.diff(offsets).max())
         self.total_length = int(offsets[-1]) + self.m
 
     @classmethod
@@ -230,82 +255,261 @@ class WordCollection:
         )
 
 
-def detect_format(data: bytes) -> str:
-    """Guess the input format from the first non-blank byte."""
-    first = re.search(rb"\S", data)  # blank as for bytes.strip
-    return {b">": "fasta", b"@": "fastq"}.get(first and first.group(), "raw-lines")
+def detect_format(data: Union[bytes, BinaryIO]) -> str:
+    """Guess the input format from the first non-blank byte. A stream is
+    read a chunk at a time up to that byte, then rewound to where it was."""
+    stream = io.BytesIO(data) if isinstance(data, bytes) else data
+    at, first = stream.tell(), b""
+    while not first and (chunk := stream.read(_PARSE_CHUNK)):
+        first = chunk.lstrip()[:1]  # blank as for bytes.strip
+    stream.seek(at)
+    return {b">": "fasta", b"@": "fastq"}.get(first, "raw-lines")
 
 
-def _record_layout(lines: list[bytes], sizes: np.ndarray,
-                   fmt: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each record's first-line index, the sequence lines' indices and each
-    sequence line's record, over stripped ``lines`` of byte lengths
-    ``sizes``; raises the first structural error."""
-    if fmt == "fasta":
-        is_header = np.array([ln[:1] == b">" for ln in lines], dtype=bool)
-        heads = np.flatnonzero(is_header)
-        seq = np.flatnonzero((sizes > 0) & ~is_header)
-        if seq.size and (not heads.size or seq[0] < heads[0]):
-            raise ParseError(f"line {seq[0] + 1}: sequence data before first '>' header")
-        return heads, seq, np.searchsorted(heads, seq) - 1
-    if fmt == "fastq":
-        # four lines a record, blank ones included; trailing blank lines end the input
-        nonblank = np.flatnonzero(sizes)
-        n = int(nonblank[-1]) + 1 if nonblank.size else 0
-        if n % 4:
-            raise ParseError(f"line {n}: truncated FASTQ record")
-        for h in range(0, n, 4):
-            if not lines[h].startswith(b"@"):
-                raise ParseError(f"line {h + 1}: expected '@' FASTQ header")
-            if not lines[h + 2].startswith(b"+"):
-                raise ParseError(f"line {h + 3}: expected '+' separator")
-            if len(lines[h + 3]) != len(lines[h + 1]):
-                raise ParseError(f"line {h + 4}: quality length differs from sequence")
-        heads = np.arange(0, n, 4)
-        return heads, heads + 1, np.arange(len(heads))
-    seq = np.flatnonzero(sizes)
-    return seq, seq, np.arange(len(seq))
+def _chunks(stream: Union[bytes, BinaryIO]) -> Iterator[bytes]:
+    """The input in pieces of about ``_PARSE_CHUNK`` bytes, each cut after
+    its last newline; a line longer than that is one piece, and a last
+    line with no newline gets one."""
+    read = (io.BytesIO(stream) if isinstance(stream, bytes) else stream).read
+    held: list[bytes] = []  # the start of a line no chunk has ended yet
+    while chunk := read(_PARSE_CHUNK):
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            held.append(chunk)
+            continue
+        lines = b"".join([*held, memoryview(chunk)[:cut]]) if any(held) else chunk[:cut]
+        held = [chunk[cut:]]
+        del chunk  # the lines are its copy
+        yield lines
+    if any(held):
+        yield b"".join([*held, b"\n"])
+
+
+def _strip(buf: bytes, a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Narrow each line ``a[lo:hi]`` in place as ``bytes.strip`` would: a
+    few vectorised passes over the lines with a blank first or last byte,
+    then ``bytes`` calls for any still blank-edged after them."""
+    for front in (True, False):
+        sel = np.flatnonzero(lo < hi)
+        for _ in range(_STRIP_PASSES):
+            sel = sel[_BLANK[a[lo[sel] if front else hi[sel] - 1]]]
+            if front:
+                lo[sel] += 1
+            else:
+                hi[sel] -= 1
+            sel = sel[lo[sel] < hi[sel]]
+            if not sel.size:
+                break
+        else:
+            for i in sel.tolist():
+                line = buf[lo[i] : hi[i]]
+                left = line.lstrip()
+                lo[i] += len(line) - len(left)
+                hi[i] = lo[i] + len(left.rstrip())
+
+
+class _Parse:
+    """What :func:`parse_sequences` carries from one chunk to the next: the
+    line count, the open record, the FASTQ phase, the first error of each
+    rank, and the packed output with its carry of up to three codes."""
+
+    def __init__(self, policy: IngestPolicy):
+        self.fmt, self.ambiguous = policy.format, policy.ambiguous_handling
+        self.lines = 0  # lines read
+        # lines worked: through the last non-blank one read, so that blank
+        # lines count in FASTQ only if a non-blank one follows
+        self.done = 0
+        self.prev = np.zeros(2, dtype=np.int64)  # sizes of lines done-2, done-1
+        # the open record: its header line (-1 before the first), sequence
+        # bytes so far, codes kept so far, whether it holds an ambiguous
+        # base, and its first code's index in the output
+        self.head, self.raw, self.kept, self.amb, self.start = -1, 0, 0, False, 0
+        # rank -> message of its first error; the lowest rank is raised
+        # once the input has been read, as a whole-input parse ranks them
+        self.errors: dict[int, str] = {}
+        self.out, self.carry = bytearray(), np.zeros(0, dtype=np.uint8)
+        # the offsets as int64 bytes, 0 and each closed record's end, and
+        # the codes kept in closed records
+        self.ends, self.closed = bytearray(8), 0
+
+    def _fail(self, rank: int, message: str) -> None:
+        self.errors.setdefault(rank, message)
+
+    def _emit(self, codes: np.ndarray) -> None:
+        if self.carry.size:  # fill the carry's quad, then pack from the next one
+            head = np.concatenate((self.carry, codes[: 4 - len(self.carry)]))
+            if len(head) < 4:
+                self.carry = head
+                return
+            self.out += _pack(head).data
+            codes = codes[4 - len(self.carry) :]
+        full = len(codes) & ~3
+        self.out += _pack(codes[:full]).data
+        self.carry = codes[full:].copy()
+
+    def _retract(self, to: int) -> None:
+        """Drop every code from index ``to`` of the output on."""
+        k, r = divmod(to, 4)
+        if k < len(self.out):
+            last = self.out[k]
+            del self.out[k:]
+            self.carry = np.array([last >> 6 - 2 * i & 3 for i in range(r)], dtype=np.uint8)
+        else:
+            self.carry = self.carry[: to - 4 * k]
+
+    def feed(self, buf: bytes) -> None:
+        """Work one chunk of whole lines."""
+        a = np.frombuffer(buf, dtype=np.uint8)
+        hi = np.flatnonzero(a == 10)
+        lo = np.empty_like(hi)
+        lo[0], lo[1:] = 0, hi[:-1] + 1
+        _strip(buf, a, lo, hi)
+        nonblank = np.flatnonzero(hi > lo)
+        read, self.lines = self.lines, self.lines + len(hi)
+        if not nonblank.size:
+            return
+        last = int(nonblank[-1]) + 1
+        lo, hi = lo[:last], hi[:last]
+        base, pending, self.done = self.done, read - self.done, read + last
+        if 0 in self.errors:  # only the FASTQ line count can still outrank it
+            return
+        if self.fmt == "fastq":
+            # blank lines before a non-blank one are lines of its records;
+            # four of them hold a header or separator line, which fails, so
+            # no more are needed
+            virtual = min(pending, 4)
+            lo, hi = (np.concatenate((np.zeros(virtual, dtype=np.int64), x)) for x in (lo, hi))
+        else:
+            base = read  # blank lines are no part of a FASTA or raw-lines record
+        size = hi - lo
+        first = a[lo]
+        first[size == 0] = 0
+        if self.fmt == "fasta":
+            is_head = first == ord(">")
+            heads = np.flatnonzero(is_head)
+            seq = np.flatnonzero((size > 0) & ~is_head)
+            if self.head < 0 and seq.size and (not heads.size or seq[0] < heads[0]):
+                self._fail(0, f"line {base + seq[0] + 1}: sequence data before first '>' header")
+                return
+        elif self.fmt == "fastq":
+            # four lines a record: a line's role is its index mod 4
+            role = (base + np.arange(len(size))) % 4
+            ext = np.concatenate((self.prev, size))
+            self.prev = ext[-2:]
+            bad = ((role == 0) & (first != ord("@"))) | ((role == 2) & (first != ord("+")))
+            bad |= (role == 3) & (size != ext[: len(size)])
+            if bad.any():
+                i = int(bad.argmax())
+                self._fail(0, f"line {base + i + 1}: " + {
+                    0: "expected '@' FASTQ header", 2: "expected '+' separator",
+                    3: "quality length differs from sequence"}[int(role[i])])
+                return
+            heads, seq = np.flatnonzero(role == 0), np.flatnonzero(role == 1)
+        else:
+            heads = seq = nonblank
+        self._records(buf, base, lo, hi, heads, seq)
+
+    def _records(self, buf: bytes, base: int, lo: np.ndarray, hi: np.ndarray,
+                 heads: np.ndarray, seq: np.ndarray) -> None:
+        """Codes and record lengths of one chunk: lines ``heads`` open
+        records, lines ``seq`` hold their sequence. Slot 0 is the record open
+        before the chunk, slot k the one opened at ``heads[k - 1]``; every
+        slot but the last closes in the chunk."""
+        n = len(heads)
+        seq = seq[hi[seq] > lo[seq]]
+        size = hi[seq] - lo[seq]
+        raw = np.bincount(np.searchsorted(heads, seq, side="right"), weights=size,
+                          minlength=n + 1).astype(np.int64)  # sequence bytes per slot
+        kept, keep = raw.copy(), None
+        flag = np.zeros(n + 1, dtype=bool)  # slots holding an ambiguous base
+        codes = np.zeros(0, dtype=np.uint8)
+        if seq.size:
+            # the sequence bytes by one repeat over runs of other bytes and
+            # of sequence bytes, a pair per line
+            runs = np.empty(2 * len(seq), dtype=np.int64)
+            runs[0::2] = lo[seq]
+            runs[2::2] -= hi[seq[:-1]]
+            runs[1::2] = size
+            picked = np.repeat(np.tile([False, True], len(seq)), runs)
+            codes = np.frombuffer(buf.translate(_TRANSLATE), dtype=np.uint8)[: len(picked)][picked]
+            del picked
+            if codes.max() >= _AMBIG:
+                line_ends = np.cumsum(size)
+
+                def line_of(at: int) -> int:
+                    return base + int(seq[np.searchsorted(line_ends, at, side="right")]) + 1
+
+                bad = np.flatnonzero(codes == _BAD)
+                if bad.size:
+                    self._fail(3, f"line {line_of(bad[0])}: invalid sequence character")
+                amb = np.flatnonzero(codes == _AMBIG)
+                if amb.size:
+                    if self.ambiguous == "fail":
+                        self._fail(4, f"line {line_of(amb[0])}: ambiguous base with policy 'fail'")
+                    # drop-char drops the bases, then the records they
+                    # emptied; drop-record drops a record with any of them
+                    dropped = np.bincount(np.searchsorted(np.cumsum(raw), amb, side="right"),
+                                          minlength=n + 1)
+                    if self.ambiguous == "drop-record":
+                        flag = dropped > 0
+                    else:
+                        keep, kept = codes != _AMBIG, raw - dropped
+        if self.ambiguous == "drop-record" and self.head >= 0:
+            if flag[0] and not self.amb and not self.errors:
+                self._retract(self.start)  # the open record's codes from earlier chunks
+                self.kept = 0
+            flag[0] |= self.amb
+        if flag.any():
+            keep, kept = np.repeat(~flag, raw), np.where(flag, 0, raw)
+        if not self.errors:
+            self._emit(codes if keep is None else codes[keep])
+        raw[0] += self.raw
+        kept[0] += self.kept
+        if n:
+            closed = slice(0 if self.head >= 0 else 1, n)
+            empty = np.flatnonzero(raw[closed] == 0)
+            if empty.size:
+                head = ([self.head] + (base + heads).tolist())[closed.start + int(empty[0])]
+                self._fail(2, f"line {head + 1}: record has an empty sequence")
+            lengths = kept[closed]
+            ends = np.cumsum(lengths[lengths > 0]) + self.closed
+            if ends.size:
+                self.ends += ends.data
+                self.closed = int(ends[-1])
+            self.head, self.amb = base + int(heads[-1]), bool(flag[n])
+            self.start = 4 * len(self.out) + len(self.carry) - int(kept[n])
+        else:
+            self.amb = bool(flag[0])
+        self.raw, self.kept = int(raw[n]), int(kept[n])
+
+    def close(self) -> WordCollection:
+        """The collection, or the first error of the lowest rank."""
+        if self.fmt == "fastq" and self.done % 4:
+            raise ParseError(f"line {self.done}: truncated FASTQ record")
+        if 0 in self.errors:
+            raise ParseError(self.errors[0])
+        if self.head < 0:
+            raise ParseError("input contains no sequence records")
+        if not self.raw:
+            self._fail(2, f"line {self.head + 1}: record has an empty sequence")
+        if self.errors:
+            raise ParseError(self.errors[min(self.errors)])
+        if self.kept:
+            self.ends += np.int64(self.closed + self.kept).tobytes()
+        if len(self.ends) == 8:
+            raise ParseError("no sequence records survived the ambiguity policy")
+        if self.carry.size:
+            self.out += _pack(self.carry).data
+        return WordCollection._from_packed(self.out, np.frombuffer(self.ends, dtype=np.int64))
 
 
 def parse_sequences(
     stream: Union[bytes, BinaryIO], policy: IngestPolicy | None = None
 ) -> WordCollection:
-    """Parse a byte stream into a :class:`WordCollection` under ``policy``."""
-    policy = policy or IngestPolicy()
-    data = stream if isinstance(stream, bytes) else stream.read()
-    lines = [ln.strip() for ln in data.split(b"\n")]  # line number = index + 1
-    sizes = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
-    heads, seq, record_of = _record_layout(lines, sizes, policy.format)
-    if not heads.size:
-        raise ParseError("input contains no sequence records")
-    seq_sizes = sizes[seq]
-    lengths = np.bincount(record_of, weights=seq_sizes, minlength=len(heads)).astype(np.int64)
-    if not lengths.all():
-        raise ParseError(f"line {heads[lengths.argmin()] + 1}: record has an empty sequence")
-
-    codes = _LUT[np.frombuffer(b"".join([lines[i] for i in seq.tolist()]), dtype=np.uint8)]
-    del lines  # the largest object left: free it before the mask arrays
-    seq_ends = np.cumsum(seq_sizes)
-
-    def _line_of(offset: int) -> int:
-        return int(seq[np.searchsorted(seq_ends, offset, side="right")]) + 1
-
-    bad = np.flatnonzero(codes == _BAD)
-    if bad.size:
-        raise ParseError(f"line {_line_of(bad[0])}: invalid sequence character")
-    amb = codes == _AMBIG
-    if amb.any():
-        if policy.ambiguous_handling == "fail":
-            raise ParseError(f"line {_line_of(amb.argmax())}: ambiguous base with policy 'fail'")
-        # drop-record drops a record with any ambiguous base; drop-char drops
-        # the bases, then the records they emptied
-        keep = ~amb
-        starts = np.cumsum(lengths) - lengths
-        if policy.ambiguous_handling == "drop-record":
-            keep = np.repeat(np.logical_and.reduceat(keep, starts), lengths)
-        codes = codes[keep]
-        lengths = np.add.reduceat(keep, starts)
-        lengths = lengths[lengths > 0]
-        if not lengths.size:
-            raise ParseError("no sequence records survived the ambiguity policy")
-    return WordCollection(codes, np.concatenate([[0], np.cumsum(lengths)]))
+    """Parse a byte stream into a :class:`WordCollection` under ``policy``,
+    a chunk of ``_PARSE_CHUNK`` bytes at a time, packing as it goes: no
+    more than a chunk of the input, its lines or its codes is held at once."""
+    parse = _Parse(policy or IngestPolicy())
+    for buf in _chunks(stream):
+        parse.feed(buf)
+    return parse.close()

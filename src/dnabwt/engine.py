@@ -165,11 +165,12 @@ class BwtBuilder:
         self.collection = collection
         self.config = config or Config()
         kappa = self.config.kappa
-        limit = 2 * math.log(max(collection.total_length, 2), 4)
-        if kappa > limit:
+        # kappa 3 is the least allowed, so it is always within the range
+        suggested = max(3, int(2 * math.log(max(collection.total_length, 2), 4)))
+        if kappa > suggested:
             warnings.warn(
                 f"kappa={kappa} is outside the well-tested range for this input "
-                f"(suggested <= {max(3, int(limit))})",
+                f"(suggested <= {suggested})",
                 RuntimeWarning,
                 stacklevel=3,
             )

@@ -105,7 +105,10 @@ def invert(bwt: bytes, m: int) -> list[bytes]:
     taken are identical to iterating :func:`lf`.
     """
     n = len(bwt)
-    if bwt.count(b"$") != m or n < 2 * m or m < 1:
+    if m < 1:
+        raise InvalidBwtError("the input holds no terminator byte '$', so it is not a transform"
+                              if b"$" not in bwt else f"expected at least one word, got m={m}")
+    if bwt.count(b"$") != m or n < 2 * m:
         raise InvalidBwtError(f"expected {m} terminator bytes in a transform of length {n}")
     arr = np.frombuffer(bwt, dtype=np.uint8)
     if bad := set(bwt) - set(b"$ACGT"):

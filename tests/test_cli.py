@@ -29,6 +29,11 @@ def test_cmd_build_writes_transform(tmp_path, capsys):
     assert data == naive_bwt(c)
     report = capsys.readouterr().out
     assert "wall_seconds" in report and f"output_bytes: {c.total_length}" in report
+    # the parse's time and peak come before the build's lines
+    keys = [line.split(":")[0] for line in report.splitlines()]
+    assert keys[:4] == ["words", "parse_seconds", "parse_peak_rss_mb", "output_bytes"]
+    values = dict(line.split(": ") for line in report.splitlines())
+    assert 0 < float(values["parse_peak_rss_mb"]) <= float(values["peak_rss_mb"])
 
 
 def test_cmd_build_report_tsv(tmp_path, capsys):
@@ -40,6 +45,38 @@ def test_cmd_build_report_tsv(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
     assert len(lines[0].split("\t")) == len(lines[1].split("\t"))
+    assert lines[0].split("\t")[:4] == ["words", "parse_seconds", "parse_peak_rss_mb", "output_bytes"]
+    assert float(lines[1].split("\t")[1]) >= 0
+
+
+@pytest.mark.parametrize("platform, maxrss", [("linux", 2048 * 1024), ("darwin", 2048 << 20)])
+def test_peak_rss_reads_the_platform_unit(monkeypatch, platform, maxrss):
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    import resource
+
+    monkeypatch.setattr(resource, "getrusage", lambda who: resource.struct_rusage((0,) * 2 + (maxrss,) + (0,) * 13))
+    monkeypatch.setattr(cli.sys, "platform", platform)
+    assert cli._peak_rss_mb() == 2048.0
+
+
+@pytest.mark.parametrize("libc", ["glibc 2.36", None, ValueError])
+def test_malloc_thresholds_are_pinned_on_glibc_only(monkeypatch, libc):
+    calls = []
+
+    class Libc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+
+    def confstr(name):
+        if libc is ValueError:  # the name is unknown where libc is not glibc
+            raise ValueError(name)
+        return libc
+
+    monkeypatch.setattr(cli.os, "confstr", confstr)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+    cli._pin_malloc_thresholds()
+    expected = [(cli._M_MMAP_THRESHOLD, 32 << 20), (cli._M_TRIM_THRESHOLD, 64 << 20)]
+    assert calls == (expected if libc == "glibc 2.36" else [])
 
 
 def test_cmd_build_kappa_invariance(tmp_path):
@@ -308,6 +345,32 @@ def test_cmd_invert_invalid_transform_leaves_no_output(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: transform contains bytes outside")
     assert not rec.exists()
+
+
+def test_cmd_invert_refuses_input_without_terminators(tmp_path, capsys):
+    bwt, rec = tmp_path / "plain.txt", tmp_path / "words.txt"
+    bwt.write_bytes(b"ACGT\n")
+    rc = main(["invert", "--input", str(bwt), "--output", str(rec)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: the input holds no terminator byte '$', so it is not a transform\n")
+    assert not rec.exists()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_cmd_build_reads_a_pipe(tmp_path):
+    # a pipe cannot be rewound after format detection, so it is read whole
+    words = ["GATTACA", "CCT", "AAAA"]
+    r, w = os.pipe()
+    os.write(w, b"\n" + "".join(f">s{i}\n{x}\n" for i, x in enumerate(words)).encode())
+    os.close(w)
+    outp = tmp_path / "out.bwt"
+    try:
+        rc = main(["build", "--input", f"/dev/fd/{r}", "--output", str(outp), "--backend", "memory"])
+    finally:
+        os.close(r)
+    assert rc == 0
+    assert outp.read_bytes() == naive_bwt(WordCollection.from_words(words))
 
 
 @pytest.mark.parametrize("command", ["build", "invert"])

@@ -176,11 +176,19 @@ def test_parse_random_fastq_matches_reference_parser(ambiguous):
     data = "".join(chunks).encode()
     expected = _reference_parse(data, "fastq", ambiguous)
     assert _parse_or_error(data, "fastq", ambiguous) == expected
-    # random inputs of all three formats, with the faults the parser reports
+    # random inputs of all three formats, with the faults the parser reports,
+    # read in chunks of the default size and of sizes that cut every record,
+    # CRLF and FASTQ group
+    cases = []
     for _ in range(400):
         fmt = rng.choice(FORMATS)
-        data = _random_input(rng, fmt)
-        assert _parse_or_error(data, fmt, ambiguous) == _reference_parse(data, fmt, ambiguous), data
+        cases.append((fmt, _random_input(rng, fmt)))
+    for chunk in (1, 7, 64, collection._PARSE_CHUNK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(collection, "_PARSE_CHUNK", chunk)
+            for fmt, data in cases:
+                expected = _reference_parse(data, fmt, ambiguous)
+                assert _parse_or_error(data, fmt, ambiguous) == expected, (chunk, data)
 
 
 def test_parse_raw_lines_skips_blanks():
@@ -205,6 +213,49 @@ def test_detect_format():
     assert detect_format(b"\x0b>a\nACGT\n") == "fasta"
     assert parse_sequences(b"\x0b>a\nACGT\n", IngestPolicy(format="fasta")).words() == [b"ACGT"]
     assert detect_format(b"\x0c@r\nAC\n+\nII\n") == "fastq"
+
+
+def test_detect_format_reads_a_stream_to_its_first_non_blank_byte(monkeypatch):
+    # the first chunks are blank, and the stream is left where it was
+    monkeypatch.setattr(collection, "_PARSE_CHUNK", 4)
+    stream = io.BytesIO(b">r0\nAC\n" + b" \t\r\n\n" * 5 + b">r1\nGT\n")
+    stream.seek(7)
+    assert detect_format(stream) == "fasta"
+    assert stream.tell() == 7
+    assert parse_sequences(stream, IngestPolicy(format="fasta")).words() == [b"GT"]
+    assert detect_format(io.BytesIO(b" \n" * 9)) == "raw-lines"
+
+
+def _write_generated(path, fmt: str, size: int) -> int:
+    """About ``size`` bytes of 150 bp reads with 1% N; returns the count."""
+    rng = np.random.default_rng(11)
+    n = size // (160 if fmt == "fasta" else 310)
+    seqs = np.frombuffer(b"ACGTN", dtype=np.uint8)[rng.choice(5, (n, 150), p=[0.2475] * 4 + [0.01])]
+    rows = [np.broadcast_to(np.frombuffer(b">r\n" if fmt == "fasta" else b"@r\n", dtype=np.uint8), (n, 3)),
+            seqs, np.full((n, 1), ord("\n"), dtype=np.uint8)]
+    if fmt == "fastq":
+        rows.append(np.broadcast_to(np.frombuffer(b"+\n" + b"I" * 150 + b"\n", dtype=np.uint8), (n, 153)))
+    np.concatenate(rows, axis=1).tofile(path)
+    return n
+
+
+@pytest.mark.parametrize("fmt", ["fasta", "fastq"])
+def test_parse_of_an_open_file_holds_a_few_chunks_above_its_output(tmp_path, fmt):
+    # the file, its lines and its joined sequence are never held whole: at
+    # 2 and at 8 MB the traced peak above the collection stays under the
+    # same multiple of the chunk
+    for size in (2 << 20, 8 << 20):
+        path = tmp_path / f"reads.{fmt}"
+        n = _write_generated(path, fmt, size)
+        with open(path, "rb") as fh:
+            tracemalloc.start()
+            try:
+                c = parse_sequences(fh, IngestPolicy(format=detect_format(fh)))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert c.m == n and c.max_length <= 150
+        assert peak - len(c._bytes) - c._offsets.nbytes < 8 * collection._PARSE_CHUNK, (size, peak)
 
 
 @pytest.mark.parametrize("codes, offsets, message", [

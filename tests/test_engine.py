@@ -4,6 +4,7 @@ import os
 import random
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -428,6 +429,15 @@ def test_kappa_warning_on_oversized_tree():
     c = WordCollection.from_words(["ACGT"])
     with pytest.warns(RuntimeWarning, match="kappa=8"):
         BwtBuilder(c, Config(kappa=8, backend="memory")).close()
+
+
+def test_no_kappa_warning_at_the_least_kappa():
+    # kappa 3 is the least allowed, so even the smallest input suggests it
+    c = WordCollection.from_words(["ACGT"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # conftest silences these warnings
+        BwtBuilder(c, Config(kappa=3, backend="memory")).close()
+    assert [str(w.message) for w in caught] == []
 
 
 def test_build_highly_diverse_lengths():
