@@ -1,36 +1,36 @@
 """Storage of context buckets and the merge insertion.
 
 Each of the 2**kappa buckets holds one contiguous segment of the partial
-transform, in one bytearray of codes in RAM or in one file of 2-bit packed
-codes on disk. A build merges in three forms, one per round kind, and the
+transform. A build merges in three forms, one per round kind, and the
 store takes no other:
 
 - a sparse round merges one bucket at a time, ranked, its entries as
-  Python int lists, at most ``SPARSE_MAX`` of them. Until the first ranked
-  dense round a bucket's content sits at the start of a slot sized for its
-  final content, and the merge splices its entries into the content in
-  place (:func:`_splice_in_place`), in RAM inside the slot itself, on disk
-  inside a bytearray of the bucket's unpacked codes, which is then packed
-  and written back; the splice counts each entry's rank as it goes.
-- a ranked dense round merges all its entries in one call. The first one
-  moves the contents left into one gapless run in bucket order
-  (``BucketStore._compact``), and each is one pass over that run
+  Python int lists, at most ``SPARSE_MAX`` of them. On both backends the
+  content of these rounds is in RAM, one bytearray of codes per touched
+  bucket, and the merge grows the bucket's bytearray by its entries and
+  splices them in place (:func:`_splice_in_place`), counting each entry's
+  rank as it goes.
+- a ranked dense round merges all its entries in one call, as one pass
+  over the content, which is then one gapless run in bucket order
   (``BucketStore._pass``): a window of old symbols at a time, right to
   left and in place, each window read, spliced, counted and written once.
-  The two backends differ only in how a window is read and written: in RAM
-  a slice of the bytearray, on disk one ``pread`` and unpack, and one pack
-  and ``pwrite``.
+  The run is one bytearray in RAM or one file of 2-bit packed codes on
+  disk, and the backends differ only in how a window is read and written:
+  in RAM a slice of the bytearray, on disk one ``pread`` and unpack, and
+  one pack and ``pwrite``.
 - the terminator round merges all its terminators in one unranked call,
   the build's last merge. Their positions go into a per-bucket side list,
   with no bucket byte read or written, and are spliced in when a bucket is
   read: the 2-bit file cannot hold them, and ranks refuse them.
 
-Every check of a merge runs before any of its bytes is read or moved.
-Slots stay for the sparse rounds. A sparse merge into a gapless run would
-first move the whole run right of its bucket, about L**2 / 4 bytes over
-the sparse rounds of one word of L symbols alone, against about
-L**2 / 2**(kappa + 2) bytes inside slots of 2**kappa buckets: fine buckets
-make the paper's long-word prefix cheap.
+The first dense round, ranked or the terminator round, first writes the
+sparse rounds' bytearrays, in bucket order, as the run's start
+(``BucketStore._compact``). Every check of a merge runs before any of its
+bytes is read or moved. A sparse merge moves only its own bucket's bytes:
+into a gapless run it would first move the whole run right of its bucket,
+about L**2 / 4 bytes over the sparse rounds of one word of L symbols
+alone, against about L**2 / 2**(kappa + 2) bytes within 2**kappa buckets:
+fine buckets make the paper's long-word prefix cheap.
 """
 from __future__ import annotations
 
@@ -131,11 +131,11 @@ def _windows(lo: int, hi: int, step: int, before: np.ndarray) -> tuple[list[int]
     return cuts, [0, *np.searchsorted(before, cuts[1:-1]).tolist(), len(before)]
 
 
-def _splice_in_place(buf: bytearray, at: int, n0: int, ps: list[int], ss: list[int]) -> list[int]:
-    """:func:`_splice` in place: ``buf[at : at + n0]`` holds the content, and
-    ``buf`` has room for ``len(ps)`` more symbols after it. Positions and
-    symbols are Python int lists; each entry's rank, the count of its symbol
-    before it in the spliced content, comes back in one.
+def _splice_in_place(buf: bytearray, ps: list[int], ss: list[int]) -> list[int]:
+    """:func:`_splice` in place: ``buf`` holds the content and grows by
+    ``len(ps)`` symbols. Positions and symbols are Python int lists; each
+    entry's rank, the count of its symbol before it in the spliced content,
+    comes back in one.
 
     Right to left, each run of old content between two entries moves to its
     new place in one bytearray slice assignment, and the entry is written
@@ -143,19 +143,21 @@ def _splice_in_place(buf: bytearray, at: int, n0: int, ps: list[int], ss: list[i
     prefix it is written after, resumed from that symbol's previous entry,
     so a batch reads the new content at most once per symbol.
     """
-    end, src = at + n0 + len(ps), at + n0
+    src = len(buf)
+    buf.extend(bytes(len(ps)))
+    end = len(buf)
     for i in range(len(ps) - 1, -1, -1):
-        p = at + ps[i]
+        p = ps[i]
         buf[p + 1 : end] = buf[p - i : src]
         buf[p] = ss[i]
         end, src = p, p - i
-    seen, upto, ranks, view = [0] * 4, [at] * 4, [], None
+    seen, upto, ranks, view = [0] * 4, [0] * 4, [], None
     for p, s in zip(ps, ss):
-        p += at
         if p - upto[s] < COUNT_NUMPY_MIN:
             seen[s] += buf.count(s, upto[s], p)
         else:
             if view is None:
+                # dropped on return: while a view lives, buf cannot grow
                 view = np.frombuffer(buf, dtype=np.uint8)
             seen[s] += int(np.count_nonzero(view[upto[s] : p] == s))
         upto[s] = p
@@ -177,42 +179,41 @@ def _check_merge(ordinal: int, local: list[int], syms: list[int], n0: int) -> No
 
 
 class BucketStore:
-    """The buckets in RAM or, given ``tmp_dir``, in one file.
+    """The buckets in RAM or, given ``tmp_dir``, in RAM and then in one file.
 
-    In RAM the content is one bytearray of plain (A, C, G, T) codes. On disk
-    it is one file, ``tmp_dir/buckets.bin``, of 2-bit packed symbols (high
-    bits first). Until the first ranked dense round, bucket o's content sits
-    at the start of a fixed slot of ``final[o]`` symbols, its size at the
-    end of the build (on disk ``ceil(final / 4)`` bytes); that round
-    compacts the contents into one gapless run in bucket order from the
-    start (:meth:`_compact`). Both are allocated in full here, so that too
-    little memory or disk fails before any merge, with the bytes that were
-    asked for. ``bytes_read`` and ``bytes_written`` count code bytes in RAM
-    and packed bytes on disk.
+    Until the first dense round, bucket o's content is ``_slots[o]``, one
+    bytearray of codes per touched bucket, on both backends. That round
+    compacts them into one gapless run in bucket order from the start
+    (:meth:`_compact`): in RAM one bytearray of plain (A, C, G, T) codes, on
+    disk one file, ``tmp_dir/buckets.bin``, of 2-bit packed symbols (high
+    bits first). The run is allocated in full here, ``sum(final)`` bytes in
+    RAM or ``ceil(sum(final) / 4)`` on disk, ``final[o]`` being bucket o's
+    size at the end of the build, so that too little memory or disk fails
+    before any merge, with the bytes that were asked for. ``bytes_read``
+    and ``bytes_written`` count code bytes in RAM and packed bytes on disk:
+    a sparse merge of k entries into n0 symbols counts n0 and n0 + k on
+    both backends, and the compaction the content it copies.
     """
 
     def __init__(self, final: np.ndarray, tmp_dir: str | None = None):
         self.final = np.asarray(final, dtype=np.int64)
         self.sizes = np.zeros(len(self.final), dtype=np.int64)
         self.tmp_dir = tmp_dir
+        self._slots: dict[int, bytearray] = {}
         self._dollars: dict[int, np.ndarray] = {}
         # once the content is gapless, each bucket's first symbol in it
         self._begin = None
         self.bytes_read = 0
         self.bytes_written = 0
         self._fd = None
-        # slot offsets, in symbols in RAM and in packed bytes on disk
-        extents = self.final if tmp_dir is None else (self.final + 3) // 4
-        self._start = (np.cumsum(extents) - extents).tolist()
-        total = int(extents.sum())
+        total = int(self.final.sum())
         if tmp_dir is None:
-            # one bytearray, which sparse merges splice in place, and a numpy view of it
             try:
-                self._buf = bytearray(total)
+                self._codes = np.frombuffer(bytearray(total), dtype=np.uint8)
             except MemoryError:
                 raise BucketIOError(f"cannot allocate {total:,} bytes of bucket slots in RAM") from None
-            self._codes = np.frombuffer(self._buf, dtype=np.uint8)
             return
+        total = (total + 3) // 4
         self._path = os.path.join(tmp_dir, "buckets.bin")
         try:
             os.makedirs(tmp_dir, exist_ok=True)
@@ -245,11 +246,9 @@ class BucketStore:
         one :meth:`_pass`: ranked, their ranks come back in an array.
 
         With one ``ordinal``, a sparse round's merge, the merge is ranked,
-        positions and symbols are Python int lists, and the content is in
-        slots. The batch is spliced in place: in RAM inside the bucket's
-        slot, on disk inside a bytearray of the bucket alone, read before the
-        splice and written back after it. Each entry's rank (see
-        :func:`_splice_in_place`) comes back in a list.
+        positions and symbols are Python int lists, and the batch is spliced
+        into the bucket's bytearray, grown by the batch, in place. Each
+        entry's rank (see :func:`_splice_in_place`) comes back in a list.
         """
         if self._dollars:
             raise ConsistencyError("a merge after the terminator round")
@@ -257,45 +256,31 @@ class BucketStore:
             return self._pass(ordinal, tree_positions - base, syms, want_ranks)
         if not want_ranks or self._begin is not None:
             raise ConsistencyError(f"bucket {ordinal}: a one-bucket merge is a sparse round's, "
-                                   "ranked and before the first ranked dense round")
+                                   "ranked and before the first dense round")
         k, n0 = len(syms), self.sizes.item(ordinal)
         if n0 + k > self.final.item(ordinal):
             raise ConsistencyError(
                 f"bucket {ordinal}: {n0} + {k} symbols overflow its slot of {self.final[ordinal]}")
-        if k == 1 and self.tmp_dir is None:
-            # a one-entry merge in RAM: the same checks and splice as below,
+        if k == 1:
+            # a one-entry merge: the same checks, splice and count as below,
             # without their lists
             p, s = tree_positions[0] - base, syms[0]
             if not 0 <= p <= n0:
                 raise ConsistencyError(f"bucket {ordinal}: insert positions inconsistent with content")
             if s > 3:
                 raise ConsistencyError("rank capture over a symbol code above T")
-            buf, at = self._buf, self._start[ordinal]
-            p += at
-            buf[p + 1 : at + n0 + 1] = buf[p : at + n0]
-            buf[p] = s
-            self.bytes_read += n0
-            self.bytes_written += n0 + 1
-            self.sizes[ordinal] = n0 + 1
-            if p - at < COUNT_NUMPY_MIN:
-                return [buf.count(s, at, p)]
-            return [int(np.count_nonzero(self._codes[at:p] == s))]
-        local = [p - base for p in tree_positions]
-        _check_merge(ordinal, local, syms, n0)
-        # the content goes to buf[at : at + n0], with room for k more after it
-        if self.tmp_dir is None:
-            buf, at = self._buf, self._start[ordinal]
-            self.bytes_read += n0
+            buf = self._slots.setdefault(ordinal, bytearray())
+            buf.insert(p, s)
+            if p < COUNT_NUMPY_MIN:
+                ranks = [buf.count(s, 0, p)]
+            else:
+                ranks = [int(np.count_nonzero(np.frombuffer(buf, dtype=np.uint8, count=p) == s))]
         else:
-            buf, at = bytearray(n0 + k), 0
-            codes = np.frombuffer(buf, dtype=np.uint8)
-            slot = 4 * self._start[ordinal]
-            codes[:n0] = self._read(slot, slot + n0, f"bucket {ordinal}")
-        ranks = _splice_in_place(buf, at, n0, local, syms)
-        if self.tmp_dir is None:
-            self.bytes_written += n0 + k
-        else:
-            self._write(codes, slot, f"bucket {ordinal}")
+            local = [p - base for p in tree_positions]
+            _check_merge(ordinal, local, syms, n0)
+            ranks = _splice_in_place(self._slots.setdefault(ordinal, bytearray()), local, syms)
+        self.bytes_read += n0
+        self.bytes_written += n0 + k
         self.sizes[ordinal] = n0 + k
         return ranks
 
@@ -306,24 +291,24 @@ class BucketStore:
         decrease. Ranked, the merge is one pass over the content, and the
         ranks come back; unranked, the terminator round, every symbol must
         be a terminator, and the positions go to the side lists, with no
-        byte read or written.
+        byte of the gapless run read or written.
 
         Every check runs first, vectorised, so that a refused merge changes
-        no byte, no size and no I/O count. The first ranked pass compacts
-        the slots (:meth:`_compact`). Each entry's place in
-        the new content is its bucket's new start, from the cumulative
-        sizes, plus ``local``. The pass goes right to left over the content
-        from the first touched bucket on, a window of ``RANK_CHUNK`` old
-        symbols at a time: one read, one splice of the window's entries, one
-        count of the four symbols at its entries and bucket starts
-        (:func:`_counts_before`) and one write. Content only grows, so a
-        window is written at or right of where it was read, never over a
-        symbol not yet read; the codes before its first multiple of four go
-        out with the window on its left, so that on disk every write starts
-        on a byte. Counts are kept as minus the count from the point to the
-        content's end, which the windows passed so far give, so that a
-        bucket start in another window needs no second pass: an entry's
-        rank is its count less its bucket start's.
+        no byte, no size and no I/O count. The first dense round, ranked or
+        not, then compacts the sparse rounds' content (:meth:`_compact`).
+        Each entry's place in the new content is its bucket's new start,
+        from the cumulative sizes, plus ``local``. The pass goes right to
+        left over the content from the first touched bucket on, a window of
+        ``RANK_CHUNK`` old symbols at a time: one read, one splice of the
+        window's entries, one count of the four symbols at its entries and
+        bucket starts (:func:`_counts_before`) and one write. Content only
+        grows, so a window is written at or right of where it was read,
+        never over a symbol not yet read; the codes before its first
+        multiple of four go out with the window on its left, so that on
+        disk every write starts on a byte. Counts are kept as minus the
+        count from the point to the content's end, which the windows passed
+        so far give, so that a bucket start in another window needs no
+        second pass: an entry's rank is its count less its bucket start's.
         """
         k = len(syms)
         if not k:
@@ -353,12 +338,12 @@ class BucketStore:
             bad = (first < 0) | (last > n0)
             bad[owner[1:][~rising]] = True
             raise ConsistencyError(f"bucket {touched[bad.argmax()]}: insert positions inconsistent with content")
+        if self._begin is None:
+            self._compact()
         if not want_ranks:
             self._dollars = dict(zip(touched.tolist(), np.split(local, heads[1:])))
             self.sizes[touched] = n0 + added
             return None
-        if self._begin is None:
-            self._compact()
         begin = self._begin
         n_old = int(begin[-1] + self.sizes[-1])
         start = begin[touched] + heads  # each touched bucket's start after the merge
@@ -390,26 +375,18 @@ class BucketStore:
         return at_entry - at_start.ravel()[4 * owner + syms]
 
     def _compact(self) -> None:
-        """Move the slots' contents into one gapless run from the start,
-        bucket by bucket, in increasing bucket order, on disk a piece of at
-        most ``RANK_CHUNK`` symbols at a time. A content's gapless start is
-        at most its slot's, so a piece is written at or left of where it was
-        read, never over a symbol not yet read; the codes after its last
-        multiple of four go out with the next piece."""
-        carry, at = _NO_CODES, 0
-        for o in np.flatnonzero(self.sizes).tolist():
-            for piece in self._pieces(o):
-                codes = np.concatenate([carry, piece])
-                full = len(codes) & -4
-                self._write(codes[:full], at)
-                at, carry = at + full, codes[full:].copy()
-        self._write(carry, at)
+        """Write the sparse rounds' bytearrays, in bucket order, as one
+        gapless run from the content's start, in one write, and drop them."""
+        run = b"".join([self._slots[o] for o in sorted(self._slots)])
+        self._write(np.frombuffer(run, dtype=np.uint8), 0)
+        self.bytes_read += len(run)
+        self._slots = {}
         self._begin = np.cumsum(self.sizes) - self.sizes
 
     def _read(self, lo: int, hi: int, what: str | None = None) -> np.ndarray:
-        """Symbols ``lo`` to ``hi`` of the content: in RAM a view of them, on
-        disk unpacked from one ``os.pread``, where an error names ``what``,
-        or else the file and the bytes read."""
+        """Symbols ``lo`` to ``hi`` of the gapless run: in RAM a view of
+        them, on disk unpacked from one ``os.pread``, where an error names
+        ``what``, or else the file and the bytes read."""
         if self.tmp_dir is None:
             self.bytes_read += hi - lo
             return self._codes[lo:hi]
@@ -425,17 +402,16 @@ class BucketStore:
         self.bytes_read += want
         return _unpack(np.frombuffer(raw, dtype=np.uint8), 4 * want)[lo & 3 : (lo & 3) + hi - lo]
 
-    def _write(self, codes: np.ndarray, at: int, what: str | None = None) -> None:
-        """Write ``codes`` from symbol ``at`` of the content, a multiple of 4:
-        in RAM by one slice assignment, on disk packed, with one
-        ``os.pwrite``, where an error names ``what``, or else the file and
-        the bytes written."""
+    def _write(self, codes: np.ndarray, at: int) -> None:
+        """Write ``codes`` from symbol ``at`` of the gapless run, a multiple
+        of 4: in RAM by one slice assignment, on disk packed, with one
+        ``os.pwrite``, where an error names the file and the bytes written."""
         if self.tmp_dir is None:
             self._codes[at : at + len(codes)] = codes
             self.bytes_written += len(codes)
             return
         packed, at = _pack(codes), at >> 2
-        what = what or f"bucket file {self._path}, bytes {at}-{at + len(packed)}"
+        what = f"bucket file {self._path}, bytes {at}-{at + len(packed)}"
         try:
             short = os.pwrite(self._fd, packed, at) != len(packed)
         except OSError as exc:
@@ -445,17 +421,18 @@ class BucketStore:
         self.bytes_written += len(packed)
 
     def _pieces(self, ordinal: int):
-        """Bucket ``ordinal``'s symbols, terminators spliced back in: in RAM
-        in one piece, which may be a view of its content, and on disk in
-        pieces of at most ``RANK_CHUNK`` symbols before the terminators."""
+        """Bucket ``ordinal``'s symbols, terminators spliced back in: before
+        the first dense round a copy of its bytearray, since a view would
+        stop the bytearray from growing, and after it pieces of at most
+        ``RANK_CHUNK`` symbols of the run before the terminators, which may
+        be views of it."""
+        if self._begin is None:
+            yield np.array(self._slots.get(ordinal, bytearray()), dtype=np.uint8)
+            return
         dollars = self._dollars.get(ordinal, _NO_DOLLARS)
         n = int(self.sizes[ordinal]) - len(dollars)
-        if self._begin is not None:
-            at = int(self._begin[ordinal])
-        else:
-            at = self._start[ordinal] * (1 if self.tmp_dir is None else 4)
-        step = max(n, 1) if self.tmp_dir is None else RANK_CHUNK
-        cuts, edges = _windows(0, n, step, dollars - np.arange(len(dollars)))
+        at = int(self._begin[ordinal])
+        cuts, edges = _windows(0, n, RANK_CHUNK, dollars - np.arange(len(dollars)))
         for u, v, lo, hi in zip(cuts, cuts[1:], edges, edges[1:]):
             codes = self._read(at + u, at + v, f"bucket {ordinal}")
             yield codes if lo == hi else _splice(codes, dollars[lo:hi] - (u + lo),
@@ -466,8 +443,8 @@ class BucketStore:
         return np.concatenate(list(self._pieces(ordinal)))
 
     def assemble(self, out: BinaryIO) -> int:
-        """Write the transform to ``out`` a bucket at a time, on disk a piece
-        of at most ``RANK_CHUNK`` symbols at a time; return its length."""
+        """Write the transform to ``out`` a bucket at a time, a piece of at
+        most ``RANK_CHUNK`` symbols at a time; return its length."""
         lut = np.frombuffer(SYMBOL_BYTES, dtype=np.uint8)
         written = 0
         for o in np.flatnonzero(self.sizes).tolist():
@@ -483,7 +460,7 @@ class BucketStore:
 
     def close(self) -> None:
         """Drop the RAM codes, or remove the bucket file and ``tmp_dir``."""
-        self._codes = self._buf = None
+        self._codes = self._slots = None
         if self._fd is not None:
             os.close(self._fd)
             self._fd = None

@@ -5,20 +5,19 @@ updates and accumulators, ``next_positions``, ``StartBitvector.ranks`` and
 the packed symbol fetch. The forms here state the same rules one symbol,
 one context or one word at a time, so that tests can check the bulk forms
 against them and pin worked examples to them. The bucket stores here give
-every bucket the same slot, so that a test can merge into any bucket
-without counting a collection first, and ``fill`` a slot without a merge,
-since the library's stores take only the merges a build makes.
+every bucket the same final size, its slot, so that a test can merge into
+any bucket without counting a collection first, and ``fill`` a bucket
+without a merge, since the library's stores take only the merges a build
+makes.
 ``naive_splice`` states the splice one list insert at a time.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from dnabwt import buckets, counttree
 from dnabwt.buckets import context_symbols
-from dnabwt.collection import DOLLAR, SYMBOL_BYTES, WordCollection, _pack
+from dnabwt.collection import DOLLAR, SYMBOL_BYTES, WordCollection
 from dnabwt.engine import StartBitvector
 
 # -- count-tree navigation ----------------------------------------------------
@@ -166,7 +165,7 @@ def bucket_offsets(collection: WordCollection, kappa: int) -> np.ndarray:
     return offsets
 
 
-# -- bucket stores with one slot size for every bucket -------------------------
+# -- bucket stores with one final size for every bucket ------------------------
 
 
 def naive_splice(old, positions, syms) -> tuple[list[int], list[int]]:
@@ -181,21 +180,17 @@ def naive_splice(old, positions, syms) -> tuple[list[int], list[int]]:
     return out, ranks
 
 
-# symbols per bucket slot: more than any store test merges into one bucket
+# every bucket's final size, its slot: more than any store test merges into
+# one bucket
 SLOT = 256
 
 
 class _Fill:
     def fill(self, ordinal: int, codes) -> None:
-        """Make ``codes`` the content of bucket ``ordinal``'s slot without a
-        merge, its checks or its I/O counts."""
-        codes = np.asarray(codes, dtype=np.uint8)
-        start = self._start[ordinal]
-        if self.tmp_dir is None:
-            self._codes[start : start + len(codes)] = codes
-        else:
-            os.pwrite(self._fd, _pack(codes).tobytes(), start)
-        self.sizes[ordinal] = len(codes)
+        """Make ``codes`` the content of bucket ``ordinal`` before the first
+        dense round, without a merge, its checks or its I/O counts."""
+        self._slots[ordinal] = bytearray(np.asarray(codes, dtype=np.uint8))
+        self.sizes[ordinal] = len(self._slots[ordinal])
 
 
 class MemoryBucketStore(_Fill, buckets.MemoryBucketStore):

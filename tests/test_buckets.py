@@ -221,17 +221,17 @@ def test_splice_numpy_ranks_past_three_count_fields():
     positions[-3:] = np.arange(n0 + k - 3, n0 + k)
     syms = rng.integers(0, 4, size=k, dtype=np.uint8)
     new = buckets._splice(old, positions, syms)
-    expected = bytearray(n0 + k)
-    expected[:n0] = old.tobytes()
-    expected_ranks = buckets._splice_in_place(expected, 0, n0, positions.tolist(), syms.tolist())
+    expected = bytearray(old)
+    expected_ranks = buckets._splice_in_place(expected, positions.tolist(), syms.tolist())
     assert new.tobytes() == bytes(expected)
     counts = _counts(new, positions)
     assert counts.tolist() == [[expected.count(c, 0, p) for p in positions.tolist()] for c in range(4)]
     assert counts[syms, np.arange(k)].tolist() == expected_ranks
 
 
-def _slot_bytes(store):
-    """Every slot's bytes: the RAM array, or the bucket file."""
+def _run_bytes(store):
+    """Every byte of the gapless run's store: the RAM array, or the bucket
+    file."""
     if store.tmp_dir is None:
         return store._codes.tobytes()
     with open(store._path, "rb") as fh:
@@ -253,13 +253,14 @@ def _layouts(rng, n, k):
 
 @pytest.mark.parametrize("count_numpy_min", [0, buckets.COUNT_NUMPY_MIN, 1 << 30])
 def test_in_place_splice_matches_naive_splice_between_guard_bytes(count_numpy_min, tmp_path, monkeypatch):
-    # an in-place merge splices in RAM inside its slot and on disk in a
-    # bytearray of the unpacked bucket. With guard bytes in every slot byte
-    # around the bucket's content, the merge changes only the bytes of its
-    # spliced content, which equals the naive splice; its ranks equal the
-    # naive splice's and a count on the spliced content. Merges splice in
-    # place into empty, part-filled and exactly filled slots; ranks are
-    # counted all by numpy, by range length, or all by bytearray.count
+    # a sparse round's merge splices in place inside its bucket's bytearray,
+    # on both backends. With guard bytes filling the buckets either side of
+    # it, the merge grows only its own bytearray, by its entries, and
+    # changes no byte of any other bucket or of the run; the spliced
+    # content equals the naive splice, and its ranks equal the naive
+    # splice's and a count on the spliced content. Merges splice into
+    # empty, part-filled and exactly filled buckets; ranks are counted all
+    # by numpy, by range length, or all by bytearray.count
     monkeypatch.setattr(buckets, "COUNT_NUMPY_MIN", count_numpy_min)
     rng = random.Random(61)
     slot, ordinal = 40, 2
@@ -271,17 +272,14 @@ def test_in_place_splice_matches_naive_splice_between_guard_bytes(count_numpy_mi
             syms = [rng.randrange(4) for _ in range(k)]
             expected, expected_ranks = naive_splice(old, positions, syms)
             for store in (MemoryBucketStore(3, slot), ExternalBucketStore(3, str(tmp_path / "g"), slot)):
-                if store.tmp_dir is None:
-                    store._codes[:] = GUARD
-                    start, end = store._start[ordinal], store._start[ordinal] + n0 + k
-                else:
-                    os.pwrite(store._fd, bytes([GUARD]) * (8 * slot // 4), 0)
-                    start, end = store._start[ordinal], store._start[ordinal] + (n0 + k + 3) // 4
-                store.fill(ordinal, old)
-                before = _slot_bytes(store)
+                _fill(store, {ordinal - 1: [GUARD] * slot, ordinal: old, ordinal + 1: [GUARD] * slot})
+                buf, before = store._slots[ordinal], _io_state(store)
                 ranks = _merge(store, ordinal, positions, syms)
-                after = _slot_bytes(store)
-                assert after[:start] == before[:start] and after[end:] == before[end:]
+                after = _io_state(store)
+                assert store._slots[ordinal] is buf and list(buf) == expected
+                assert after[0] == before[0]
+                assert {o: b for o, b in after[1].items() if o != ordinal} == \
+                    {o: b for o, b in before[1].items() if o != ordinal}
                 assert store.read(ordinal).tolist() == expected
                 counted = _counts(expected, positions)
                 assert ranks == expected_ranks == counted[syms, np.arange(k)].tolist()
@@ -489,8 +487,10 @@ def test_merge_many_ranks_equal_per_batch_ranks_at_any_chunk_bound(chunk, tmp_pa
 
 
 def _io_state(store):
-    """Every slot byte, the sizes and both I/O counts."""
-    return _slot_bytes(store), store.sizes.tolist(), store.bytes_read, store.bytes_written
+    """Every byte of the run and of the sparse rounds' bytearrays, the sizes
+    and both I/O counts."""
+    slots = {o: bytes(buf) for o, buf in store._slots.items()}
+    return _run_bytes(store), slots, store.sizes.tolist(), store.bytes_read, store.bytes_written
 
 
 def _fill(store, fill):
@@ -504,8 +504,8 @@ def _gapless_run(store):
     they must equal."""
     codes = np.concatenate([store.read(o) for o in range(len(store.sizes))])
     if store.tmp_dir is None:
-        return _slot_bytes(store)[: len(codes)], codes.tobytes()
-    return _slot_bytes(store)[: (len(codes) + 3) // 4], _pack(codes).tobytes()
+        return _run_bytes(store)[: len(codes)], codes.tobytes()
+    return _run_bytes(store)[: (len(codes) + 3) // 4], _pack(codes).tobytes()
 
 
 def _traced_io(monkeypatch, calls):
@@ -520,13 +520,14 @@ def _traced_io(monkeypatch, calls):
 
 @pytest.mark.parametrize("chunk", [1, 7, buckets.RANK_CHUNK])
 def test_external_merge_many_equals_per_bucket_merges(chunk, tmp_path, monkeypatch):
-    # on disk the first ranked round compacts the slots into one gapless
-    # run, and each round is one pass over it. Two rounds leave the ranks,
+    # on disk the first ranked round compacts the sparse rounds' content
+    # into one gapless run, with one write from the file's start and no
+    # read, and each round is one pass over it. Two rounds leave the ranks,
     # contents and sizes of naive splices of each batch, one bucket at a
     # time, and the file holds the contents' packed run from its start,
-    # even where a slot held set bits past its content. The second round
-    # reads and writes nothing before the byte of its first bucket's start,
-    # and writes every byte from there to the new content's end once.
+    # though every bit of the file was set before. The second round reads
+    # and writes nothing before the byte of its first bucket's start, and
+    # writes every byte from there to the new content's end once.
     # Rounds touch empty and prefilled buckets and buckets larger than a
     # window, one of them larger than the default window
     big = (1 << 18) + 200 if chunk == buckets.RANK_CHUNK else 9 * chunk + 2
@@ -543,12 +544,7 @@ def test_external_merge_many_equals_per_bucket_merges(chunk, tmp_path, monkeypat
         passed = ExternalBucketStore(4, str(tmp_path / f"passed{trial}"), final)
         _fill(passed, fill)
         model = {o: list(fill.get(o, [])) for o in range(16)}
-        # set the bits past each content in its slot's last byte
-        for o, codes in fill.items():
-            if len(codes) % 4:
-                at = passed._start[o] + len(codes) // 4
-                byte = os.pread(passed._fd, 1, at)[0]
-                os.pwrite(passed._fd, bytes([byte | 0xFF >> 2 * (len(codes) % 4)]), at)
+        os.pwrite(passed._fd, b"\xff" * os.path.getsize(passed._path), 0)
         # the second round: an entry first and one last in each bucket the
         # first round touched but its first
         touched = [o for o, *_ in batches]
@@ -561,7 +557,7 @@ def test_external_merge_many_equals_per_bucket_merges(chunk, tmp_path, monkeypat
                 model[o], ranks = naive_splice(model[o], (positions - base).tolist(), syms.tolist())
                 expected_ranks += ranks
             begin = np.cumsum(passed.sizes) - passed.sizes
-            before, calls = _slot_bytes(passed), []
+            before, calls = _run_bytes(passed), []
             with monkeypatch.context() as mp:
                 _traced_io(mp, calls)
                 assert passed.merge_many(*_round_arrays(round_)).tolist() == expected_ranks
@@ -569,10 +565,12 @@ def test_external_merge_many_equals_per_bucket_merges(chunk, tmp_path, monkeypat
             assert [passed.read(o).tolist() for o in range(16)] == [model[o] for o in range(16)]
             file_bytes, run = _gapless_run(passed)
             assert file_bytes == run
+            if round_ is batches:
+                assert calls[0] == ("pwrite", 0, (sum(map(len, fill.values())) + 3) // 4)
             if round_ is second and second:
                 first = int(begin[touched[1]]) // 4
                 assert min(offset for _, offset, _ in calls) == first
-                assert _slot_bytes(passed)[:first] == before[:first]
+                assert _run_bytes(passed)[:first] == before[:first]
                 writes = sorted((offset, offset + n) for name, offset, n in calls if name == "pwrite")
                 assert [w for w in writes if w[0] < w[1]][0][0] == first
                 assert all(a[1] == b[0] for a, b in zip(writes, writes[1:]))
@@ -651,20 +649,30 @@ def test_pass_equals_naive_splices_at_any_window_edge(chunk, tmp_path, monkeypat
 
 
 def test_terminator_round_makes_no_bucket_io(tmp_path, monkeypatch):
-    # the terminator round loads nothing and never compacts: its one call
-    # fills the side lists
-    store = ExternalBucketStore(3, str(tmp_path / "dollars"))
-    _fill(store, {1: [0, 1, 2], 4: [3] * 9})
-    calls = []
-    for name in ("pread", "preadv", "pwrite"):
-        monkeypatch.setattr(os, name, lambda *a, name=name: calls.append(name))
-    assert _terminator_round(store, [(1, [0, 3]), (4, [9])]) is None
-    assert calls == []
-    assert store._begin is None and store.bytes_read == store.bytes_written == 0
-    monkeypatch.undo()
-    assert store.read(1).tolist() == [DOLLAR, 0, 1, DOLLAR, 2]
-    assert store.read(4).tolist() == [3] * 9 + [DOLLAR]
-    store.close()
+    # after a ranked round the terminator round reads and writes nothing:
+    # its one call fills the side lists. With no ranked round before it,
+    # it first compacts the sparse rounds' content, with one write and no
+    # read
+    for ranked_first in (True, False):
+        store = ExternalBucketStore(3, str(tmp_path / f"dollars{ranked_first}"))
+        _fill(store, {1: [0, 1, 2], 4: [3] * 9})
+        bucket_4 = [3] * 9
+        if ranked_first:
+            store.merge_many(*_round_arrays([(4, [9], [2], 0)]))
+            bucket_4.append(2)
+        calls, counts = [], (store.bytes_read, store.bytes_written)
+        with monkeypatch.context() as mp:
+            _traced_io(mp, calls)
+            assert _terminator_round(store, [(1, [0, 3]), (4, [len(bucket_4)])]) is None
+        assert store._begin is not None
+        if ranked_first:
+            assert calls == [] and (store.bytes_read, store.bytes_written) == counts
+        else:
+            # 12 codes copied, 3 packed bytes written
+            assert calls == [("pwrite", 0, 3)] and (store.bytes_read, store.bytes_written) == (12, 3)
+        assert store.read(1).tolist() == [DOLLAR, 0, 1, DOLLAR, 2]
+        assert store.read(4).tolist() == bucket_4 + [DOLLAR]
+        store.close()
 
 
 @pytest.mark.parametrize("n", [64, 65, 127, 1024, 1025, 1087])
@@ -777,28 +785,24 @@ def test_merge_insert_validates_positions(tmp_path):
 
 
 def test_skip_rule_untouched_buckets_do_no_io(tmp_path, monkeypatch):
+    # a sparse round's merges stay in RAM on the external backend too: ten
+    # merges into bucket 5 read and write no byte of the bucket file,
+    # change none, and leave bucket 0's bytearray, the only other, as it
+    # was. Each counts code bytes, as in RAM: n0 read and n0 + 1 written
     store = ExternalBucketStore(3, str(tmp_path / "skip"))
     store.merge_insert(0, [0], [1], base=0)
     with open(store._path, "rb") as fh:
-        file_bytes0 = fh.read()
-    extent = SLOT // 4
-    offsets = []
-    for name in ("pread", "pwrite"):
-        def traced(fd, arg, offset, real=getattr(os, name)):
-            offsets.append(offset)
-            return real(fd, arg, offset)
-        monkeypatch.setattr(os, name, traced)
+        file_bytes = fh.read()
+    bucket_0 = store._slots[0]
+    calls = []
+    _traced_io(monkeypatch, calls)
     for _ in range(10):
         store.merge_insert(5, [0], [2], base=0)
-    # an iteration's traffic only touches merged buckets: every read and
-    # write of bucket 5 is at its own extent, and the rest of the file,
-    # bucket 0's extent included, keeps its bytes
-    assert len(offsets) == 20 and set(offsets) == {5 * extent}
+    assert calls == []
     with open(store._path, "rb") as fh:
-        file_bytes = fh.read()
-    assert len(file_bytes) == len(file_bytes0) == 8 * extent
-    assert file_bytes[: 5 * extent] == file_bytes0[: 5 * extent]
-    assert file_bytes[6 * extent :] == file_bytes0[6 * extent :]
+        assert fh.read() == file_bytes
+    assert sorted(store._slots) == [0, 5] and store._slots[0] is bucket_0 and bucket_0 == bytearray([1])
+    assert (store.bytes_read, store.bytes_written) == (sum(range(10)), 1 + sum(range(1, 11)))
     assert store.read(0).tolist() == [1]
     assert store.read(5).tolist() == [2] * 10
     store.close()
@@ -822,40 +826,52 @@ def test_one_file_holds_every_merge(tmp_path):
 
 
 def test_short_bucket_io_raises_instead_of_short_content(tmp_path, monkeypatch):
+    # a write that stops short of the packed content, here the compaction's
+    # as the first ranked round starts, raises and leaves the sparse
+    # rounds' content, every size and both counts as they were, so that
+    # the round can run again
     store = ExternalBucketStore(3, str(tmp_path / "short"))
     store.merge_insert(2, list(range(9)), [0, 1, 2, 3] * 2 + [1], base=0)
-    # bucket 2's 9 symbols are 3 bytes at the start of its extent
-    os.truncate(store._path, 2 * SLOT // 4 + 2)
-    with pytest.raises(BucketIOError, match="read 2 of 3 bytes"):
-        store.read(2)
-    with pytest.raises(BucketIOError, match="read 2 of 3 bytes"):
-        store.merge_insert(2, [0], [3], base=0)
-    assert store.sizes[2] == 9
-    # a write that stops short of the packed content
+    round_ = _round_arrays([(4, range(5), [0] * 5, 0)])
+    state = _io_state(store)
     real_pwrite = os.pwrite
-    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: real_pwrite(fd, bytes(data)[:-1], offset))
-    written = store.bytes_written
-    with pytest.raises(BucketIOError, match="short write"):
-        store.merge_insert(4, list(range(5)), [0] * 5, base=0)
-    assert store.sizes[4] == 0 and store.bytes_written == written
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "pwrite", lambda fd, data, offset: real_pwrite(fd, bytes(data)[:-1], offset))
+        with pytest.raises(BucketIOError, match="bytes 0-3: short write"):
+            store.merge_many(*round_)
+    assert _io_state(store)[1:] == state[1:] and store._begin is None
+    assert store.merge_many(*round_).tolist() == [0, 1, 2, 3, 4]
+    # bucket 2's 9 symbols are now bytes 0 to 2 of the run, and bucket 4's
+    # 5 follow them: a read cut short, of a bucket or of a pass's window,
+    # raises
+    os.truncate(store._path, 2)
+    with pytest.raises(BucketIOError, match="bucket 2: read 2 of 3 bytes"):
+        store.read(2)
+    with pytest.raises(BucketIOError, match="bytes 0-4: read 2 of 4 bytes"):
+        store.merge_many(*_round_arrays([(2, [0], [3], 0)]))
+    assert store.sizes.tolist()[2:5] == [9, 0, 5]
     store.close()
 
 
 def test_chunk_io_errors_name_the_bucket(tmp_path, monkeypatch):
-    # compaction reads each bucket's slot with os.pread: a short read names
-    # the bucket. A dense round's pass reads each window of the gapless
-    # file with os.pread and writes it with os.pwrite: a short count or an
-    # OSError from either is a BucketIOError that names the file and the
-    # window's bytes. Sizes change only when a pass completes
+    # the compaction writes the run with one os.pwrite, and a dense round's
+    # pass reads each window of the gapless file with os.pread and writes
+    # it with os.pwrite: a short count or an OSError from any of them is a
+    # BucketIOError that names the file and the bytes. Sizes change only
+    # when a pass completes, and a failed compaction can run again
     store = ExternalBucketStore(3, str(tmp_path / "chunk"))
     _fill(store, {2: [0, 1, 2, 3] * 2 + [1], 5: [3] * 6})
     round_ = _round_arrays([(2, [0], [2], 0), (5, [6], [1], 0)])
-    os.truncate(store._path, 5 * SLOT // 4 + 1)
-    with pytest.raises(BucketIOError, match="bucket 5: read 1 of 2 bytes"):
-        store.merge_many(*round_)
+
+    def fail(*args):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "pwrite", fail)
+        compaction = re.escape(f"bucket file {store._path}, bytes 0-4")
+        with pytest.raises(BucketIOError, match=f"{compaction}: .*{os.strerror(errno.EIO)}"):
+            store.merge_many(*round_)
     assert store.sizes.tolist()[2:6] == [9, 0, 0, 6] and store._begin is None
-    os.truncate(store._path, 8 * SLOT // 4)
-    _fill(store, {5: [3] * 6})
     assert store.merge_many(*round_).tolist() == [0, 0]
     # the gapless file now holds 17 symbols in 5 bytes, bucket 5 from
     # symbol 10 on: a round into it passes one window, read from byte 2 to
@@ -871,10 +887,6 @@ def test_chunk_io_errors_name_the_bucket(tmp_path, monkeypatch):
     with pytest.raises(BucketIOError, match=f"{window}: short write"):
         store.merge_many(*round_)
     monkeypatch.undo()
-
-    def fail(*args):
-        raise OSError(errno.EIO, os.strerror(errno.EIO))
-
     for name in ("pread", "pwrite"):
         with monkeypatch.context() as mp:
             mp.setattr(os, name, fail)
@@ -937,7 +949,9 @@ def test_terminator_side_list_in_packed_mode(tmp_path):
     store.fill(0, [0, 1, 2])
     before = store.bytes_written
     _terminator_round(store, [(0, [1, 4])])
-    assert store.bytes_written == before  # no rewrite for the terminator round
+    # with no ranked round before it, the terminator round compacts the
+    # three codes, one packed byte, and writes no terminator
+    assert store.bytes_written == before + 1
     assert store.read(0).tolist() == [0, DOLLAR, 1, 2, DOLLAR]
     out = BytesIO()
     assert store.assemble(out) == 5

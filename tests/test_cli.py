@@ -133,9 +133,10 @@ def test_cmd_build_unwritable_output_fails_before_building(tmp_path, capsys, mon
 
 
 def test_cmd_build_disk_error_is_reported_and_cleaned_up(tmp_path, capsys, monkeypatch):
-    # a write that fails in a sparse round, and one that fails in a dense
-    # round's pass, after the slots were compacted: exit 2, one error line,
-    # no bucket file and no output left
+    # a write that fails in the compaction of the sparse rounds' content,
+    # here at the terminator round, and one that fails in a dense round's
+    # pass, after the compaction: exit 2, one error line, no bucket file
+    # and no output left
     rng = random.Random(72)
     long_word = "".join(rng.choice("ACGT") for _ in range(60))
     shorts = ["".join(rng.choice("ACGT") for _ in range(8)) for _ in range(40)]
@@ -143,8 +144,7 @@ def test_cmd_build_disk_error_is_reported_and_cleaned_up(tmp_path, capsys, monke
     compacted = []
     monkeypatch.setattr(buckets.BucketStore, "_compact",
                         lambda self: real_compact(self) or compacted.append(self.sizes.sum()))
-    for words, fails, prefix in ((["GATTACA", "CCT", "AAAA"], lambda: True, "error: bucket 0"),
-                                 ([long_word, *shorts], lambda: bool(compacted), "error: bucket file ")):
+    for words, fails in ((["GATTACA", "CCT", "AAAA"], lambda: True), ([long_word, *shorts], lambda: bool(compacted))):
         real_pwrite = os.pwrite
         monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: 0 if fails() else real_pwrite(fd, data, offset))
         inp, outp, scratch = tmp_path / "in.fasta", tmp_path / "out.bwt", tmp_path / "scratch"
@@ -154,7 +154,7 @@ def test_cmd_build_disk_error_is_reported_and_cleaned_up(tmp_path, capsys, monke
                    "--backend", "external", "--tmp-dir", str(scratch)])
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(prefix) and err[0].endswith("short write")
+        assert len(err) == 1 and err[0].startswith("error: bucket file ") and err[0].endswith("short write")
         assert list(scratch.iterdir()) == []
         assert not outp.exists()
         monkeypatch.setattr(os, "pwrite", real_pwrite)

@@ -87,11 +87,11 @@ def _rand_words(rng, lengths):
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, buckets.RANK_CHUNK])
 def test_external_build_compacts_once_at_its_first_ranked_dense_round(chunk, tmp_path, monkeypatch):
-    # the external store keeps slots through the sparse prefix and
-    # compacts them at the first ranked dense round: after no sparse round,
-    # one, and many; a build whose only dense round is the terminator
-    # round never compacts, and assembles from the slots. Every window
-    # size gives the oracle's transform
+    # the external store keeps the sparse prefix in RAM, with no read or
+    # write of its bucket file, and compacts it into the file at the first
+    # dense round: the first ranked one, after no sparse round, one, and
+    # many, and in a build with no ranked dense round the terminator round.
+    # Every window size gives the oracle's transform
     monkeypatch.setattr(buckets, "RANK_CHUNK", chunk)
     rng = random.Random(74)
     builds = {
@@ -101,18 +101,27 @@ def test_external_build_compacts_once_at_its_first_ranked_dense_round(chunk, tmp
         "many sparse rounds": _rand_words(rng, [50] + [rng.randint(3, 10) for _ in range(40)]),
     }
     real_compact = buckets.BucketStore._compact
+    real_io = {name: getattr(os, name) for name in ("pread", "pwrite")}
     for name, words in builds.items():
         c = WordCollection.from_words(words)
         starts = sorted(c.max_length - len(w) for w in words)
-        dense = [t for t in range(c.max_length) if sum(s <= t for s in starts) > engine.SPARSE_MAX]
-        compacted, gapless = [], []
+        first = min((t for t in range(c.max_length) if sum(s <= t for s in starts) > engine.SPARSE_MAX),
+                    default=c.max_length)
+        compacted, gapless, file_io = [], [], []
         with BwtBuilder(c, Config(kappa=4, backend="external", tmp_dir=str(tmp_path))) as builder:
             monkeypatch.setattr(buckets.BucketStore, "_compact",
                                 lambda self: compacted.append(builder.t) or real_compact(self))
+            for io, real in real_io.items():
+                def traced(fd, *args, real=real):
+                    if fd == builder.store._fd:
+                        file_io.append(bool(compacted))  # whether the compaction has begun
+                    return real(fd, *args)
+                monkeypatch.setattr(os, io, traced)
             out = builder.run(inspect=lambda b: gapless.append(b.store._begin is not None))
         assert out == naive_bwt(c), name
-        assert compacted == dense[:1], name
-        assert gapless == [t >= min(dense, default=c.max_length + 1) for t in range(c.max_length + 1)], name
+        assert compacted == [first], name
+        assert file_io and all(file_io), name
+        assert gapless == [t >= first for t in range(c.max_length + 1)], name
     assert not list(tmp_path.iterdir())
 
 
@@ -512,7 +521,7 @@ def test_backends_agree_bucket_for_bucket_after_build():
 def test_bucket_contents_stay_in_their_slots(backend, monkeypatch):
     # checked every round, the last one (terminators) included, before close:
     # no bucket outgrows the size counted before round 0, and the external
-    # store is one file holding every slot, opened once
+    # store is one file of the counted sizes' packed bytes, opened once
     rng = random.Random(53)
     c = random_collection(rng)
     seen, opened = [], []
@@ -524,7 +533,7 @@ def test_bucket_contents_stay_in_their_slots(backend, monkeypatch):
         assert (store.sizes <= store.final).all()
         if backend == "external":
             assert os.listdir(store.tmp_dir) == ["buckets.bin"]
-            assert os.path.getsize(store._path) == int(((store.final + 3) // 4).sum())
+            assert os.path.getsize(store._path) == (int(store.final.sum()) + 3) // 4
         seen.append(builder.t)
 
     with BwtBuilder(c, Config(kappa=4, backend=backend, threads=1)) as builder:
@@ -554,9 +563,11 @@ def test_counted_sizes_that_differ_from_the_build_raise(backend, monkeypatch, tm
 
 @pytest.mark.parametrize("fail_at", [1, 30])
 def test_external_build_surfaces_write_errors(tmp_path, monkeypatch, fail_at):
-    # a full disk on a bucket's first write (fail_at=1) or a later one is a
-    # BucketIOError, and the build still removes its bucket directory
-    c = WordCollection.from_words(["GATTACAGATTACA", "CCTGA", "TTAGGCATTAGGCA", "ACGTACGT"] * 3)
+    # a full disk on the bucket file's first write, the compaction's
+    # (fail_at=1), or on a later one, a dense round's pass (fail_at=30), is
+    # a BucketIOError, and the build still removes its bucket directory.
+    # Ten copies of four words: 7 sparse rounds, then 35 dense ones
+    c = WordCollection.from_words(["GATTACAGATTACA" * 3, "CCTGA" * 7, "TTAGGCATTAGGCA" * 3, "ACGTACGT" * 5] * 10)
     calls = itertools.count(1)
     real_pwrite = os.pwrite
 
