@@ -7,9 +7,9 @@ store takes no other:
 - a sparse round merges one bucket at a time, ranked, its entries as
   Python int lists, at most ``SPARSE_MAX`` of them. On both backends the
   content of these rounds is in RAM, one bytearray of codes per touched
-  bucket, and the merge grows the bucket's bytearray by its entries and
-  splices them in place (:func:`_splice_in_place`), counting each entry's
-  rank as it goes.
+  bucket, and the merge inserts its entries into the bucket's bytearray
+  one at a time, left to right (``bytearray.insert``), counting each
+  entry's rank right after its insert (:func:`_count`).
 - a ranked dense round merges all its entries in one call, as one pass
   over the content, which is then one gapless run in bucket order
   (``BucketStore._pass``): a window of old symbols at a time, right to
@@ -131,51 +131,13 @@ def _windows(lo: int, hi: int, step: int, before: np.ndarray) -> tuple[list[int]
     return cuts, [0, *np.searchsorted(before, cuts[1:-1]).tolist(), len(before)]
 
 
-def _splice_in_place(buf: bytearray, ps: list[int], ss: list[int]) -> list[int]:
-    """:func:`_splice` in place: ``buf`` holds the content and grows by
-    ``len(ps)`` symbols. Positions and symbols are Python int lists; each
-    entry's rank, the count of its symbol before it in the spliced content,
-    comes back in one.
-
-    Right to left, each run of old content between two entries moves to its
-    new place in one bytearray slice assignment, and the entry is written
-    before it. Each rank is then a count of the entry's symbol over the
-    prefix it is written after, resumed from that symbol's previous entry,
-    so a batch reads the new content at most once per symbol.
-    """
-    src = len(buf)
-    buf.extend(bytes(len(ps)))
-    end = len(buf)
-    for i in range(len(ps) - 1, -1, -1):
-        p = ps[i]
-        buf[p + 1 : end] = buf[p - i : src]
-        buf[p] = ss[i]
-        end, src = p, p - i
-    seen, upto, ranks, view = [0] * 4, [0] * 4, [], None
-    for p, s in zip(ps, ss):
-        if p - upto[s] < COUNT_NUMPY_MIN:
-            seen[s] += buf.count(s, upto[s], p)
-        else:
-            if view is None:
-                # dropped on return: while a view lives, buf cannot grow
-                view = np.frombuffer(buf, dtype=np.uint8)
-            seen[s] += int(np.count_nonzero(view[upto[s] : p] == s))
-        upto[s] = p
-        ranks.append(seen[s])
-    return ranks
-
-
-def _check_merge(ordinal: int, local: list[int], syms: list[int], n0: int) -> None:
-    """Refuse a ranked merge of ``syms`` at post-insertion positions
-    ``local`` into ``n0`` symbols, both Python int lists, before any byte of
-    the bucket is read."""
-    k = len(local)
-    if not k:
-        return
-    if local[0] < 0 or local[-1] - (k - 1) > n0 or not all(map(operator.lt, local, local[1:])):
-        raise ConsistencyError(f"bucket {ordinal}: insert positions inconsistent with content")
-    if max(syms) > 3:
-        raise ConsistencyError("rank capture over a symbol code above T")
+def _count(buf: bytearray, s: int, p: int) -> int:
+    """The count of symbol ``s`` in ``buf[:p]``: by ``bytearray.count``
+    below ``COUNT_NUMPY_MIN`` symbols, by numpy above. The numpy view is
+    dropped on return: while a view lives, ``buf`` cannot grow."""
+    if p < COUNT_NUMPY_MIN:
+        return buf.count(s, 0, p)
+    return int(np.count_nonzero(np.frombuffer(buf, dtype=np.uint8, count=p) == s))
 
 
 class BucketStore:
@@ -246,9 +208,12 @@ class BucketStore:
         one :meth:`_pass`: ranked, their ranks come back in an array.
 
         With one ``ordinal``, a sparse round's merge, the merge is ranked,
-        positions and symbols are Python int lists, and the batch is spliced
-        into the bucket's bytearray, grown by the batch, in place. Each
-        entry's rank (see :func:`_splice_in_place`) comes back in a list.
+        positions and symbols are Python int lists, and the entries are
+        inserted into the bucket's bytearray left to right. Each entry's
+        rank, the count of its symbol before it in the merged content, is
+        counted right after its insert, and the ranks come back in a list:
+        an entry's position is its place in the merged content, and the
+        entries right of it are not in yet.
         """
         if self._dollars:
             raise ConsistencyError("a merge after the terminator round")
@@ -262,8 +227,8 @@ class BucketStore:
             raise ConsistencyError(
                 f"bucket {ordinal}: {n0} + {k} symbols overflow its slot of {self.final[ordinal]}")
         if k == 1:
-            # a one-entry merge: the same checks, splice and count as below,
-            # without their lists
+            # a one-entry merge, most sparse merges: the same checks, insert
+            # and count as below, without their lists
             p, s = tree_positions[0] - base, syms[0]
             if not 0 <= p <= n0:
                 raise ConsistencyError(f"bucket {ordinal}: insert positions inconsistent with content")
@@ -271,14 +236,18 @@ class BucketStore:
                 raise ConsistencyError("rank capture over a symbol code above T")
             buf = self._slots.setdefault(ordinal, bytearray())
             buf.insert(p, s)
-            if p < COUNT_NUMPY_MIN:
-                ranks = [buf.count(s, 0, p)]
-            else:
-                ranks = [int(np.count_nonzero(np.frombuffer(buf, dtype=np.uint8, count=p) == s))]
+            ranks = [_count(buf, s, p)]
         else:
             local = [p - base for p in tree_positions]
-            _check_merge(ordinal, local, syms, n0)
-            ranks = _splice_in_place(self._slots.setdefault(ordinal, bytearray()), local, syms)
+            if not k or local[0] < 0 or local[-1] - (k - 1) > n0 or not all(map(operator.lt, local, local[1:])):
+                raise ConsistencyError(f"bucket {ordinal}: insert positions inconsistent with content")
+            if max(syms) > 3:
+                raise ConsistencyError("rank capture over a symbol code above T")
+            buf = self._slots.setdefault(ordinal, bytearray())
+            ranks = []
+            for p, s in zip(local, syms):
+                buf.insert(p, s)
+                ranks.append(_count(buf, s, p))
         self.bytes_read += n0
         self.bytes_written += n0 + k
         self.sizes[ordinal] = n0 + k

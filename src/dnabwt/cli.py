@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import os
 import random
 import sys
@@ -14,28 +13,6 @@ from .buckets import BucketIOError
 from .collection import (AMBIGUOUS_POLICIES, IngestPolicy, ParseError, WordCollection,
                           detect_format, parse_sequences)
 from .engine import BACKENDS, MAX_KAPPA, BwtBuilder, Config, ConfigError, build
-
-
-# glibc's mallopt parameters
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-
-def _pin_malloc_thresholds() -> None:
-    """Fix glibc's mmap threshold at 32 MiB, the most its dynamic rule
-    reaches, and its trim threshold at twice that, as that rule would.
-    The rule starts at 128 KiB and rises only when a larger mapped block
-    is freed. A streamed parse frees none, so a build's per-round
-    temporaries were mapped and unmapped each round: 4.7 times the page
-    faults on `reads`. Pinned, the build reuses heap memory whatever
-    came before it. Elsewhere than glibc this does nothing."""
-    try:
-        if not os.confstr("CS_GNU_LIBC_VERSION"):
-            return
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, ValueError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _peak_rss_mb() -> float | None:
@@ -94,6 +71,7 @@ def _output_file(path: str, input_path: str):
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    config = _config_from(args)
     t0 = time.perf_counter()
     collection = _load_collection(args.input, args.ambiguous)
     pairs: list[tuple[str, object]] = [
@@ -105,7 +83,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         pairs.append(("parse_peak_rss_mb", round(rss, 2)))
     with _output_file(args.output, args.input) as fh:
         t0 = time.perf_counter()
-        with BwtBuilder(collection, _config_from(args)) as builder:
+        with BwtBuilder(collection, config) as builder:
             written = builder.run(out=fh)
             stats = builder.store.io_stats
         wall = time.perf_counter() - t0
@@ -161,6 +139,7 @@ def verify_collection(collection: WordCollection, config: Config) -> tuple[bool,
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    config = _config_from(args)
     collection = _load_collection(args.input, args.ambiguous)
     if collection.total_length > args.max_oracle_symbols:
         print(
@@ -169,7 +148,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    ok, lines = verify_collection(collection, _config_from(args))
+    ok, lines = verify_collection(collection, config)
     for line in lines:
         print(line)
     return 0 if ok else 1
@@ -190,12 +169,13 @@ def cmd_invert(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    collection = _load_collection(args.input, args.ambiguous)
     lo, hi = args.kappa_range
+    configs = {kappa: _config_from(args, kappa) for kappa in range(lo, hi + 1)}
+    collection = _load_collection(args.input, args.ambiguous)
     print("kappa\tbuckets\twall_seconds\tio_read\tio_written\toutput_bytes\tcpu_seconds")
-    for kappa in range(lo, hi + 1):
+    for kappa, config in configs.items():
         t0 = time.perf_counter()
-        with BwtBuilder(collection, _config_from(args, kappa)) as builder:
+        with BwtBuilder(collection, config) as builder:
             c0 = time.process_time()
             data = builder.run()
             cpu = time.process_time() - c0
@@ -287,7 +267,6 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    _pin_malloc_thresholds()
     try:
         return args.func(args)
     except (ParseError, ConfigError, OSError, BucketIOError) as exc:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import tempfile
 import warnings
 from dataclasses import dataclass
@@ -71,7 +72,8 @@ class Config:
     ``kappa`` is the navigation-bit count (two per context symbol; odd
     values use only the first bit of the last symbol). ``threads`` is
     accepted and ignored: every build merges its buckets one at a time on
-    the calling thread.
+    the calling thread. ``tmp_dir``, if given, must be a directory, in
+    which the external backend makes its own.
     """
 
     kappa: int = 5
@@ -89,6 +91,8 @@ class Config:
             raise ConfigError(msg)
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
+        if self.tmp_dir is not None and not os.path.isdir(self.tmp_dir):
+            raise ConfigError(f"tmp_dir {self.tmp_dir} is not a directory")
         self.threads = max(1, int(self.threads or 1))
 
 

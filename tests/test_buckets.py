@@ -209,10 +209,10 @@ def test_splice_numpy_matches_naive_splice(case, count_ranks):
 
 def test_splice_numpy_ranks_past_three_count_fields():
     # content past 2**21 symbols, most of it G, so that a count needs more
-    # than 20 bits and any narrower count would wrap. The rank kernel over
-    # the copying splice's result is checked against counts of the spliced
-    # bytes, and its ranks against the in-place splice's, which counts each
-    # rank on those bytes
+    # than 20 bits and any narrower count would wrap. The copying splice's
+    # result and the rank kernel's counts over it are checked against the
+    # naive splice's content and counts of its bytes, and the kernel's
+    # ranks against the naive splice's
     rng = np.random.default_rng(36)
     n0 = (1 << 21) + 1000
     old = rng.choice(4, size=n0, p=[0.1, 0.1, 0.7, 0.1]).astype(np.uint8)
@@ -221,9 +221,9 @@ def test_splice_numpy_ranks_past_three_count_fields():
     positions[-3:] = np.arange(n0 + k - 3, n0 + k)
     syms = rng.integers(0, 4, size=k, dtype=np.uint8)
     new = buckets._splice(old, positions, syms)
-    expected = bytearray(old)
-    expected_ranks = buckets._splice_in_place(expected, positions.tolist(), syms.tolist())
-    assert new.tobytes() == bytes(expected)
+    expected, expected_ranks = naive_splice(old.tolist(), positions.tolist(), syms.tolist())
+    expected = bytes(expected)
+    assert new.tobytes() == expected
     counts = _counts(new, positions)
     assert counts.tolist() == [[expected.count(c, 0, p) for p in positions.tolist()] for c in range(4)]
     assert counts[syms, np.arange(k)].tolist() == expected_ranks

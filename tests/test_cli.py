@@ -59,26 +59,6 @@ def test_peak_rss_reads_the_platform_unit(monkeypatch, platform, maxrss):
     assert cli._peak_rss_mb() == 2048.0
 
 
-@pytest.mark.parametrize("libc", ["glibc 2.36", None, ValueError])
-def test_malloc_thresholds_are_pinned_on_glibc_only(monkeypatch, libc):
-    calls = []
-
-    class Libc:
-        def mallopt(self, param, value):
-            calls.append((param, value))
-
-    def confstr(name):
-        if libc is ValueError:  # the name is unknown where libc is not glibc
-            raise ValueError(name)
-        return libc
-
-    monkeypatch.setattr(cli.os, "confstr", confstr)
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
-    cli._pin_malloc_thresholds()
-    expected = [(cli._M_MMAP_THRESHOLD, 32 << 20), (cli._M_TRIM_THRESHOLD, 64 << 20)]
-    assert calls == (expected if libc == "glibc 2.36" else [])
-
-
 def test_cmd_build_kappa_invariance(tmp_path):
     words = ["".join(random.Random(i).choice("ACGT") for _ in range(20)) for i in range(12)]
     inp = tmp_path / "in.fasta"
@@ -113,6 +93,24 @@ def test_cmd_build_external_leaves_tmp_dir_empty(tmp_path):
                  "--backend", "external", "--tmp-dir", str(scratch)]) == 0
     assert outp.read_bytes() == naive_bwt(WordCollection.from_words(["GATTACA", "CCT", "AAAA"]))
     assert list(scratch.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "bench"])
+def test_missing_tmp_dir_fails_before_the_parse(tmp_path, capsys, monkeypatch, command):
+    # a --tmp-dir that is not a directory is refused before the input is
+    # parsed: exit 2, one error line naming it, no output left and no
+    # directory made
+    parses = []
+    monkeypatch.setattr(cli, "parse_sequences", lambda *a: parses.append(a))
+    inp, outp, missing = tmp_path / "in.fasta", tmp_path / "out.bwt", tmp_path / "no_such_dir"
+    _write_fasta(inp, ["GATTACA", "CCT"])
+    argv = [command, "--input", str(inp), "--tmp-dir", str(missing)]
+    rc = main(argv + (["--output", str(outp)] if command == "build" else []))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and str(missing) in err
+    assert parses == []
+    assert not outp.exists() and not missing.exists()
 
 
 def test_cmd_build_unwritable_output_fails_before_building(tmp_path, capsys, monkeypatch):
@@ -201,6 +199,33 @@ def test_import_starts_no_blas_worker_thread():
     out = subprocess.run([sys.executable, "-c", code], env={**env, "OPENBLAS_NUM_THREADS": "2"},
                          capture_output=True, text=True, check=True)
     assert out.stdout.split()[1] == "2"
+
+
+def test_import_lets_glibc_raise_its_malloc_thresholds():
+    # importing dnabwt frees one large mapped block, which raises glibc's
+    # mmap and trim thresholds by glibc's own rule, so that arrays of 1 MiB
+    # made and dropped again and again reuse heap pages: 50 rounds of eight
+    # fault about 100,000 pages when each is mapped afresh
+    import subprocess
+    import sys
+
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        glibc = None
+    if not glibc:
+        pytest.skip("the threshold rule is glibc's")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import resource, dnabwt, numpy as np\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(50):\n"
+            "    arrays = [np.ones(1 << 20, dtype=np.uint8) for _ in range(8)]\n"
+            "    del arrays\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 10_000
 
 
 def test_cmd_build_full_disk_fails_before_round_0(tmp_path, capsys, monkeypatch):
