@@ -10,18 +10,20 @@ store takes no other:
   bucket, and the merge inserts its entries into the bucket's bytearray
   one at a time, left to right (``bytearray.insert``), counting each
   entry's rank right after its insert (:func:`_count`).
-- a ranked dense round merges all its entries in one call, as one pass
-  over the content, which is then one gapless run in bucket order
-  (``BucketStore._pass``): a window of old symbols at a time, right to
+- a ranked dense round merges all its entries in one call, as the engine
+  grouped them (an ordinal and a base per touched bucket, and the bounds
+  of its entries), as one pass over the content, which is then one
+  gapless run in bucket order (``BucketStore._pass``): a window of old symbols at a time, right to
   left and in place, each window read, spliced, counted and written once.
   The run is one bytearray in RAM or one file of 2-bit packed codes on
   disk, and the backends differ only in how a window is read and written:
   in RAM a slice of the bytearray, on disk one ``pread`` and unpack, and
   one pack and ``pwrite``.
-- the terminator round merges all its terminators in one unranked call,
-  the build's last merge. Their positions go into a per-bucket side list,
-  with no bucket byte read or written, and are spliced in when a bucket is
-  read: the 2-bit file cannot hold them, and ranks refuse them.
+- the terminator round, the build's last merge, is one call of the same
+  form, told by its symbols: terminators only. Their positions go into a
+  per-bucket side list, with no bucket byte read or written, and are
+  spliced in when a bucket is read: the 2-bit file cannot hold them, and
+  ranks refuse them.
 
 The first dense round, ranked or the terminator round, first writes the
 sparse rounds' bytearrays, in bucket order, as the run's start
@@ -151,7 +153,9 @@ class BucketStore:
     bits first). The run is allocated in full here, ``sum(final)`` bytes in
     RAM or ``ceil(sum(final) / 4)`` on disk, ``final[o]`` being bucket o's
     size at the end of the build, so that too little memory or disk fails
-    before any merge, with the bytes that were asked for. ``bytes_read``
+    before any merge, with the bytes that were asked for. Where ``os`` has
+    no ``posix_fallocate`` the file is only sized, and a full disk fails at
+    a pass's write instead. ``bytes_read``
     and ``bytes_written`` count code bytes in RAM and packed bytes on disk:
     a sparse merge of k entries into n0 symbols counts n0 and n0 + k on
     both backends, and the compaction the content it copies.
@@ -173,59 +177,64 @@ class BucketStore:
             try:
                 self._codes = np.frombuffer(bytearray(total), dtype=np.uint8)
             except MemoryError:
-                raise BucketIOError(f"cannot allocate {total:,} bytes of bucket slots in RAM") from None
+                raise BucketIOError(f"cannot allocate {total:,} bytes for the buckets in RAM") from None
             return
         total = (total + 3) // 4
         self._path = os.path.join(tmp_dir, "buckets.bin")
         try:
             os.makedirs(tmp_dir, exist_ok=True)
             self._fd = os.open(self._path, os.O_RDWR | os.O_CREAT, 0o600)
-            os.posix_fallocate(self._fd, 0, total)
-        except OSError as exc:
-            failed = "" if self._fd is None else f"cannot allocate {total:,} bytes of bucket slots: "
+            if hasattr(os, "posix_fallocate"):
+                os.posix_fallocate(self._fd, 0, total)
+            else:  # where the C library lacks the call, as on macOS
+                os.ftruncate(self._fd, total)
+        except BaseException as exc:
+            failed = "" if self._fd is None else f"cannot allocate {total:,} bytes for the buckets: "
             self.close()
+            if not isinstance(exc, OSError):
+                raise
             raise BucketIOError(f"{self._path}: {failed}{exc}") from exc
 
-    def merge_many(self, ordinals, bounds, positions, syms, bases, want_ranks=True):
+    def merge_many(self, ordinals, bounds, positions, syms, bases):
         """Merge a dense round's entries, given as arrays: bucket
         ``ordinals[i]``, in increasing order, takes entries
         ``bounds[i] : bounds[i + 1]`` of ``positions`` and ``syms``, with base
-        ``bases[i]``. They go to :meth:`merge_insert` in one call, with one
-        ordinal and base per entry: ranked, ranks come back in entry order;
-        unranked, as the terminator round merges, None does."""
-        owner = np.repeat(np.arange(len(ordinals)), np.diff(bounds))
-        return self.merge_insert(ordinals[owner], positions, syms, bases[owner], want_ranks)
+        ``bases[i]``. They go to :meth:`merge_insert` in one call, as the
+        engine grouped them: ranked, ranks come back in entry order; a round
+        of terminators only, the terminator round, gives None."""
+        return self.merge_insert(ordinals, positions, syms, bases, bounds=bounds)
 
-    def merge_insert(self, ordinal, tree_positions, syms, base, want_ranks=True):
-        """Insert ``syms`` at ``tree_positions - base``, in one of the three
-        forms a build makes (module docstring); every other is refused with
-        :class:`ConsistencyError`, and so is any merge after the terminator
-        round, whose side lists hold final positions. Every check runs
-        before any byte of the content is read.
+    def merge_insert(self, ordinal, tree_positions, syms, base, *, bounds=None):
+        """Insert ``syms`` at ``tree_positions`` less their bucket's
+        ``base``, in one of the three forms a build makes (module
+        docstring); every other is refused with :class:`ConsistencyError`,
+        and so is any merge after the terminator round, whose side lists
+        hold final positions. Every check runs before any byte of the
+        content is read.
 
-        With ``ordinal`` and ``base`` arrays, one per entry, as
-        :meth:`merge_many` passes a dense round, the entries are merged by
-        one :meth:`_pass`: ranked, their ranks come back in an array.
+        Given ``bounds``, as :meth:`merge_many` passes a dense round,
+        ``ordinal`` and ``base`` are arrays of one per touched bucket, and
+        the entries are merged by one :meth:`_pass`.
 
-        With one ``ordinal``, a sparse round's merge, the merge is ranked,
-        positions and symbols are Python int lists, and the entries are
-        inserted into the bucket's bytearray left to right. Each entry's
-        rank, the count of its symbol before it in the merged content, is
-        counted right after its insert, and the ranks come back in a list:
-        an entry's position is its place in the merged content, and the
+        Else, a sparse round's merge into bucket ``ordinal``, positions and
+        symbols are Python int lists of bases, and the entries are inserted
+        into the bucket's bytearray left to right. Each entry's rank, the
+        count of its symbol before it in the merged content, is counted
+        right after its insert, and the ranks come back in a list: an
+        entry's position is its place in the merged content, and the
         entries right of it are not in yet.
         """
         if self._dollars:
             raise ConsistencyError("a merge after the terminator round")
-        if isinstance(ordinal, np.ndarray):
-            return self._pass(ordinal, tree_positions - base, syms, want_ranks)
-        if not want_ranks or self._begin is not None:
+        if bounds is not None:
+            return self._pass(ordinal, bounds, tree_positions, syms, base)
+        if self._begin is not None:
             raise ConsistencyError(f"bucket {ordinal}: a one-bucket merge is a sparse round's, "
-                                   "ranked and before the first dense round")
+                                   "before the first dense round")
         k, n0 = len(syms), self.sizes.item(ordinal)
         if n0 + k > self.final.item(ordinal):
             raise ConsistencyError(
-                f"bucket {ordinal}: {n0} + {k} symbols overflow its slot of {self.final[ordinal]}")
+                f"bucket {ordinal}: {n0} + {k} symbols overflow its counted final size of {self.final[ordinal]}")
         if k == 1:
             # a one-entry merge, most sparse merges: the same checks, insert
             # and count as below, without their lists
@@ -253,70 +262,64 @@ class BucketStore:
         self.sizes[ordinal] = n0 + k
         return ranks
 
-    def _pass(self, ordinal: np.ndarray, local: np.ndarray, syms: np.ndarray,
-              want_ranks: bool) -> np.ndarray | None:
-        """Merge entries into many buckets at once; entry i goes ``local[i]``
-        symbols into bucket ``ordinal[i]``, and ``ordinal`` does not
-        decrease. Ranked, the merge is one pass over the content, and the
-        ranks come back; unranked, the terminator round, every symbol must
-        be a terminator, and the positions go to the side lists, with no
-        byte of the gapless run read or written.
+    def _pass(self, touched: np.ndarray, bounds: np.ndarray, positions: np.ndarray,
+              syms: np.ndarray, bases: np.ndarray) -> np.ndarray | None:
+        """Merge a round's entries into many buckets at once: bucket
+        ``touched[i]``, in increasing order, takes entries ``bounds[i] :
+        bounds[i + 1]``, at their ``positions`` less ``bases[i]``. A round of
+        bases is one pass over the content, and the ranks come back; a
+        round of terminators only, the terminator round, goes to the side
+        lists, with no byte of the gapless run read or written.
 
         Every check runs first, vectorised, so that a refused merge changes
         no byte, no size and no I/O count. The first dense round, ranked or
         not, then compacts the sparse rounds' content (:meth:`_compact`).
         Each entry's place in the new content is its bucket's new start,
-        from the cumulative sizes, plus ``local``. The pass goes right to
-        left over the content from the first touched bucket on, a window of
-        ``RANK_CHUNK`` old symbols at a time: one read, one splice of the
-        window's entries, one count of the four symbols at its entries and
-        bucket starts (:func:`_counts_before`) and one write. Content only
-        grows, so a window is written at or right of where it was read,
-        never over a symbol not yet read; the codes before its first
-        multiple of four go out with the window on its left, so that on
-        disk every write starts on a byte. Counts are kept as minus the
+        from the cumulative sizes, plus its position less its base. The pass
+        goes right to left over the content from the first touched bucket
+        on, a window of ``RANK_CHUNK`` old symbols at a time: one read, one
+        splice of the window's entries, one count of the four symbols at its
+        entries and bucket starts (:func:`_counts_before`) and one write.
+        Content only grows, so a window is written at or right of where it
+        was read, never over a symbol not yet read; the codes before its
+        first multiple of four go out with the window on its left, so that
+        on disk every write starts on a byte. Counts are kept as minus the
         count from the point to the content's end, which the windows passed
         so far give, so that a bucket start in another window needs no
         second pass: an entry's rank is its count less its bucket start's.
         """
-        k = len(syms)
-        if not k:
-            return np.empty(0, dtype=np.int64) if want_ranks else None
-        head = np.ones(k, dtype=bool)
-        np.not_equal(ordinal[1:], ordinal[:-1], out=head[1:])
-        heads = np.flatnonzero(head)
-        touched = ordinal[heads]
-        if not (touched[1:] > touched[:-1]).all():
-            raise ConsistencyError("a round's merges must name each bucket once, in increasing order")
-        if want_ranks and syms.max() > 3:
+        k, heads, added = len(syms), bounds[:-1], np.diff(bounds)
+        if not (len(touched) == len(added) > 0 and bounds[0] == 0 and bounds[-1] == k
+                and added.min() > 0 and (touched[1:] > touched[:-1]).all()):
+            raise ConsistencyError("a round's merges must name each bucket once, in increasing order, "
+                                   "with bounds rising from 0 to its entry count")
+        ranked = syms.max() <= 3
+        if not ranked and (syms != DOLLAR).any():
             raise ConsistencyError("rank capture over a symbol code above T")
-        if not want_ranks and (syms != DOLLAR).any():
-            raise ConsistencyError("an unranked merge is the terminator round's, and holds only terminators")
-        added = np.diff(np.append(heads, k))
         n0 = self.sizes[touched]
         over = n0 + added > self.final[touched]
         if over.any():
             i = int(over.argmax())
-            raise ConsistencyError(f"bucket {touched[i]}: {n0[i]} + {added[i]} symbols overflow its slot "
-                                   f"of {self.final[touched[i]]}")
-        owner = np.cumsum(head) - 1
-        rising = np.diff(local) > 0
-        rising |= head[1:]
-        first, last = local[heads], local[heads + added - 1] - (added - 1)
+            raise ConsistencyError(f"bucket {touched[i]}: {n0[i]} + {added[i]} symbols overflow its counted "
+                                   f"final size of {self.final[touched[i]]}")
+        owner = np.repeat(np.arange(len(touched)), added)
+        rising = np.diff(positions) > 0
+        rising[heads[1:] - 1] = True
+        first, last = positions[heads] - bases, positions[bounds[1:] - 1] - bases - (added - 1)
         if not (rising.all() and first.min() >= 0 and (last <= n0).all()):
             bad = (first < 0) | (last > n0)
             bad[owner[1:][~rising]] = True
             raise ConsistencyError(f"bucket {touched[bad.argmax()]}: insert positions inconsistent with content")
         if self._begin is None:
             self._compact()
-        if not want_ranks:
-            self._dollars = dict(zip(touched.tolist(), np.split(local, heads[1:])))
+        if not ranked:
+            self._dollars = dict(zip(touched.tolist(), np.split(positions - bases[owner], heads[1:])))
             self.sizes[touched] = n0 + added
             return None
         begin = self._begin
         n_old = int(begin[-1] + self.sizes[-1])
         start = begin[touched] + heads  # each touched bucket's start after the merge
-        points = start[owner] + local
+        points = (start - bases)[owner] + positions
         # windows of old symbols from the first touched bucket's start, on a byte on disk
         cuts, edges = _windows(int(start[0]) & -4, n_old, RANK_CHUNK, points - np.arange(k))
         news = [a + e for a, e in zip(cuts, edges)]  # each window's start after the merge

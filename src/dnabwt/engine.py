@@ -189,18 +189,17 @@ class BwtBuilder:
     def _prepare_starts(self) -> None:
         c = self.collection
         starts = (c.max_length - c.lengths).astype(np.int64)
-        self._start_order = np.argsort(starts, kind="stable")  # ties resolved by word index
-        # the words starting at t are _start_order[bounds[t] : bounds[t + 1]],
-        # for t up to max_length + 1; a round reads them with .item(), as
-        # Python ints
-        self._start_bounds = np.searchsorted(starts[self._start_order], np.arange(c.max_length + 3))
+        order = np.argsort(starts, kind="stable")  # ties resolved by word index
+        # the rounds where some word starts, each with its words, and no
+        # other: one word of millions of symbols spans as many rounds
+        rounds, first = np.unique(starts[order], return_index=True)
+        self._starting = dict(zip(rounds.tolist(), np.split(order, first[1:])))
 
     def activate_new_words(self, sb: StartBitvector, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Set activation bits for words starting at t; return (indices, positions)."""
-        lo, hi = self._start_bounds.item(t), self._start_bounds.item(t + 1)
-        if lo == hi:
+        new_js = self._starting.get(t)
+        if new_js is None:
             return _NONE, _NONE
-        new_js = self._start_order[lo:hi]
         sb.set_many(new_js)
         self.alpha += len(new_js)
         return new_js, sb.ranks(new_js)
@@ -231,7 +230,7 @@ class BwtBuilder:
         for t in range(first, M + 1):
             self.t = t
             new_js, new_pos = self.activate_new_words(sb, t)
-            alpha_next = self.alpha + self._start_bounds.item(t + 2) - self._start_bounds.item(t + 1)
+            alpha_next = self.alpha + len(self._starting.get(t + 1, _NONE))
             state = self._dense_round(t, state, new_js, new_pos, alpha_next, inspect)
 
         if not np.array_equal(self.store.sizes, final):
@@ -275,7 +274,7 @@ class BwtBuilder:
         self.tree.update_prefix_totals(htree)
         self.tree.apply_left_increments(ordinals, syms)
         racc = self.tree.accumulators_for(uniq)
-        captured = self.store.merge_many(uniq, bounds, pos, syms, racc.sum(axis=1), t < M)
+        captured = self.store.merge_many(uniq, bounds, pos, syms, racc.sum(axis=1))
 
         if inspect is not None:
             inspect(self)
@@ -303,14 +302,14 @@ class BwtBuilder:
         """
         c, tree, store = self.collection, self.tree, self.store
         drop, top_shift, _ = self._shifts
-        starts = self._start_bounds.tolist()
+        starting = self._starting
         fetch, add, accumulator, merge = c.fetch_code, tree.add_insertions, tree.accumulator, store.merge_insert
         cv = tree.view
         j: list[int] = []
         pos: list[int] = []
         ctx: list[int] = []
         for t in range(c.max_length):
-            fresh = starts[t + 1] - starts[t]
+            fresh = len(starting.get(t, _NONE))
             if fresh:
                 if len(j) + fresh > SPARSE_MAX:
                     return t, (j, pos, ctx)
@@ -318,7 +317,7 @@ class BwtBuilder:
                 j = new_js.tolist() + j
                 pos = new_pos.tolist() + pos
                 ctx = [0] * fresh + ctx
-            alpha_next = self.alpha + starts[t + 2] - starts[t + 1]
+            alpha_next = self.alpha + len(starting.get(t + 1, _NONE))
 
             syms, ordinals = [], []
             for w, x in zip(j, ctx):

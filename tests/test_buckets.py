@@ -39,8 +39,8 @@ def _round_arrays(batches):
 
 def _terminator_round(store, batches):
     """The terminator round: (ordinal, positions) batches of terminators in
-    one unranked ``merge_many`` call."""
-    return store.merge_many(*_round_arrays([(o, p, [DOLLAR] * len(p), 0) for o, p in batches]), False)
+    one ``merge_many`` call, which its symbols alone make unranked."""
+    return store.merge_many(*_round_arrays([(o, p, [DOLLAR] * len(p), 0) for o, p in batches]))
 
 
 def test_bucket_id_worked_examples():
@@ -315,7 +315,7 @@ def test_refused_small_merges_leave_the_store_untouched(tmp_path):
         "position past the end": (1, [31], [0]),
         "repeated positions": (1, [3, 3], [0, 1]),
         "decreasing positions": (1, [4, 3], [0, 1]),
-        "slot overflow": (3, [0, 1], [2, 2]),
+        "final size overflow": (3, [0, 1], [2, 2]),
         "terminator among bases": (1, [0, 5], [1, DOLLAR]),
         "lone terminator": (1, [2], [DOLLAR]),
     }
@@ -331,13 +331,14 @@ def test_refused_small_merges_leave_the_store_untouched(tmp_path):
 
 
 def test_store_takes_only_the_merges_a_build_makes(tmp_path):
-    # a build merges one bucket ranked (a sparse round, into slots), a
-    # round ranked (a dense round) and a round of terminators, last. On
-    # both backends, with content in slots and gapless, the store refuses
-    # every other merge before any byte is read or moved, leaving every
-    # byte, size and I/O count as it was: an unranked one-bucket merge, a
-    # one-bucket merge after the first ranked round, a terminator round
-    # that holds a base, and any merge after the terminator round
+    # a build merges one bucket ranked (a sparse round, into bytearrays),
+    # a round of bases ranked (a dense round) and a round of terminators
+    # only, last. On both backends, with content in bytearrays and
+    # gapless, the store refuses every other merge before any byte is read
+    # or moved, leaving every byte, size and I/O count as it was: a
+    # one-bucket merge of a terminator, a one-bucket merge after the first
+    # dense round, a round that mixes terminators and bases, and any merge
+    # after the terminator round
     fill = {1: [0, 1, 2, 3] * 3, 2: [3, 3], 5: [1]}
     dense = [(1, np.array([0, 13]), np.array([2, 0], dtype=np.uint8), 0),
              (5, np.array([1]), np.array([3], dtype=np.uint8), 0)]
@@ -349,14 +350,9 @@ def test_store_takes_only_the_merges_a_build_makes(tmp_path):
             assert (store._begin is None) == (layout == "slots")
             state = _io_state(store)
             refused = {
-                "one bucket unranked, a base": lambda: store.merge_insert(
-                    1, np.array([0]), np.array([2], dtype=np.uint8), 0, False),
-                "one bucket unranked, a terminator": lambda: store.merge_insert(
-                    1, np.array([0]), np.array([DOLLAR], dtype=np.uint8), 0, False),
+                "one bucket, a terminator": lambda: _merge(store, 1, [0], [DOLLAR]),
                 "terminator round with a base": lambda: store.merge_many(
-                    *_round_arrays([(1, [0, 2], [DOLLAR, 2], 0), (2, [0], [DOLLAR], 0)]), False),
-                "terminator round of bases": lambda: store.merge_many(
-                    *_round_arrays([(2, [0], [1], 0)]), False),
+                    *_round_arrays([(1, [0, 2], [DOLLAR, 2], 0), (2, [0], [DOLLAR], 0)])),
             }
             if layout == "gapless":
                 refused["one bucket after the first ranked round"] = lambda: _merge(store, 2, [0], [1])
@@ -373,8 +369,7 @@ def test_store_takes_only_the_merges_a_build_makes(tmp_path):
             "a second terminator round": lambda: _terminator_round(store, [(5, [0])]),
             "a ranked round": lambda: store.merge_many(*_round_arrays([(5, [0], [1], 0)])),
             "a ranked one-bucket merge": lambda: _merge(store, 5, [0], [1]),
-            "an unranked one-bucket merge": lambda: store.merge_insert(
-                5, np.array([0]), np.array([DOLLAR], dtype=np.uint8), 0, False),
+            "a one-bucket merge of a terminator": lambda: _merge(store, 5, [0], [DOLLAR]),
         }
         for name, merge in after.items():
             with pytest.raises(ConsistencyError, match="after the terminator round"):
@@ -385,27 +380,64 @@ def test_store_takes_only_the_merges_a_build_makes(tmp_path):
 
 
 def test_ranked_merge_many_refuses_a_bucket_named_twice(tmp_path):
-    # a round's merge takes each bucket's entries as one run of the round's
-    # entries. So, on both backends, a ranked round or a terminator round
-    # whose buckets are not in increasing order, as when it names one
-    # bucket twice apart, is refused before any bucket changes. A bucket
-    # named twice in a row is one run of entries, which merges as its two
-    # batches in sequence would
+    # a round's merge takes each bucket's entries as one group of the
+    # round's entries, as the engine groups them. So, on both backends, a
+    # ranked round or a terminator round whose buckets do not strictly
+    # increase, as when it names one bucket twice apart or twice in a row,
+    # is refused before any bucket changes
     twice = [(1, [0], [2], 0), (2, [5, 6], [3, 0], 5), (1, [4], [3], 0)]
     decreasing = [(2, [5, 6], [3, 0], 5), (1, [4], [3], 0)]
+    in_a_row = [(1, [0], [2], 0), (1, [4], [3], 0)]
     for store in _stores(tmp_path, 3):
         store.fill(1, [0, 1, 2, 3, 0, 1])
         state = _io_state(store)
-        for round_ in (twice, decreasing):
+        for round_ in (twice, decreasing, in_a_row):
             with pytest.raises(ConsistencyError, match="each bucket once, in increasing order"):
                 store.merge_many(*_round_arrays(round_))
             with pytest.raises(ConsistencyError, match="each bucket once, in increasing order"):
                 _terminator_round(store, [(o, positions) for o, positions, *_ in round_])
             assert _io_state(store) == state
-        expected, first = naive_splice([0, 1, 2, 3, 0, 1], [0], [2])
-        expected, second = naive_splice(expected, [4], [3])
-        assert store.merge_many(*_round_arrays([(1, [0], [2], 0), (1, [4], [3], 0)])).tolist() == first + second
-        assert store.read(1).tolist() == expected
+        assert store.read(1).tolist() == [0, 1, 2, 3, 0, 1] and store._begin is None
+        store.close()
+
+
+def test_merge_many_refuses_bounds_that_do_not_rise_from_0_to_its_entries(tmp_path):
+    # a dense round hands each touched bucket its group of entries,
+    # bounds[i] to bounds[i + 1]. On both backends, with content in
+    # bytearrays and gapless, a round of no entries, and bounds with an
+    # empty group, not from 0, short of or past the round's entries, or
+    # one short of the buckets, are refused before any byte is read or
+    # moved; no build makes one. A round of terminators only is the
+    # terminator round, with no flag to say so
+    ordinals, bounds, positions, syms, bases = _round_arrays([(1, [0, 1], [2, 3], 0), (2, [0], [1], 0)])
+    none = np.empty(0, dtype=np.int64)
+    refused = {
+        "no entries": (none, np.zeros(1, dtype=np.int64), none, np.empty(0, dtype=np.uint8), none),
+        "an empty group": (np.array([1, 2, 3]), np.array([0, 2, 2, 3]), positions, syms, np.zeros(3, dtype=np.int64)),
+        "not from 0": (ordinals, np.array([1, 2, 3]), positions, syms, bases),
+        "short of the entries": (ordinals, np.array([0, 1, 2]), positions, syms, bases),
+        "past the entries": (ordinals, np.array([0, 2, 4]), positions, syms, bases),
+        "one bound short": (ordinals, np.array([0, 3]), positions, syms, bases),
+    }
+    for store in _stores(tmp_path, 3):
+        _fill(store, {1: [0, 1, 2], 2: [3]})
+        model = [store.read(o).tolist() for o in range(8)]
+        for layout in ("slots", "gapless"):
+            state = _io_state(store)
+            for name, round_ in refused.items():
+                with pytest.raises(ConsistencyError, match="bounds rising from 0 to its entry count"):
+                    store.merge_many(*round_)
+                assert _io_state(store) == state, (layout, name)
+                assert (store._begin is None) == (layout == "slots")
+            expected_ranks = []
+            for o, local, new in ((1, [0, 1], [2, 3]), (2, [0], [1])):
+                model[o], ranks = naive_splice(model[o], local, new)
+                expected_ranks += ranks
+            assert store.merge_many(ordinals, bounds, positions, syms, bases).tolist() == expected_ranks
+        assert store.merge_many(np.array([1]), np.array([0, 1]), np.array([7]),
+                                np.array([DOLLAR], dtype=np.uint8), np.array([7])) is None
+        model[1] = [DOLLAR] + model[1]
+        assert [store.read(o).tolist() for o in range(8)] == model
         store.close()
 
 
@@ -715,7 +747,8 @@ def test_merge_many_refused_third_batch_stores_the_first_two(tmp_path):
                                        (6, np.array([1]), np.array([0], dtype=np.uint8), 0)],
         "bucket 2: \\d+ \\+ 250 symbols overflow": [(2, np.arange(250), np.zeros(250, dtype=np.uint8), 0)],
         "each bucket once, in increasing order": [batches[1], batches[0]],
-        "above T": [(0, np.array([0]), np.array([DOLLAR], dtype=np.uint8), 0)],
+        "above T": [(0, np.array([0]), np.array([DOLLAR], dtype=np.uint8), 0),
+                    (2, np.array([0]), np.array([1], dtype=np.uint8), 0)],
     }
     for store in _stores(tmp_path, 3):
         _fill(store, fill)
@@ -896,6 +929,24 @@ def test_chunk_io_errors_name_the_bucket(tmp_path, monkeypatch):
     store.close()
 
 
+def test_interrupted_allocation_leaves_no_file(tmp_path, monkeypatch):
+    # any exception out of the bucket file's allocation, not only an
+    # OSError, closes and removes the file and the store's directory
+    opened = []
+
+    def interrupt(fd, offset, length):
+        opened.append(fd)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "posix_fallocate", interrupt, raising=False)
+    monkeypatch.setattr(os, "ftruncate", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        ExternalBucketStore(3, str(tmp_path / "interrupted"))
+    assert len(opened) == 1 and list(tmp_path.iterdir()) == []
+    with pytest.raises(OSError):
+        os.fstat(opened[0])
+
+
 def test_close_removes_the_one_file(tmp_path, monkeypatch):
     store = ExternalBucketStore(12, str(tmp_path / "wide"))
     for o in (7, 4000):
@@ -929,11 +980,11 @@ def test_merge_overflowing_its_slot_raises_and_spares_the_neighbour(tmp_path):
         store.fill(3, [0] * (SLOT - 2))
         _merge(store, 4, range(5), [1, 2, 3, 1, 2])
         for k in (3, 17):
-            with pytest.raises(ConsistencyError, match="overflow its slot"):
+            with pytest.raises(ConsistencyError, match=f"overflow its counted final size of {SLOT}"):
                 _merge(store, 3, range(k), [2] * k)
-            with pytest.raises(ConsistencyError, match="overflow its slot"):
+            with pytest.raises(ConsistencyError, match=f"overflow its counted final size of {SLOT}"):
                 store.merge_many(*_round_arrays([(3, range(k), [2] * k, 0)]))
-        with pytest.raises(ConsistencyError, match="overflow its slot"):
+        with pytest.raises(ConsistencyError, match=f"overflow its counted final size of {SLOT}"):
             _terminator_round(store, [(3, range(3))])
         assert store.read(3).tolist() == [0] * (SLOT - 2)
         assert store.read(4).tolist() == [1, 2, 3, 1, 2]
@@ -961,8 +1012,8 @@ def test_terminator_side_list_in_packed_mode(tmp_path):
 
 def test_packed_store_rejects_mixed_terminator_batches(tmp_path):
     store = ExternalBucketStore(3, str(tmp_path / "mixed"))
-    with pytest.raises(ConsistencyError, match="only terminators"):
-        store.merge_many(*_round_arrays([(0, [0, 1], [0, DOLLAR], 0)]), False)
+    with pytest.raises(ConsistencyError, match="above T"):
+        store.merge_many(*_round_arrays([(0, [0, 1], [0, DOLLAR], 0)]))
     with pytest.raises(ConsistencyError, match="insert positions"):
         _terminator_round(store, [(0, [5])])
     assert store.sizes.tolist() == [0] * 8
@@ -1059,8 +1110,8 @@ def test_both_backends_refuse_misplaced_terminators(tmp_path):
     # would shift the side list's positions
     for store in _stores(tmp_path / "unranked", 3):
         store.fill(1, [0, 1, 2])
-        with pytest.raises(ConsistencyError, match="only terminators"):
-            store.merge_many(*_round_arrays([(0, [0, 1], [DOLLAR, 1], 0)]), False)
+        with pytest.raises(ConsistencyError, match="above T"):
+            store.merge_many(*_round_arrays([(0, [0, 1], [DOLLAR, 1], 0)]))
         _terminator_round(store, [(0, [0]), (1, [1])])
         written = store.bytes_written
         for merge in (lambda: _terminator_round(store, [(0, [1])]),

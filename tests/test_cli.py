@@ -245,11 +245,31 @@ def test_cmd_build_full_disk_fails_before_round_0(tmp_path, capsys, monkeypatch)
                "--backend", "external", "--tmp-dir", str(scratch)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert re.fullmatch(r"error: \S+: cannot allocate [\d,]+ bytes of bucket slots: .*No space left on device\n",
+    assert re.fullmatch(r"error: \S+: cannot allocate [\d,]+ bytes for the buckets: .*No space left on device\n",
                         err)
     assert rounds == []
     assert list(scratch.iterdir()) == []
     assert not outp.exists()
+
+
+def test_cmd_build_external_without_posix_fallocate(tmp_path, capsys, monkeypatch):
+    # where the C library lacks posix_fallocate, as on macOS, os has no such
+    # name: the external store then sizes its file with os.ftruncate, the
+    # build writes the memory backend's bytes, and --tmp-dir is left empty
+    monkeypatch.delattr(os, "posix_fallocate")
+    rng = random.Random(81)
+    words = ["".join(rng.choice("ACGT") for _ in range(rng.randint(1, 60))) for _ in range(80)]
+    inp, scratch = tmp_path / "in.fasta", tmp_path / "scratch"
+    _write_fasta(inp, words)
+    scratch.mkdir()
+    outs = []
+    for backend in ("external", "memory"):
+        outp = tmp_path / f"{backend}.bwt"
+        assert main(["build", "--input", str(inp), "--output", str(outp), "--backend", backend,
+                     "--tmp-dir", str(scratch)]) == 0
+        outs.append(outp.read_bytes())
+    assert outs[0] == outs[1] == naive_bwt(WordCollection.from_words(words))
+    assert list(scratch.iterdir()) == []
 
 
 def test_cmd_build_slots_too_large_for_memory_fail_before_round_0(tmp_path, capsys, monkeypatch):
@@ -271,7 +291,7 @@ def test_cmd_build_slots_too_large_for_memory_fail_before_round_0(tmp_path, caps
     rc = main(["build", "--input", str(inp), "--output", str(outp), "--backend", "memory"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert re.fullmatch(r"error: cannot allocate 4,611,686,018,427,38\d,\d{3} bytes of bucket slots in RAM\n",
+    assert re.fullmatch(r"error: cannot allocate 4,611,686,018,427,38\d,\d{3} bytes for the buckets in RAM\n",
                         err)
     assert rounds == []
     assert not outp.exists()

@@ -154,6 +154,30 @@ def test_external_build_bounds_memory(tmp_path, monkeypatch):
     assert peaks["external", 600] - peaks["external", 150] < 2 * window
 
 
+def test_activation_schedule_costs_memory_per_word_not_per_round(monkeypatch):
+    # one 5,000,000-symbol word among 1,000 reads of 150: the schedule keeps
+    # the words that start only for the rounds where some do, so it and a
+    # sparse prefix that ends at round 0 peak under 1 MB, where a table of
+    # every round held 16 bytes a round (80 MB traced)
+    rng = np.random.default_rng(79)
+    acgt = np.frombuffer(b"ACGT", dtype=np.uint8)
+    words = [acgt[rng.integers(0, 4, 5_000_000)].tobytes()] + \
+        [w.tobytes() for w in acgt[rng.integers(0, 4, (1000, 150))]]
+    c = WordCollection.from_words(words)
+    monkeypatch.setattr(engine, "SPARSE_MAX", 0)
+    with BwtBuilder(c, Config(kappa=5, backend="memory")) as builder:
+        builder.store = buckets.BucketStore(np.zeros(1 << 5, dtype=np.int64))
+        sb = StartBitvector(c.m)
+        tracemalloc.start()
+        try:
+            builder._prepare_starts()
+            first, _ = builder._sparse_rounds(sb, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert first == 0 and peak < 1 << 20
+
+
 def test_context_counts_peak_stays_below_one_pass_window():
     # the bucket-size count before round 0 works a chunk of symbols at a
     # time, so that its temporaries peak below what one window of a dense
@@ -549,7 +573,7 @@ def test_counted_sizes_that_differ_from_the_build_raise(backend, monkeypatch, tm
     # fails the check of the final sizes
     c = WordCollection.from_words(["GATTACA", "CCTGA", "TTAGGCA"])
     counts = WordCollection.context_counts
-    for delta, message in ((-1, "overflow its slot"), (1, "differ from the counted")):
+    for delta, message in ((-1, "overflow its counted final size"), (1, "differ from the counted")):
         def miscount(self, n_sym, drop, delta=delta):
             out = counts(self, n_sym, drop)
             out[int(np.argmax(out))] += delta
@@ -683,12 +707,12 @@ def test_round_paths_match_oracle(words, kappa, backend, rank_chunk):
 
 def _record_merges(mp, merges):
     """Wrap ``merge_insert`` on both backends so that every call appends
-    (want_ranks, positions, symbols, ordinal) to ``merges``."""
+    (bounds, positions, symbols, ordinal) to ``merges``."""
     real = buckets.BucketStore.merge_insert
 
-    def merge_insert(self, ordinal, positions, syms, base, want_ranks=True):
-        merges.append((want_ranks, positions, syms, ordinal))
-        return real(self, ordinal, positions, syms, base, want_ranks)
+    def merge_insert(self, ordinal, positions, syms, base, *, bounds=None):
+        merges.append((bounds, positions, syms, ordinal))
+        return real(self, ordinal, positions, syms, base, bounds=bounds)
 
     mp.setattr(buckets.BucketStore, "merge_insert", merge_insert)
 
@@ -703,10 +727,11 @@ def _record_merges(mp, merges):
 )
 def test_merges_take_one_form_per_round_kind(words, more, tail, kappa, backend):
     # sparse rounds merge one bucket ranked, as Python int lists of at most
-    # SPARSE_MAX entries. Ranked dense rounds merge all their entries in one
-    # call, as arrays with an ordinal per entry, on both backends; the
-    # terminator round is one unranked call of the same arrays, of
-    # terminators only, made last. SPARSE_MAX + 1 words of ``tail`` symbols
+    # SPARSE_MAX entries of bases. Ranked dense rounds merge all their
+    # entries in one call, as arrays of bases with an ordinal per touched
+    # bucket and the bounds of its group of entries, on both backends; the
+    # terminator round is one call of the same arrays, of terminators only,
+    # made last. SPARSE_MAX + 1 words of ``tail`` symbols
     # make the rounds from their start on dense, so every build has a
     # ranked dense round
     rng = random.Random(tail)
@@ -717,13 +742,17 @@ def test_merges_take_one_form_per_round_kind(words, more, tail, kappa, backend):
         _record_merges(mp, merges)
         assert build(c, Config(kappa=kappa, backend=backend)) == naive_bwt(c)
     forms = []
-    for ranked, positions, syms, ordinal in merges:
-        if isinstance(ordinal, np.ndarray):
-            assert type(positions) is type(syms) is np.ndarray and len(ordinal) == len(syms)
-            assert ranked != (syms == collection.DOLLAR).all()
-            forms.append("array" if ranked else "terminators")
+    for bounds, positions, syms, ordinal in merges:
+        if bounds is not None:
+            assert type(ordinal) is type(positions) is type(syms) is np.ndarray
+            assert len(bounds) == len(ordinal) + 1 and bounds[0] == 0 and bounds[-1] == len(syms)
+            assert (np.diff(bounds) > 0).all() and (np.diff(ordinal) > 0).all()
+            dollars = syms == collection.DOLLAR
+            assert dollars.all() or not dollars.any()
+            forms.append("terminators" if dollars.all() else "array")
         else:
-            assert ranked and type(positions) is type(syms) is list and len(syms) <= engine.SPARSE_MAX
+            assert type(positions) is type(syms) is list and len(syms) <= engine.SPARSE_MAX
+            assert max(syms) <= 3
             forms.append("list")
     assert "array" in forms
     # no form goes back to an earlier one: sparse rounds first, then the
@@ -745,7 +774,12 @@ def test_copies_of_one_word_merge_sparse_max_ranked_entries_into_one_bucket(back
     merges = []
     _record_merges(monkeypatch, merges)
     assert build(c, Config(kappa=3, backend=backend)) == naive_bwt(c)
-    assert [len(syms) for ranked, _, syms, _ in merges if ranked] == [engine.SPARSE_MAX] * len(word)
+    sparse = [len(syms) for bounds, _, syms, _ in merges if bounds is None]
+    assert sparse == [engine.SPARSE_MAX] * len(word)
+    # the terminator round, the one dense round, merges all of them into one bucket
+    assert [(len(ordinal), bounds.tolist()) for bounds, _, _, ordinal in merges if bounds is not None] == \
+        [(1, [0, engine.SPARSE_MAX])]
+    assert sum(len(syms) for *_, syms, _ in merges) == c.total_length
 
 
 def _check_every_round(c, kappa, backend, tmp_path):
@@ -821,7 +855,7 @@ def test_memory_dense_rounds_read_the_old_content_at_most_once(kappa, monkeypatc
         def merge_many(self, *args):
             read, content = self.bytes_read, int(self.sizes.sum())
             out = real_many(self, *args)
-            if len(args) == 5 or args[5]:  # ranked
+            if args[3].max() <= 3:  # a round of bases, ranked
                 rounds.append((self.bytes_read - read, content))
             return out
 
